@@ -5,9 +5,17 @@ Everything here is driven by one adaptive frequency scan per cell: the
 scan samples the half-trace, locates shunt resonance poles from sign
 changes of the correction denominator, inserts guarded breakpoints around
 them so that no root bracket ever spans a pole, and refines locally near
-band edges. Root refinement is bisection only; the half-trace has poles
-for C < 0 and bisection inside pole-free sub-intervals is unconditionally
-safe.
+band edges.
+
+Root search is array code throughout. The targets cos(K*T) of all K are
+sorted once; each unblocked scan interval finds its candidate targets by
+binary search on its two end values and keeps those that pass the strict
+sign-change test, so the cost is O(nodes * log targets + brackets) with no
+targets x nodes temporary. Root refinement is bisection only: the
+half-trace has poles for C < 0 and bisection inside pole-free
+sub-intervals is unconditionally safe. The bisection drops finished
+brackets from its working arrays each pass, which saves kernel points
+without moving any root.
 """
 
 from __future__ import annotations
@@ -203,41 +211,55 @@ class FrequencyScan:
 
 
 def _bisect(func, lo, hi, f_lo, *, rtol, residual_tol=None, max_iter=200):
-    """Vectorized bisection on brackets with f(lo)*f(hi) < 0.
+    """Vectorized bisection on 1-D arrays of brackets with f(lo)*f(hi) < 0.
 
-    Iterates until the interval is relatively tight (and, if requested,
-    the residual at the returned point is small) or the floating-point
-    grid is exhausted. The returned point is always one whose residual
-    was actually evaluated, never an unchecked interval center.
+    ``func(x, live)`` evaluates the residual at the points x of the
+    brackets whose input positions are ``live``. A bracket finishes when
+    its interval is relatively tight (and, if requested, the residual at
+    the returned point is small), when it hits an exact zero, or when the
+    floating-point grid is exhausted. Finished brackets leave the working
+    arrays in the pass they finish, so ``func`` sees only live brackets.
+    Each bracket's arithmetic is that of plain bisection, so dropping
+    finished ones changes no root and no pass count.
+
+    The returned point is always one whose residual was actually
+    evaluated, never an unchecked interval center.
+
+    Raises:
+        NumericalError: If a bracket is still open after max_iter passes.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     f_lo = np.array(f_lo, dtype=float)
-    result = 0.5 * (lo + hi)
-    done = np.zeros(lo.shape, dtype=bool)
+    result = np.empty_like(lo)
+    live = np.arange(lo.size)
     for _ in range(max_iter):
+        if not live.size:
+            return result
         mid = 0.5 * (lo + hi)
-        stuck = ~done & ((mid <= lo) | (mid >= hi))
-        f_mid = func(mid)
+        stuck = (mid <= lo) | (mid >= hi)
+        f_mid = func(mid, live)
         exact = f_mid == 0.0
         same_side = (f_mid > 0) == (f_lo > 0)
-        move_lo = ~done & same_side & ~exact
-        move_hi = ~done & ~same_side & ~exact
-        new_lo = np.where(move_lo, mid, lo)
-        new_f_lo = np.where(move_lo, f_mid, f_lo)
-        new_hi = np.where(move_hi, mid, hi)
-        width_ok = (new_hi - new_lo) <= rtol * np.abs(mid)
-        if residual_tol is None:
-            converged = width_ok
-        else:
-            converged = width_ok & (np.abs(f_mid) <= residual_tol)
-        newly_done = ~done & (stuck | converged | exact)
-        result = np.where(newly_done, mid, result)
-        done |= newly_done
-        lo, hi, f_lo = new_lo, new_hi, new_f_lo
-        if done.all():
-            return result
-    return np.where(done, result, 0.5 * (lo + hi))
+        move_lo = same_side & ~exact
+        move_hi = ~same_side & ~exact
+        lo = np.where(move_lo, mid, lo)
+        f_lo = np.where(move_lo, f_mid, f_lo)
+        hi = np.where(move_hi, mid, hi)
+        converged = (hi - lo) <= rtol * np.abs(mid)
+        if residual_tol is not None:
+            converged &= np.abs(f_mid) <= residual_tol
+        finished = stuck | converged | exact
+        if finished.any():
+            result[live[finished]] = mid[finished]
+            open_ = ~finished
+            live, lo, hi, f_lo = live[open_], lo[open_], hi[open_], f_lo[open_]
+    if live.size:
+        raise NumericalError(
+            f"bisection left {live.size} bracket(s) open after {max_iter} passes; "
+            f"first open bracket [{lo[0]!r}, {hi[0]!r}]"
+        )
+    return result
 
 
 def _find_poles(cell: ShuntedCell, omega_max: float, probe_points: int) -> np.ndarray:
@@ -248,14 +270,10 @@ def _find_poles(cell: ShuntedCell, omega_max: float, probe_points: int) -> np.nd
     den = shunt_denominator(cell, grid)
     prod = den[:-1] * den[1:]
     idx = np.nonzero(prod < 0.0)[0]
-    roots = []
-    if idx.size:
-        func = lambda x: shunt_denominator(cell, x)
-        located = _bisect(func, grid[idx], grid[idx + 1], den[idx], rtol=1e-14)
-        roots.extend(np.atleast_1d(located))
+    func = lambda x, live: shunt_denominator(cell, x)
+    located = _bisect(func, grid[idx], grid[idx + 1], den[idx], rtol=1e-14)
     # Exact zeros at probe nodes are poles themselves.
-    roots.extend(grid[den == 0.0])
-    poles = np.unique(np.asarray(roots, dtype=float))
+    poles = np.unique(np.concatenate([located, grid[den == 0.0]]))
     return poles[(poles > 0.0) & (poles < omega_max)]
 
 
@@ -352,47 +370,77 @@ def _blocked_mask(nodes: np.ndarray, poles: np.ndarray) -> np.ndarray:
     return blocked
 
 
-def _scan_roots_batch(scan: FrequencyScan, targets: np.ndarray) -> list[np.ndarray]:
-    """Roots of half_trace(omega) = t for every target t, one bisection pass.
+def _index_ranges(first: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flatten the ranges [first[i], stop[i]) into (i, position) pairs."""
+    count = np.maximum(stop - first, 0)
+    row = np.repeat(np.arange(count.size), count)
+    position = np.arange(row.size) + np.repeat(first - (np.cumsum(count) - count), count)
+    return row, position
 
-    Brackets for all targets are concatenated and refined together; the
-    per-target root lists come back sorted.
+
+def _target_hits(scan: FrequencyScan, targets: np.ndarray):
+    """Brackets and exact node zeros of half_trace(omega) = t for all targets.
+
+    The targets are sorted once. Each unblocked scan interval finds the
+    targets strictly between its two end values by binary search, and
+    each node finds the targets equal to its value. The candidates are
+    then held to the tests of ``f = values - t`` themselves: f_lo*f_hi < 0
+    for a bracket, f == 0 for an exact zero. Work and memory scale with
+    nodes * log(targets) plus the number of hits.
+
+    Returns:
+        (interval, owner, f_lo) of every bracket and (node, owner) of every
+        exact zero, where owner indexes ``targets``.
+    """
+    order = np.argsort(targets, kind="stable")
+    ordered = targets[order]
+    values = scan.values
+    low = np.minimum(values[:-1], values[1:])
+    high = np.maximum(values[:-1], values[1:])
+    first = np.searchsorted(ordered, low, side="right")
+    stop = np.where(scan.blocked, first, np.searchsorted(ordered, high, side="left"))
+    interval, position = _index_ranges(first, stop)
+    owner = order[position]
+    f_lo = values[interval] - targets[owner]
+    keep = f_lo * (values[interval + 1] - targets[owner]) < 0.0
+
+    node, position = _index_ranges(
+        np.searchsorted(ordered, values, side="left"),
+        np.searchsorted(ordered, values, side="right"),
+    )
+    zero_owner = order[position]
+    exact = values[node] - targets[zero_owner] == 0.0
+    return (interval[keep], owner[keep], f_lo[keep]), (node[exact], zero_owner[exact])
+
+
+def _scan_roots_batch(
+    scan: FrequencyScan, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of half_trace(omega) = t for every target t, one bisection run.
+
+    Brackets come from ``_target_hits`` (sorted-target binary search, never
+    across a blocked interval) and are refined together by bisection, the
+    only refinement used; exact zeros at scan nodes are roots as they are.
+
+    Returns:
+        (roots, counts): the roots grouped by target in target order and
+        sorted within each group, and the number of roots of each target.
     """
     cell = scan.cell
-    lo_parts, hi_parts, flo_parts, tgt_parts, owner_parts = [], [], [], [], []
-    exact_by_target: list[np.ndarray] = []
-    for j, target in enumerate(targets):
-        f = scan.values - target
-        exact_by_target.append(scan.nodes[f == 0.0])
-        idx = np.nonzero((f[:-1] * f[1:] < 0.0) & ~scan.blocked)[0]
-        if idx.size:
-            lo_parts.append(scan.nodes[idx])
-            hi_parts.append(scan.nodes[idx + 1])
-            flo_parts.append(f[idx])
-            tgt_parts.append(np.full(idx.size, target))
-            owner_parts.append(np.full(idx.size, j, dtype=int))
-
-    results = [np.empty(0)] * len(targets)
-    if lo_parts:
-        tgt = np.concatenate(tgt_parts)
-        func = lambda x: half_trace_values(cell, x) - tgt
-        roots = np.atleast_1d(
-            _bisect(
-                func,
-                np.concatenate(lo_parts),
-                np.concatenate(hi_parts),
-                np.concatenate(flo_parts),
-                rtol=ROOT_RTOL,
-                residual_tol=RESIDUAL_TOL,
-            )
-        )
-        owners = np.concatenate(owner_parts)
-        for j in range(len(targets)):
-            results[j] = roots[owners == j]
-    return [
-        np.sort(np.concatenate([exact_by_target[j], results[j]]))
-        for j in range(len(targets))
-    ]
+    (interval, owner, f_lo), (node, zero_owner) = _target_hits(scan, targets)
+    func = lambda x, live: half_trace_values(cell, x) - targets[owner[live]]
+    refined = _bisect(
+        func,
+        scan.nodes[interval],
+        scan.nodes[interval + 1],
+        f_lo,
+        rtol=ROOT_RTOL,
+        residual_tol=RESIDUAL_TOL,
+    )
+    roots = np.concatenate([scan.nodes[node], refined])
+    owners = np.concatenate([zero_owner, owner])
+    order = np.lexsort((roots, owners))
+    return roots[order], np.bincount(owners, minlength=len(targets))
 
 
 # --- branches ----------------------------------------------------------------
@@ -433,18 +481,25 @@ def trace_branches(
     k_grid = np.linspace(0.0, math.pi / period, k_points)
     include_origin = effective_model(cell).regime is Regime.POSITIVE
 
-    per_k = _scan_roots_batch(scan, np.cos(k_grid * period))
-    per_k[0] = per_k[0][per_k[0] > 0.0]
+    roots, counts = _scan_roots_batch(scan, np.cos(k_grid * period))
+    # At K = 0 the node omega = 0 is an exact root; it is kept, as the
+    # trivial solution, only in the positive-stiffness regime.
+    trivial = int(np.searchsorted(roots[: counts[0]], 0.0, side="right"))
+    roots = roots[trivial:]
+    counts[0] -= trivial
     if include_origin:
-        per_k[0] = np.concatenate([[0.0], per_k[0]])
+        roots = np.concatenate([[0.0], roots])
+        counts[0] += 1
 
-    n_branches = max((len(r) for r in per_k), default=0)
-    branches = []
-    for j in range(n_branches):
-        ks = np.array([k for k, roots in zip(k_grid, per_k) if len(roots) > j])
-        ws = np.array([roots[j] for roots in per_k if len(roots) > j])
-        branches.append(Branch(index=j + 1, k=ks, omega=ws))
-    return branches
+    # Padded (K, branch) table: the n-th lowest root at each K is branch n.
+    n_branches = int(counts.max(initial=0))
+    present = np.arange(n_branches) < counts[:, None]
+    table = np.zeros((k_points, n_branches))
+    table[present] = roots
+    return [
+        Branch(index=j + 1, k=k_grid[present[:, j]], omega=table[present[:, j], j])
+        for j in range(n_branches)
+    ]
 
 
 def stopbands(
@@ -464,13 +519,8 @@ def stopbands(
     g = np.abs(scan.values) - 1.0
     prod = g[:-1] * g[1:]
     idx = np.nonzero((prod < 0.0) & ~scan.blocked)[0]
-    if idx.size:
-        func = lambda x: np.abs(half_trace_values(cell_, x)) - 1.0
-        edges = np.atleast_1d(
-            _bisect(func, scan.nodes[idx], scan.nodes[idx + 1], g[idx], rtol=ROOT_RTOL)
-        )
-    else:
-        edges = np.empty(0)
+    func = lambda x, live: np.abs(half_trace_values(cell_, x)) - 1.0
+    edges = _bisect(func, scan.nodes[idx], scan.nodes[idx + 1], g[idx], rtol=ROOT_RTOL)
     interior_zeros = scan.nodes[(g == 0.0) & (scan.nodes > 0.0) & (scan.nodes < scan.omega_max)]
     edges = np.unique(np.concatenate([edges, interior_zeros]))
 
@@ -512,13 +562,32 @@ def _interval_is_stop(scan: FrequencyScan, lo: float, hi: float) -> bool:
 # --- derived branch quantities ------------------------------------------------
 
 
-def _uniform_spacing(k: np.ndarray) -> float:
+def _uniform_spacing(k: np.ndarray) -> float | None:
+    """Common K step of the samples, or None if they are not uniform."""
     dk = np.diff(k)
-    if dk.size == 0:
-        raise InsufficientSamplesError("branch has a single sample")
-    if not np.allclose(dk, dk[0], rtol=1e-9, atol=0.0):
-        raise InsufficientSamplesError("branch samples are not uniformly spaced in K")
-    return float(dk[0])
+    if dk.size and np.allclose(dk, dk[0], rtol=1e-9, atol=0.0):
+        return float(dk[0])
+    return None
+
+
+def _group_velocities(branch: Branch) -> np.ndarray:
+    """``group_velocity`` at every sample of a branch, in one pass (m/s).
+
+    Samples where ``group_velocity`` would raise InsufficientSamplesError
+    (fewer than 5 samples, non-uniform K) get nan.
+    """
+    n = len(branch)
+    dk = _uniform_spacing(branch.k) if n >= 5 else None
+    if dk is None:
+        return np.full(n, np.nan)
+    w = branch.omega
+    v = np.empty(n)
+    v[2:-2] = (w[:-4] - 8 * w[1:-3] + 8 * w[3:-1] - w[4:]) / (12 * dk)
+    v[0] = (-25 * w[0] + 48 * w[1] - 36 * w[2] + 16 * w[3] - 3 * w[4]) / (12 * dk)
+    v[1] = (-3 * w[0] - 10 * w[1] + 18 * w[2] - 6 * w[3] + w[4]) / (12 * dk)
+    v[-2] = (3 * w[-1] + 10 * w[-2] - 18 * w[-3] + 6 * w[-4] - w[-5]) / (12 * dk)
+    v[-1] = (25 * w[-1] - 48 * w[-2] + 36 * w[-3] - 16 * w[-4] + 3 * w[-5]) / (12 * dk)
+    return v
 
 
 def group_velocity(branch: Branch, k: float) -> float:
@@ -528,26 +597,19 @@ def group_velocity(branch: Branch, k: float) -> float:
     of the same order at the edges.
 
     Raises:
-        InsufficientSamplesError: With fewer than 5 samples.
+        InsufficientSamplesError: With fewer than 5 samples, or samples
+            not uniformly spaced in K.
         ValueError: If k lies outside the branch sample range.
     """
-    n = len(branch)
-    if n < 5:
+    if len(branch) < 5:
         raise InsufficientSamplesError("group velocity needs at least 5 branch samples")
     dk = _uniform_spacing(branch.k)
+    if dk is None:
+        raise InsufficientSamplesError("branch samples are not uniformly spaced in K")
     if k < branch.k[0] - 0.5 * dk or k > branch.k[-1] + 0.5 * dk:
         raise ValueError("k outside the branch sample range")
     i = int(np.argmin(np.abs(branch.k - k)))
-    w = branch.omega
-    if 2 <= i <= n - 3:
-        return float((w[i - 2] - 8 * w[i - 1] + 8 * w[i + 1] - w[i + 2]) / (12 * dk))
-    if i == 0:
-        return float((-25 * w[0] + 48 * w[1] - 36 * w[2] + 16 * w[3] - 3 * w[4]) / (12 * dk))
-    if i == 1:
-        return float((-3 * w[0] - 10 * w[1] + 18 * w[2] - 6 * w[3] + w[4]) / (12 * dk))
-    if i == n - 2:
-        return float((3 * w[-1] + 10 * w[-2] - 18 * w[-3] + 6 * w[-4] - w[-5]) / (12 * dk))
-    return float((25 * w[-1] - 48 * w[-2] + 36 * w[-3] - 16 * w[-4] + 3 * w[-5]) / (12 * dk))
+    return float(_group_velocities(branch)[i])
 
 
 def origin_slope(branch: Branch) -> float:

@@ -19,9 +19,10 @@ from .band_structure import (
     BracketError,
     InsufficientSamplesError,
     NumericalError,
+    _group_velocities,
     branch_flatness,
     default_omega_max,
-    group_velocity,
+    group_velocity,  # noqa: F401  (kept importable: bench/tracing.py patches cli.group_velocity)
     stopbands,
     trace_branches,
     DEFAULT_FLATNESS_TOL,
@@ -85,15 +86,12 @@ def _bands_csv(cell: ShuntedCell, branches: list[Branch]) -> str:
     period = cell.period
     lines = ["branch_index,K*T/pi [-],omega [rad/s],f [Hz],group_velocity [m/s]"]
     for branch in branches:
-        for k, w in zip(branch.k, branch.omega):
-            try:
-                vg = group_velocity(branch, float(k))
-                vg_text = _fmt(vg)
-            except InsufficientSamplesError:
-                vg_text = "nan"
+        # nan on branches too short (or too irregular) for the 5-point stencil.
+        velocities = _group_velocities(branch).tolist()
+        for k, w, vg in zip(branch.k.tolist(), branch.omega.tolist(), velocities):
             lines.append(
                 f"{branch.index},{_fmt(k * period / math.pi)},{_fmt(w)},"
-                f"{_fmt(w / (2.0 * math.pi))},{vg_text}"
+                f"{_fmt(w / (2.0 * math.pi))},{_fmt(vg)}"
             )
     return "\n".join(lines) + "\n"
 
