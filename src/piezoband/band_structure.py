@@ -458,9 +458,10 @@ def trace_branches(
     For each K in [0, pi/T] the roots of half_trace(omega) = cos(K*T) are
     bracketed on the shared scan and refined by bisection; the n-th lowest
     root at each K forms branch n. The trivial solution (K, omega) = (0, 0)
-    belongs to the first branch exactly when the quasistatic stiffness is
-    positive; in the negative-stiffness regime the first branch detaches
-    from the origin.
+    belongs to the first branch exactly when the quasistatic stiffness
+    c_eff is positive or infinite (at C/S = Cinf/S the branch leaves the
+    origin with infinite slope); in the negative-stiffness regime the
+    first branch detaches from the origin.
 
     Args:
         cell: Unit cell.
@@ -479,11 +480,11 @@ def trace_branches(
         scan = scan_frequencies(cell, omega_max)
     period = cell.period
     k_grid = np.linspace(0.0, math.pi / period, k_points)
-    include_origin = effective_model(cell).regime is Regime.POSITIVE
+    include_origin = effective_model(cell).regime in (Regime.POSITIVE, Regime.POLE)
 
     roots, counts = _scan_roots_batch(scan, np.cos(k_grid * period))
     # At K = 0 the node omega = 0 is an exact root; it is kept, as the
-    # trivial solution, only in the positive-stiffness regime.
+    # trivial solution, only where c_eff is positive or infinite.
     trivial = int(np.searchsorted(roots[: counts[0]], 0.0, side="right"))
     roots = roots[trivial:]
     counts[0] -= trivial
@@ -525,12 +526,9 @@ def stopbands(
     edges = np.unique(np.concatenate([edges, interior_zeros]))
 
     boundaries = np.concatenate([[0.0], edges, [scan.omega_max]])
-    raw: list[tuple[float, float]] = []
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        if hi <= lo:
-            continue
-        if _interval_is_stop(scan, lo, hi):
-            raw.append((float(lo), float(hi)))
+    lo, hi = boundaries[:-1], boundaries[1:]
+    is_stop = _intervals_are_stop(scan, lo, hi)
+    raw = list(zip(lo[is_stop].tolist(), hi[is_stop].tolist()))
 
     # Roundoff near |half_trace| = 1 (e.g. impedance-matched cells) can
     # produce sliver intervals at the noise floor; merge across sliver
@@ -549,14 +547,26 @@ def stopbands(
     ]
 
 
-def _interval_is_stop(scan: FrequencyScan, lo: float, hi: float) -> bool:
-    """Classify the open interval (lo, hi) by its sampled interior."""
-    i0, i1 = np.searchsorted(scan.nodes, [lo, hi])
-    interior = scan.values[i0:i1][(scan.nodes[i0:i1] > lo) & (scan.nodes[i0:i1] < hi)]
-    if interior.size:
-        return bool(np.max(np.abs(interior)) > 1.0)
-    mid = 0.5 * (lo + hi)
-    return abs(float(half_trace_values(scan.cell, mid))) > 1.0
+def _intervals_are_stop(scan: FrequencyScan, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Classify the open intervals (lo[i], hi[i]) by their sampled interior.
+
+    An interval is a stop interval when the largest |half_trace| over the
+    scan nodes strictly inside it exceeds 1. Intervals without interior
+    nodes are judged at their midpoints, all in one kernel call.
+    """
+    magnitude = np.append(np.abs(scan.values), 0.0)
+    first = np.searchsorted(scan.nodes, lo, side="right")
+    stop = np.searchsorted(scan.nodes, hi, side="left")
+    has_interior = stop > first
+    # Over the interleaved bounds (first[0], stop[0], first[1], ...) the even
+    # slots reduce [first, stop); the appended 0 keeps stop == len(nodes) valid.
+    peak = np.maximum.reduceat(magnitude, np.column_stack([first, stop]).ravel())[::2]
+    is_stop = has_interior & (peak > 1.0)
+    empty = ~has_interior & (hi > lo)
+    if empty.any():
+        mid = 0.5 * (lo[empty] + hi[empty])
+        is_stop[empty] = np.abs(half_trace_values(scan.cell, mid)) > 1.0
+    return is_stop
 
 
 # --- derived branch quantities ------------------------------------------------

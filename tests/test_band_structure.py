@@ -154,6 +154,23 @@ class TestBranches:
         em = effective_model(cell)
         assert bs.origin_slope(branch) == pytest.approx(em.v_eff, rel=5e-3)
 
+    def test_first_branch_keeps_the_origin_at_the_pole_capacitance(self, cell):
+        # Regression: at C/S = Cinf/S (c_eff infinite) the origin was dropped,
+        # so branch 1 started at K = 0 on band 2's root and then fell to the
+        # first band.
+        from conftest import random_cell
+        from piezoband.quasistatic import Regime
+
+        draws = np.random.default_rng(3)
+        cells = [cell] + [random_cell(draws, allow_zero_e=False) for _ in range(60)]
+        for c in cells:
+            c_inf, _ = special_capacitances(c)
+            c2 = c.with_c_over_s(c_inf)
+            assert effective_model(c2).regime is Regime.POLE
+            branch = bs.trace_branches(c2)[0]
+            assert branch.k[0] == 0.0 and branch.omega[0] == 0.0
+            assert np.all(np.diff(branch.omega[:4]) > 0.0)
+
     def test_detached_first_branch_inside_interval(self, cell):
         branch = bs.trace_branches(cell.with_c_over_s(interior_gamma(cell)))[0]
         assert branch.omega.min() > 0.0
@@ -348,7 +365,7 @@ class TestRandomizedConsistency:
             regime = effective_model(c2).regime
             if branches:
                 has_origin = branches[0].k[0] == 0.0 and branches[0].omega[0] == 0.0
-                if regime is Regime.POSITIVE:
+                if regime in (Regime.POSITIVE, Regime.POLE):
                     assert has_origin
                 if regime is Regime.NEGATIVE:
                     assert not has_origin

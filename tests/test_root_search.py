@@ -1,9 +1,10 @@
 """Array root search against the plain loops it replaced.
 
-The bracket search, the compacting bisection and the whole-branch group
-velocity stencil must reproduce, bit for bit, the per-target bracket loop,
-the uncompacted bisection loop and the per-sample stencil kept below as
-references.
+The bracket search, the compacting bisection, the stopband interval
+classification and the whole-branch group velocity stencil must reproduce,
+bit for bit, the per-target bracket loop, the uncompacted bisection loop,
+the per-interval classification loop and the per-sample stencil kept below
+as references.
 """
 
 import math
@@ -80,6 +81,18 @@ def reference_roots(scan, targets):
         rtol=bs.ROOT_RTOL, residual_tol=bs.RESIDUAL_TOL,
     )
     return [np.sort(np.concatenate([exact[j], roots[owner == j]])) for j in range(len(targets))]
+
+
+def reference_interval_is_stop(scan, lo, hi):
+    """Per-interval loop: classify (lo, hi) by its sampled interior."""
+    if hi <= lo:
+        return False
+    i0, i1 = np.searchsorted(scan.nodes, [lo, hi])
+    interior = scan.values[i0:i1][(scan.nodes[i0:i1] > lo) & (scan.nodes[i0:i1] < hi)]
+    if interior.size:
+        return bool(np.max(np.abs(interior)) > 1.0)
+    mid = 0.5 * (lo + hi)
+    return abs(float(bs.half_trace_values(scan.cell, mid))) > 1.0
 
 
 def reference_group_velocity(branch, i):
@@ -196,6 +209,31 @@ def test_batched_roots_match_per_target_lists():
         groups = np.split(roots, np.cumsum(counts)[:-1])
         expected = reference_roots(scan, targets)
         assert [g.tobytes() for g in groups] == [e.tobytes() for e in expected]
+
+
+def test_interval_classification_matches_per_interval_loop():
+    # Boundaries mix scan nodes, points between two adjacent nodes (intervals
+    # with no interior node, judged at their midpoint) and repeated values
+    # (empty intervals, never stop intervals).
+    draws = np.random.default_rng(7)
+    rng = np.random.default_rng(8)
+    midpoint_verdicts = set()
+    for _ in range(300):
+        scan = bs.scan_frequencies(shunted_cell(draws), base_points=200)
+        nodes = scan.nodes
+        pick = rng.choice(nodes.size - 1, 10)
+        inner = nodes[pick] + rng.uniform(0.0, 1.0, (2, pick.size)) * np.diff(nodes)[pick]
+        boundaries = np.sort(np.concatenate([
+            [0.0, scan.omega_max], rng.choice(nodes, 20), inner.ravel(), inner[0, :3],
+        ]))
+        lo, hi = boundaries[:-1], boundaries[1:]
+        got = bs._intervals_are_stop(scan, lo, hi)
+        expected = [reference_interval_is_stop(scan, a, b) for a, b in zip(lo, hi)]
+        assert got.tolist() == expected
+        first = np.searchsorted(nodes, lo, side="right")
+        no_interior = (np.searchsorted(nodes, hi, side="left") <= first) & (hi > lo)
+        midpoint_verdicts |= set(got[no_interior].tolist())
+    assert midpoint_verdicts == {False, True}
 
 
 def test_bisection_out_of_passes_raises_instead_of_guessing():

@@ -4,20 +4,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from piezoband.materials import ElasticLayer, PiezoLayer, ShuntedCell, derive_constants
+from piezoband import transfer_matrix
+from piezoband.materials import ElasticLayer, PiezoLayer, ShuntedCell, default_cell, derive_constants
 from piezoband.oracle_bvp import oracle_layer_matrix
 from piezoband.transfer_matrix import (
     ResonancePoleError,
     has_shunt_correction,
     m_elastic,
+    m_elastic_entries,
     m_piezo_open,
     m_piezo_shunted,
+    m_piezo_shunted_entries,
     monodromy,
     monodromy_entries,
     pole_threshold,
     shunt_coefficients,
     shunt_denominator,
 )
+
+from conftest import random_cell
 
 
 def normalized_max_diff(a, b, z_omega):
@@ -236,3 +241,151 @@ class TestMonodromy:
         for m in matrices:
             scale = max(1.0, abs(m.a11 * m.a22) + abs(m.a12 * m.a21))
             assert abs(m.det() - 1.0) <= 1e-12 * scale
+
+
+# --- bitwise oracle: the unfused, unblocked kernel formulas as reference ------
+
+
+def plain_sinc(q):
+    """sin(q)/q, equal to 1 at q = 0 (elementwise)."""
+    q = np.asarray(q, dtype=float)
+    safe = np.where(q == 0.0, 1.0, q)
+    return np.where(q == 0.0, 1.0, np.sin(safe) / safe)
+
+
+def plain_m0_entries(rho, c, d, omega):
+    omega = np.asarray(omega, dtype=float)
+    q = omega * d * math.sqrt(rho / c)
+    s = plain_sinc(q)
+    cos_q = np.cos(q)
+    a12 = (d / c) * s
+    a21 = -rho * d * omega * omega * s
+    return cos_q, a12, a21, cos_q
+
+
+def plain_shunt_terms(cell, omega):
+    pz = cell.piezo
+    omega = np.asarray(omega, dtype=float)
+    q = omega * pz.d * pz.slowness
+    h = pz.h
+    M1 = h * (pz.d / pz.cD) * plain_sinc(q)
+    half = 0.5 * q
+    M2 = -2.0 * h * np.sin(half) * np.sin(half)
+    M3 = h * M1 - pz.d / pz.eps
+    return M1, M2, M3
+
+
+def plain_elastic_entries(cell, omega):
+    el = cell.elastic
+    return plain_m0_entries(el.rho, el.c, el.d, omega)
+
+
+def plain_piezo_entries(cell, omega):
+    pz = cell.piezo
+    b11, b12, b21, b22 = plain_m0_entries(pz.rho, pz.cD, pz.d, omega)
+    if has_shunt_correction(cell):
+        M1, M2, M3 = plain_shunt_terms(cell, omega)
+        with np.errstate(divide="ignore"):
+            f = 1.0 / (1.0 / cell.c_over_s - M3)
+        b11 = b11 + f * M1 * M2
+        b12 = b12 + f * M1 * M1
+        b21 = b21 + f * M2 * M2
+        b22 = b22 + f * M2 * M1
+    return b11, b12, b21, b22
+
+
+def plain_monodromy_entries(cell, omega):
+    a11, a12, a21, a22 = plain_elastic_entries(cell, omega)
+    b11, b12, b21, b22 = plain_piezo_entries(cell, omega)
+    return (
+        b11 * a11 + b12 * a21,
+        b11 * a12 + b12 * a22,
+        b21 * a11 + b22 * a21,
+        b21 * a12 + b22 * a22,
+    )
+
+
+def plain_monodromy(cell, omega):
+    """Scalar path: Python floats combined as the 2x2 product m2 @ m1."""
+    a11, a12, a21, a22 = (float(x) for x in plain_elastic_entries(cell, omega))
+    b11, b12, b21, b22 = (float(x) for x in plain_m0_entries(
+        cell.piezo.rho, cell.piezo.cD, cell.piezo.d, omega))
+    if has_shunt_correction(cell):
+        M1, M2, M3 = (float(x) for x in plain_shunt_terms(cell, omega))
+        f = 1.0 / (1.0 / cell.c_over_s - M3)
+        b11, b12 = b11 + f * M1 * M2, b12 + f * M1 * M1
+        b21, b22 = b21 + f * M2 * M2, b22 + f * M2 * M1
+    return (b11 * a11 + b12 * a21, b11 * a12 + b12 * a22,
+            b21 * a11 + b22 * a21, b21 * a12 + b22 * a22)
+
+
+def bits(values):
+    return [(np.shape(v), np.asarray(v, dtype=float).tobytes()) for v in values]
+
+
+def assert_kernels_match_plain(cell, omega):
+    assert bits(monodromy_entries(cell, omega)) == bits(plain_monodromy_entries(cell, omega))
+    assert bits(m_elastic_entries(cell, omega)) == bits(plain_elastic_entries(cell, omega))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got, expected = m_piezo_shunted_entries(cell, omega), plain_piezo_entries(cell, omega)
+    assert bits(got) == bits(expected)
+    if has_shunt_correction(cell):
+        expected = 1.0 / cell.c_over_s - plain_shunt_terms(cell, omega)[2]
+        assert bits([shunt_denominator(cell, omega)]) == bits([expected])
+
+
+def oracle_cells():
+    """The shipped cell open and shunted, an e = 0 cell, and 300 random draws."""
+    base = default_cell()
+    inert = ShuntedCell(base.elastic, PiezoLayer(7500.0, 117e9, 0.0, 1.302e-8, 1e-3), -11e-6)
+    draws = np.random.default_rng(0)
+    return [base.with_c_over_s(g) for g in (0.0, -11e-6, -16.7e-6, -40e-6)] + [inert] + [
+        random_cell(draws) for _ in range(300)
+    ]
+
+
+class TestKernelBitsMatchPlainFormulas:
+    """The blocked kernel must reproduce the unblocked formulas bit for bit."""
+
+    @staticmethod
+    def frequencies(cell, rng, n):
+        omega_max = 3.0 * 4.0 * math.pi / (
+            cell.elastic.d * cell.elastic.slowness + cell.piezo.d * cell.piezo.slowness
+        )
+        omega = rng.uniform(0.0, omega_max, n)
+        omega[rng.integers(n)] = 0.0
+        return omega
+
+    def test_random_cells_across_a_block_boundary(self):
+        rng = np.random.default_rng(1)
+        cells = oracle_cells()
+        assert sum(not has_shunt_correction(c) for c in cells) >= 30
+        for cell in cells:
+            assert_kernels_match_plain(cell, self.frequencies(cell, rng, transfer_matrix._BLOCK + 37))
+
+    def test_block_edge_sizes_and_shapes(self):
+        rng = np.random.default_rng(2)
+        block = transfer_matrix._BLOCK
+        for cell in oracle_cells()[:5]:
+            for n in (1, block - 1, block, block + 1, 3 * block + 7):
+                assert_kernels_match_plain(cell, self.frequencies(cell, rng, n))
+            grid = self.frequencies(cell, rng, 6 * (block // 2 + 1)).reshape(2, -1, 3)
+            assert_kernels_match_plain(cell, grid)
+            for omega in (0.0, 2.2e6, np.float64(3.7e6), np.array(4.1e5), np.array(0.0)):
+                assert_kernels_match_plain(cell, omega)
+                t11, _, _, _ = monodromy_entries(cell, omega)
+                assert np.shape(t11) == ()
+
+    def test_scalar_path(self):
+        rng = np.random.default_rng(3)
+        for cell in oracle_cells()[:45]:
+            for omega in self.frequencies(cell, rng, 8):
+                try:
+                    m = monodromy(cell, float(omega))
+                except ResonancePoleError:
+                    continue
+                assert (m.a11, m.a12, m.a21, m.a22) == plain_monodromy(cell, float(omega))
+                co = shunt_coefficients(cell, float(omega))
+                assert (co.M1, co.M2, co.M3) == tuple(
+                    float(x) for x in plain_shunt_terms(cell, float(omega))
+                )
