@@ -6,12 +6,10 @@ from .materials import (
     ElasticLayer,
     PiezoLayer,
     ShuntedCell,
-    DerivedConstants,
     InvalidMaterialError,
     MaterialFileError,
     calibrated_cell,
     default_cell,
-    derive_constants,
     load_material_file,
     parse_material_file,
     serialize_material_file,
@@ -20,24 +18,13 @@ from .quasistatic import (
     DegenerateShuntError,
     EffectiveModel,
     Regime,
-    classify_regime,
     effective_model,
     special_capacitances,
 )
-from .transfer_matrix import (
-    ResonancePoleError,
-    ShuntCoefficients,
-    TransferMatrix,
-    m_elastic,
-    m_piezo_open,
-    m_piezo_shunted,
-    monodromy,
-    shunt_coefficients,
-)
+from .transfer_matrix import ResonancePoleError, monodromy
 from .band_structure import (
     Branch,
     BracketError,
-    DispersionSample,
     FrequencyScan,
     InsufficientSamplesError,
     NumericalError,
@@ -48,14 +35,12 @@ from .band_structure import (
     detect_flat_bands,
     find_flat_capacitance,
     group_velocity,
-    half_trace,
     half_trace_curvature,
     origin_slope,
     scan_frequencies,
     stopbands,
     trace_branches,
 )
-from .oracle_bvp import OracleSingularError, oracle_layer_matrix, oracle_layer_matrix_fd
 
 __all__ = [
     "__version__",
@@ -63,12 +48,10 @@ __all__ = [
     "ElasticLayer",
     "PiezoLayer",
     "ShuntedCell",
-    "DerivedConstants",
     "InvalidMaterialError",
     "MaterialFileError",
     "calibrated_cell",
     "default_cell",
-    "derive_constants",
     "load_material_file",
     "parse_material_file",
     "serialize_material_file",
@@ -76,22 +59,14 @@ __all__ = [
     "DegenerateShuntError",
     "EffectiveModel",
     "Regime",
-    "classify_regime",
     "effective_model",
     "special_capacitances",
     # transfer matrices
     "ResonancePoleError",
-    "ShuntCoefficients",
-    "TransferMatrix",
-    "m_elastic",
-    "m_piezo_open",
-    "m_piezo_shunted",
     "monodromy",
-    "shunt_coefficients",
     # band structure
     "Branch",
     "BracketError",
-    "DispersionSample",
     "FrequencyScan",
     "InsufficientSamplesError",
     "NumericalError",
@@ -102,14 +77,9 @@ __all__ = [
     "detect_flat_bands",
     "find_flat_capacitance",
     "group_velocity",
-    "half_trace",
     "half_trace_curvature",
     "origin_slope",
     "scan_frequencies",
     "stopbands",
     "trace_branches",
-    # oracle
-    "OracleSingularError",
-    "oracle_layer_matrix",
-    "oracle_layer_matrix_fd",
 ]

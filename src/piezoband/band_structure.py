@@ -28,26 +28,21 @@ import numpy as np
 from .materials import ShuntedCell
 from .quasistatic import Regime, effective_model, special_capacitances
 from .transfer_matrix import (
-    ResonancePoleError,
     has_shunt_correction,
+    monodromy,
     monodromy_entries,
     pole_threshold,
     shunt_denominator,
 )
 
 __all__ = [
-    "PASS",
-    "STOP",
-    "POLE",
     "BracketError",
     "NumericalError",
     "InsufficientSamplesError",
-    "DispersionSample",
     "Branch",
     "StopbandInterval",
     "FrequencyScan",
     "default_omega_max",
-    "half_trace",
     "half_trace_values",
     "bloch_wavenumber",
     "scan_frequencies",
@@ -60,10 +55,6 @@ __all__ = [
     "find_flat_capacitance",
     "half_trace_curvature",
 ]
-
-PASS = "pass"
-STOP = "stop"
-POLE = "pole"
 
 # Solver defaults: 200 K-points and a 2000-point base scan with 16x local
 # refinement resolve the spectral features of mm-scale cells comfortably.
@@ -85,15 +76,6 @@ class NumericalError(RuntimeError):
 
 class InsufficientSamplesError(ValueError):
     """Too few branch samples for the requested stencil."""
-
-
-@dataclass(frozen=True)
-class DispersionSample:
-    """Half-trace of the cell matrix at one frequency, with its status."""
-
-    omega: float
-    half_trace: float
-    status: str  # PASS iff |half_trace| <= 1, POLE if the matrix diverged
 
 
 @dataclass(frozen=True)
@@ -149,18 +131,6 @@ def half_trace_values(cell: ShuntedCell, omega) -> np.ndarray:
     return 0.5 * (t11 + t22)
 
 
-def half_trace(cell: ShuntedCell, omega: float) -> DispersionSample:
-    """Half-trace at one frequency with pass/stop/pole classification."""
-    if has_shunt_correction(cell):
-        denom = float(shunt_denominator(cell, omega))
-        if abs(denom) < pole_threshold(cell):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                value = float(half_trace_values(cell, omega))
-            return DispersionSample(float(omega), value, POLE)
-    value = float(half_trace_values(cell, omega))
-    return DispersionSample(float(omega), value, PASS if abs(value) <= 1.0 else STOP)
-
-
 def bloch_wavenumber(cell: ShuntedCell, omega: float) -> tuple[float, float]:
     """Real and imaginary parts of the Floquet wavenumber at omega.
 
@@ -171,11 +141,8 @@ def bloch_wavenumber(cell: ShuntedCell, omega: float) -> tuple[float, float]:
     Raises:
         ResonancePoleError: At a flagged shunt resonance.
     """
-    sample = half_trace(cell, omega)
-    if sample.status == POLE:
-        denom = float(shunt_denominator(cell, omega))
-        raise ResonancePoleError(float(omega), denom, pole_threshold(cell))
-    h = sample.half_trace
+    t = monodromy(cell, omega)
+    h = 0.5 * (t[0, 0] + t[1, 1])
     period = cell.period
     if abs(h) <= 1.0:
         return math.acos(h) / period, 0.0
@@ -338,17 +305,14 @@ def scan_frequencies(
         near_pole[1:] |= blocked[:-1]
     refine = (cross | near_pole) & ~blocked
     if refine.any():
-        extra = []
+        i = np.nonzero(refine)[0]
         ratios = np.arange(1, refine_factor) / refine_factor
-        for i in np.nonzero(refine)[0]:
-            extra.append(nodes[i] + (nodes[i + 1] - nodes[i]) * ratios)
-        extra = np.concatenate(extra)
+        extra = (nodes[i, None] + (nodes[i + 1] - nodes[i])[:, None] * ratios).ravel()
         extra_values = half_trace_values(cell, extra)
-        order = np.argsort(np.concatenate([nodes, extra]), kind="stable")
-        nodes = np.concatenate([nodes, extra])[order]
-        values = np.concatenate([values, extra_values])[order]
-        nodes, unique_idx = np.unique(nodes, return_index=True)
-        values = values[unique_idx]
+        # A node and an inserted point can coincide; np.unique keeps the
+        # first occurrence, so the node's own value wins.
+        nodes, unique_idx = np.unique(np.concatenate([nodes, extra]), return_index=True)
+        values = np.concatenate([values, extra_values])[unique_idx]
         blocked = _blocked_mask(nodes, poles)
 
     return FrequencyScan(
@@ -379,7 +343,7 @@ def _index_ranges(first: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _target_hits(scan: FrequencyScan, targets: np.ndarray):
-    """Brackets and exact node zeros of half_trace(omega) = t for all targets.
+    """Brackets and exact node zeros of the half-trace h(omega) = t for all targets.
 
     The targets are sorted once. Each unblocked scan interval finds the
     targets strictly between its two end values by binary search, and
@@ -416,7 +380,7 @@ def _target_hits(scan: FrequencyScan, targets: np.ndarray):
 def _scan_roots_batch(
     scan: FrequencyScan, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of half_trace(omega) = t for every target t, one bisection run.
+    """Roots of the half-trace h(omega) = t for every target t, one bisection run.
 
     Brackets come from ``_target_hits`` (sorted-target binary search, never
     across a blocked interval) and are refined together by bisection, the
@@ -455,7 +419,7 @@ def trace_branches(
 ) -> list[Branch]:
     """Trace all dispersion branches omega_n(K) on a uniform K grid.
 
-    For each K in [0, pi/T] the roots of half_trace(omega) = cos(K*T) are
+    For each K in [0, pi/T] the roots of the half-trace h(omega) = cos(K*T) are
     bracketed on the shared scan and refined by bisection; the n-th lowest
     root at each K forms branch n. The trivial solution (K, omega) = (0, 0)
     belongs to the first branch exactly when the quasistatic stiffness
@@ -511,7 +475,7 @@ def stopbands(
 ) -> list[StopbandInterval]:
     """Maximal stop/pole intervals in [0, omega_max].
 
-    Edges are refined by bisection on |half_trace| - 1; an interval whose
+    Edges are refined by bisection on |half-trace| - 1; an interval whose
     closure reaches omega = 0 carries the quasistatic flag.
     """
     if scan is None:
@@ -530,7 +494,7 @@ def stopbands(
     is_stop = _intervals_are_stop(scan, lo, hi)
     raw = list(zip(lo[is_stop].tolist(), hi[is_stop].tolist()))
 
-    # Roundoff near |half_trace| = 1 (e.g. impedance-matched cells) can
+    # Roundoff near |half-trace| = 1 (e.g. impedance-matched cells) can
     # produce sliver intervals at the noise floor; merge across sliver
     # gaps and drop sliver stopbands.
     sliver = 1e-12 * scan.omega_max
@@ -550,7 +514,7 @@ def stopbands(
 def _intervals_are_stop(scan: FrequencyScan, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Classify the open intervals (lo[i], hi[i]) by their sampled interior.
 
-    An interval is a stop interval when the largest |half_trace| over the
+    An interval is a stop interval when the largest |half-trace| over the
     scan nodes strictly inside it exceeds 1. Intervals without interior
     nodes are judged at their midpoints, all in one kernel call.
     """
@@ -654,17 +618,15 @@ def branch_flatness(branch: Branch) -> float:
 
 
 def detect_flat_bands(
-    cell: ShuntedCell,
-    omega_max: float | None = None,
-    flatness_tol: float = DEFAULT_FLATNESS_TOL,
-    *,
-    k_points: int = DEFAULT_K_POINTS,
-    scan: FrequencyScan | None = None,
+    branches: list[Branch], flatness_tol: float = DEFAULT_FLATNESS_TOL
 ) -> list[Branch]:
-    """Branches whose relative frequency spread is below flatness_tol."""
-    if flatness_tol <= 0.0:
-        raise ValueError("flatness_tol must be positive")
-    branches = trace_branches(cell, k_points, omega_max, scan=scan)
+    """The traced branches whose relative frequency spread is below flatness_tol.
+
+    Raises:
+        ValueError: If flatness_tol is not positive and finite.
+    """
+    if not (math.isfinite(flatness_tol) and flatness_tol > 0.0):
+        raise ValueError(f"flatness_tol must be positive and finite, got {flatness_tol!r}")
     return [b for b in branches if branch_flatness(b) < flatness_tol]
 
 
@@ -745,7 +707,7 @@ def find_flat_capacitance(
 
 
 def half_trace_curvature(cell: ShuntedCell) -> float:
-    """Richardson-extrapolated d^2(half_trace)/d omega^2 at omega = 0.
+    """Richardson-extrapolated d^2(half-trace)/d omega^2 at omega = 0.
 
     In the quasistatic limit this equals -T^2 * rho_eff / c_eff, which
     links the cell matrices to the closed-form effective model without
@@ -760,7 +722,7 @@ def half_trace_curvature(cell: ShuntedCell) -> float:
             step = min(step, poles[0] / 64.0)
 
     def second_difference(s: float) -> float:
-        # half_trace is even in omega with value exactly 1 at 0.
+        # The half-trace is even in omega with value exactly 1 at 0.
         return 2.0 * (float(half_trace_values(cell, s)) - 1.0) / (s * s)
 
     # Keep the probe deviation small enough for the quartic term to be a

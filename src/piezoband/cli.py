@@ -20,8 +20,8 @@ from .band_structure import (
     InsufficientSamplesError,
     NumericalError,
     _group_velocities,
-    branch_flatness,
     default_omega_max,
+    detect_flat_bands,
     group_velocity,  # noqa: F401  (kept importable: bench/tracing.py patches cli.group_velocity)
     stopbands,
     trace_branches,
@@ -208,12 +208,10 @@ def _cmd_stopbands(args) -> int:
 def _cmd_sweep(args) -> int:
     cell = _load_cell(args)
     omega_max = _resolve_omega_max(args, cell)
-    if args.values:
+    if args.values is not None:
         values = [parse_quantity(v, "capacitance") for v in args.values.split(",")]
     else:
         values = [v * 1e-6 for v in DEFAULT_SWEEP_UF]
-    if not values:
-        raise ValueError("sweep needs a non-empty list of C/S values")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -223,7 +221,7 @@ def _cmd_sweep(args) -> int:
         name = f"bands_{i:02d}.csv"
         panel_cell = cell.with_c_over_s(gamma)
         branches = trace_branches(panel_cell, args.k_points, omega_max)
-        flat = [b.index for b in branches if branch_flatness(b) < args.flatness_tol]
+        flat = [b.index for b in detect_flat_bands(branches, args.flatness_tol)]
         (out_dir / name).write_text(_bands_csv(panel_cell, branches), encoding="utf-8", newline="")
         panels.append({"file": name, "c_over_s": gamma, "flat_branch_indices": flat})
 

@@ -24,8 +24,6 @@ __all__ = [
     "ElasticLayer",
     "PiezoLayer",
     "ShuntedCell",
-    "DerivedConstants",
-    "derive_constants",
     "parse_material_file",
     "serialize_material_file",
     "load_material_file",
@@ -157,45 +155,6 @@ class ShuntedCell:
     def with_c_over_s(self, c_over_s: float) -> "ShuntedCell":
         """Return a copy with a different shunt capacitance per area."""
         return replace(self, c_over_s=c_over_s)
-
-
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Frequency-independent constants entering the layer matrices.
-
-    Attributes:
-        h: Piezo field factor e/eps (V*m/C).
-        Z1: Elastic-layer acoustic impedance sqrt(rho1*c1) (Pa*s/m).
-        Z2: Piezo-layer acoustic impedance sqrt(rho2*cD) (Pa*s/m).
-        k1: Elastic-layer wavenumber per unit angular frequency (s/m).
-        k2: Piezo-layer wavenumber per unit angular frequency (s/m).
-        cD: Stiffened piezo modulus (Pa).
-        T: Spatial period (m).
-    """
-
-    h: float
-    Z1: float
-    Z2: float
-    k1: float
-    k2: float
-    cD: float
-    T: float
-
-
-def derive_constants(cell: ShuntedCell) -> DerivedConstants:
-    """Compute the derived constants of a validated cell.
-
-    Pure function; the layer wavenumbers are k_j(omega) = omega * k_j.
-    """
-    return DerivedConstants(
-        h=cell.piezo.h,
-        Z1=cell.elastic.impedance,
-        Z2=cell.piezo.impedance,
-        k1=cell.elastic.slowness,
-        k2=cell.piezo.slowness,
-        cD=cell.piezo.cD,
-        T=cell.period,
-    )
 
 
 # --- material file I/O ----------------------------------------------------

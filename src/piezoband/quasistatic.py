@@ -23,7 +23,6 @@ __all__ = [
     "EffectiveModel",
     "special_capacitances",
     "effective_model",
-    "classify_regime",
 ]
 
 # Relative window for snapping C/S onto the exact pole/zero capacitance.
@@ -131,7 +130,3 @@ def effective_model(cell: ShuntedCell) -> EffectiveModel:
         return EffectiveModel(c_eff, rho_eff, None, c_inf, c_zero, Regime.NEGATIVE)
     return EffectiveModel(c_eff, rho_eff, math.sqrt(c_eff / rho_eff), c_inf, c_zero, Regime.POSITIVE)
 
-
-def classify_regime(cell: ShuntedCell) -> Regime:
-    """Sign regime of the effective stiffness at the cell's C/S."""
-    return effective_model(cell).regime

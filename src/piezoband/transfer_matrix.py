@@ -7,15 +7,18 @@ correction to the bare piezo-layer matrix whose scalar denominator
 S/C - M3(omega) can vanish for C < 0; those resonance poles are flagged,
 never silently evaluated.
 
-All functions are pure in (cell, omega) and accept scalar or ndarray
-omega in the array helpers.
+All functions are pure in (cell, omega). The array functions take omega
+of any shape, evaluate it unchecked and leave poles to their callers;
+``monodromy`` is the one checked scalar entry point: it raises
+``ResonancePoleError`` at a pole and otherwise returns the kernel's
+entries as a 2x2 array.
 
-One set of private per-layer helpers serves every caller, scalar and
-array alike: ``_phase_sinc`` forms the phase q = omega*d*sqrt(rho/c) and
-sin(q)/q once, ``_layer`` adds the bare-layer entries, ``_coupling`` the
-shunt coefficients M1, M2, M3 (sharing the piezo sinc), and ``_piezo``
-the shunted piezo entries. ``monodromy_entries`` is the fused cell
-kernel: it writes t11, t12, t21, t22 into one preallocated (4, n) array,
+One set of private per-layer helpers serves every array function:
+``_phase_sinc`` forms the phase q = omega*d*sqrt(rho/c) and sin(q)/q
+once, ``_layer`` adds the bare-layer entries, ``_coupling`` the shunt
+coefficients M1, M2, M3 (sharing the piezo sinc), and ``_piezo`` the
+shunted piezo entries. ``monodromy_entries`` is the fused cell kernel:
+it writes t11, t12, t21, t22 into one preallocated (4, n) array,
 ``_BLOCK`` frequencies at a time, with in-place ufuncs.
 
 The per-element operation order is fixed: every entry is the same
@@ -23,8 +26,8 @@ sequence of correctly rounded float operations as the formulas in the
 helpers' docstrings (for example a21 = (((-rho*d)*omega)*omega)*s and
 b22 = cos q + (f*M2)*M1, kept apart from b11 = cos q + (f*M1)*M2). Only
 commutations of a single product or sum are allowed, which are exact,
-so every output bit is independent of the block size, of array shape and
-of the scalar/array path; root positions and the CSV output depend on it.
+so every output bit is independent of the block size and of array
+shape; root positions and the CSV output depend on it.
 
 Blocking keeps the working set of about twenty temporaries in cache: at
 4096 points each is 32 KiB, so a block fits a core's 2 MiB L2, where a
@@ -35,7 +38,6 @@ smaller ones pay the per-call Python overhead more often.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,13 +46,7 @@ from .materials import ShuntedCell
 __all__ = [
     "POLE_DENOM_RTOL",
     "ResonancePoleError",
-    "TransferMatrix",
-    "ShuntCoefficients",
-    "m_elastic",
-    "m_piezo_open",
-    "m_piezo_shunted",
     "monodromy",
-    "shunt_coefficients",
     "has_shunt_correction",
     "shunt_denominator",
     "m_elastic_entries",
@@ -76,53 +72,6 @@ class ResonancePoleError(ArithmeticError):
             f"shunt resonance pole at omega={omega!r}: |S/C - M3|={abs(denom):.3e}"
             f" below threshold {threshold:.3e}"
         )
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Real 2x2 matrix mapping (u, sigma) at a layer entry to its exit."""
-
-    a11: float
-    a12: float
-    a21: float
-    a22: float
-
-    def det(self) -> float:
-        return self.a11 * self.a22 - self.a12 * self.a21
-
-    def trace(self) -> float:
-        return self.a11 + self.a22
-
-    def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix(
-            a11=self.a11 * other.a11 + self.a12 * other.a21,
-            a12=self.a11 * other.a12 + self.a12 * other.a22,
-            a21=self.a21 * other.a11 + self.a22 * other.a21,
-            a22=self.a21 * other.a12 + self.a22 * other.a22,
-        )
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a21, self.a22]], dtype=float)
-
-
-@dataclass(frozen=True)
-class ShuntCoefficients:
-    """Coupling coefficients of the shunt correction at one frequency.
-
-    Attributes:
-        M1: Displacement-channel coupling, h*sin(k2*d2)/(Z2*omega).
-        M2: h*(cos(k2*d2) - 1).
-        M3: h*M1 - d2/eps.
-        denom: S/C - M3; +inf for open circuit (c_over_s == 0), where the
-            correction vanishes and callers must skip it.
-        open_circuit: True when c_over_s == 0.
-    """
-
-    M1: float
-    M2: float
-    M3: float
-    denom: float
-    open_circuit: bool
 
 
 def _phase_sinc(rho: float, c: float, d: float, omega: np.ndarray):
@@ -226,58 +175,6 @@ def shunt_denominator(cell: ShuntedCell, omega):
     return s.reshape(omega.shape)
 
 
-def _matrix(entries) -> TransferMatrix:
-    return TransferMatrix(*(x.item() for x in entries))
-
-
-def m_elastic(cell: ShuntedCell, omega: float) -> TransferMatrix:
-    """Transfer matrix of the elastic layer at angular frequency omega >= 0."""
-    return _matrix(m_elastic_entries(cell, omega))
-
-
-def m_piezo_open(cell: ShuntedCell, omega: float) -> TransferMatrix:
-    """Bare (open-circuit) piezo-layer matrix, built on the stiffened modulus."""
-    pz = cell.piezo
-    _, _, cos_q, a12, a21 = _layer(pz.rho, pz.cD, pz.d, np.array([float(omega)]))
-    return _matrix((cos_q, a12, a21, cos_q))
-
-
-def shunt_coefficients(cell: ShuntedCell, omega: float) -> ShuntCoefficients:
-    """Correction coefficients M1, M2, M3 and the denominator S/C - M3."""
-    pz = cell.piezo
-    q, s = _phase_sinc(pz.rho, pz.cD, pz.d, np.array([float(omega)]))
-    M1, M2, M3 = (x.item() for x in _coupling(pz, q, s))
-    if cell.c_over_s == 0.0:
-        return ShuntCoefficients(M1, M2, M3, math.inf, True)
-    return ShuntCoefficients(M1, M2, M3, 1.0 / cell.c_over_s - M3, False)
-
-
-def m_piezo_shunted(cell: ShuntedCell, omega: float) -> TransferMatrix:
-    """Piezo-layer matrix including the shunt correction.
-
-    Returns the bare matrix exactly for open circuit or e == 0.
-
-    Raises:
-        ResonancePoleError: When the correction is active and the
-            denominator magnitude falls below ``pole_threshold(cell)``.
-    """
-    if has_shunt_correction(cell):
-        denom = float(shunt_denominator(cell, omega))
-        threshold = pole_threshold(cell)
-        if abs(denom) < threshold:
-            raise ResonancePoleError(float(omega), denom, threshold)
-    return _matrix(m_piezo_shunted_entries(cell, omega))
-
-
-def monodromy(cell: ShuntedCell, omega: float) -> TransferMatrix:
-    """Unit-cell matrix m2 @ m1 (piezo after elastic, in propagation order).
-
-    Raises:
-        ResonancePoleError: Propagated from the shunted piezo matrix.
-    """
-    return m_piezo_shunted(cell, omega) @ m_elastic(cell, omega)
-
-
 def m_elastic_entries(cell: ShuntedCell, omega):
     """Entries (a11, a12, a21, a22) of the elastic layer, elementwise."""
     el = cell.elastic
@@ -337,3 +234,21 @@ def monodromy_entries(cell: ShuntedCell, omega):
         stop = start + _BLOCK
         _cell_block(cell, flat[start:stop], out[:, start:stop])
     return tuple(out.reshape((4,) + omega.shape))
+
+
+def monodromy(cell: ShuntedCell, omega: float) -> np.ndarray:
+    """Unit-cell matrix m2 @ m1 (piezo after elastic) at one frequency, 2x2.
+
+    The checked scalar entry point: the same bits as ``monodromy_entries``.
+
+    Raises:
+        ResonancePoleError: When the shunt correction is active and the
+            magnitude of its denominator falls below ``pole_threshold(cell)``.
+    """
+    omega = float(omega)
+    if has_shunt_correction(cell):
+        denom = float(shunt_denominator(cell, omega))
+        threshold = pole_threshold(cell)
+        if abs(denom) < threshold:
+            raise ResonancePoleError(omega, denom, threshold)
+    return np.array(monodromy_entries(cell, omega)).reshape(2, 2)

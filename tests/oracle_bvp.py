@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .materials import ElasticLayer, PiezoLayer
+from piezoband.materials import ElasticLayer, PiezoLayer
 
 __all__ = [
     "OracleSingularError",

@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 from piezoband import band_structure as bs
 from piezoband.materials import ElasticLayer, PiezoLayer, ShuntedCell
 from piezoband.quasistatic import effective_model, special_capacitances
-from piezoband.transfer_matrix import ResonancePoleError
+from piezoband.transfer_matrix import ResonancePoleError, monodromy
 
 from conftest import elastic_bilayer
 
@@ -36,6 +36,10 @@ def classical_bilayer_roots(cell, k_value, omega_max, grid_points=6000):
     return np.array(sorted(roots))
 
 
+def half_trace(cell, omega):
+    return float(bs.half_trace_values(cell, omega))
+
+
 def interior_gamma(cell, fraction=0.5):
     c_inf, c_zero = special_capacitances(cell)
     return c_zero + fraction * (c_inf - c_zero)
@@ -44,17 +48,13 @@ def interior_gamma(cell, fraction=0.5):
 class TestHalfTrace:
     def test_static_value_is_exactly_one(self, cell):
         for gamma in (0.0, -11e-6, interior_gamma(cell), 7e-6):
-            sample = bs.half_trace(cell.with_c_over_s(gamma), 0.0)
-            assert sample.half_trace == 1.0
-            assert sample.status == bs.PASS
+            assert half_trace(cell.with_c_over_s(gamma), 0.0) == 1.0
 
     def test_quarter_wave_bilayer_midgap(self):
         # Equal travel times, Z1/Z2 = 4: at q1 = q2 = pi/2 the half-trace is
         # -(Z1/Z2 + Z2/Z1)/2.
         cell = elastic_bilayer(4.0)
-        sample = bs.half_trace(cell, math.pi / 2.0)
-        assert sample.half_trace == pytest.approx(-2.125, rel=1e-14)
-        assert sample.status == bs.STOP
+        assert half_trace(cell, math.pi / 2.0) == pytest.approx(-2.125, rel=1e-14)
 
     def test_quasistatic_stopband_sign_pattern(self, cell, calibrated):
         # |half_trace| > 1 on an interval starting immediately above zero.
@@ -69,8 +69,8 @@ class TestHalfTrace:
         c2 = cell.with_c_over_s(interior_gamma(cell))
         scan = bs.scan_frequencies(c2)
         assert scan.poles.size >= 1
-        sample = bs.half_trace(c2, float(scan.poles[0]))
-        assert sample.status == bs.POLE
+        with pytest.raises(ResonancePoleError):
+            monodromy(c2, float(scan.poles[0]))
 
 
 class TestBlochWavenumber:
@@ -82,7 +82,7 @@ class TestBlochWavenumber:
         # Matched bilayer: half_trace(pi/2) = cos(pi) = -1 exactly.
         cell = elastic_bilayer(1.0)
         omega = math.pi / 2.0
-        assert bs.half_trace(cell, omega).half_trace == -1.0
+        assert half_trace(cell, omega) == -1.0
         re_k, im_k = bs.bloch_wavenumber(cell, omega)
         assert (re_k, im_k) == (math.pi / cell.period, 0.0)
 
@@ -91,7 +91,7 @@ class TestBlochWavenumber:
         # so Im K * T = 2 at the zone boundary.
         cell = elastic_bilayer(math.exp(2.0))
         omega = math.pi / 2.0
-        assert bs.half_trace(cell, omega).half_trace == pytest.approx(-math.cosh(2.0), rel=1e-12)
+        assert half_trace(cell, omega) == pytest.approx(-math.cosh(2.0), rel=1e-12)
         re_k, im_k = bs.bloch_wavenumber(cell, omega)
         assert re_k == pytest.approx(math.pi / cell.period, rel=1e-15)
         assert im_k == pytest.approx(2.0 / cell.period, rel=1e-12)
@@ -99,7 +99,7 @@ class TestBlochWavenumber:
     def test_round_trip_with_half_trace(self, cell):
         period = cell.period
         for omega in (1.1e6, 5.0e6, 8.0e6, 1.6e7):
-            h = bs.half_trace(cell, omega).half_trace
+            h = half_trace(cell, omega)
             re_k, im_k = bs.bloch_wavenumber(cell, omega)
             if abs(h) <= 1.0:
                 assert im_k == 0.0
@@ -293,19 +293,24 @@ class TestGroupVelocity:
 
 class TestFlatBands:
     def test_open_circuit_has_no_flat_bands(self, cell):
-        assert bs.detect_flat_bands(cell) == []
+        assert bs.detect_flat_bands(bs.trace_branches(cell)) == []
 
     def test_inert_shunt_has_no_flat_bands(self):
         pz = PiezoLayer(rho=7500.0, cE=1.2e11, e=0.0, eps=1e-8, d=1e-3)
         el = ElasticLayer(rho=2500.0, c=75e9, d=1e-3)
         for gamma in (0.0, -11e-6, -40e-6):
-            assert bs.detect_flat_bands(ShuntedCell(el, pz, gamma)) == []
+            assert bs.detect_flat_bands(bs.trace_branches(ShuntedCell(el, pz, gamma))) == []
 
     def test_find_flat_capacitance_self_consistency(self, cell):
         c_star = bs.find_flat_capacitance(cell, (-16.5e-6, -16.2e-6), k_points=120)
         assert -16.5e-6 < c_star < -16.2e-6
-        flat = bs.detect_flat_bands(cell.with_c_over_s(c_star), k_points=120)
+        flat = bs.detect_flat_bands(bs.trace_branches(cell.with_c_over_s(c_star), k_points=120))
         assert [b.index for b in flat] == [1]
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        with pytest.raises(ValueError, match="flatness_tol"):
+            bs.detect_flat_bands([], tol)
 
     def test_same_sign_bracket_raises(self, cell):
         with pytest.raises(bs.BracketError, match="slope"):

@@ -203,6 +203,24 @@ class TestSweep:
         assert manifest["panels"][1]["flat_branch_indices"] == [1]
         assert manifest["panels"][0]["flat_branch_indices"] == []
 
+    def test_empty_values_is_an_input_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", "--values=", "--k-points", "40", "--out", str(out_dir)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["type"]) == ("input", "UnitError")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+    def test_bad_flatness_tol_exits_2_before_writing_a_panel(self, tol, tmp_path, capsys):
+        out_dir = tmp_path / "sweep"
+        code = main(["sweep", "--values", "0", "--k-points", "40", "--flatness-tol", tol,
+                     "--out", str(out_dir)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["type"]) == ("input", "ValueError")
+        assert "flatness_tol" in err["message"]
+        assert list(out_dir.iterdir()) == []
+
 
 class TestErrorHandling:
     def test_missing_field_names_it_with_exit_2(self, tmp_path, capsys):

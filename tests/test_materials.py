@@ -9,7 +9,6 @@ from piezoband.materials import (
     MaterialFileError,
     PiezoLayer,
     ShuntedCell,
-    derive_constants,
     parse_material_file,
     serialize_material_file,
 )
@@ -30,11 +29,9 @@ circuit.c_over_s = 0
 class TestDerivedConstants:
     def test_zero_e_degenerates_to_elastic(self):
         pz = PiezoLayer(rho=1.0, cE=4.0, e=0.0, eps=1.0, d=1.0)
-        cell = ShuntedCell(ElasticLayer(rho=1.0, c=1.0, d=1.0), pz, 0.0)
-        dc = derive_constants(cell)
-        assert dc.cD == 4.0
-        assert dc.Z2 == 2.0
-        assert dc.h == 0.0
+        assert pz.cD == 4.0
+        assert pz.impedance == 2.0
+        assert pz.h == 0.0
 
     def test_stiffened_modulus(self):
         pz = PiezoLayer(rho=1.0, cE=4.0, e=2.0, eps=1.0, d=1.0)
@@ -44,14 +41,14 @@ class TestDerivedConstants:
     def test_shipped_constants_against_high_precision_evaluation(self, cell):
         # Frozen from a 40-digit evaluation of the defining formulas for
         # the shipped glass/PZT-5H constants.
-        dc = derive_constants(cell)
-        assert dc.h == pytest.approx(1789554531.490015361, rel=1e-15)
-        assert dc.cD == pytest.approx(158696620583.71735791, rel=1e-15)
-        assert dc.Z1 == pytest.approx(13693063.937629152836, rel=1e-15)
-        assert dc.Z2 == pytest.approx(34499632.67018766657, rel=1e-15)
-        assert dc.k1 == pytest.approx(0.00018257418583505537115, rel=1e-15)
-        assert dc.k2 == pytest.approx(0.00021739361899006568423, rel=1e-15)
-        assert dc.T == 0.002
+        el, pz = cell.elastic, cell.piezo
+        assert pz.h == pytest.approx(1789554531.490015361, rel=1e-15)
+        assert pz.cD == pytest.approx(158696620583.71735791, rel=1e-15)
+        assert el.impedance == pytest.approx(13693063.937629152836, rel=1e-15)
+        assert pz.impedance == pytest.approx(34499632.67018766657, rel=1e-15)
+        assert el.slowness == pytest.approx(0.00018257418583505537115, rel=1e-15)
+        assert pz.slowness == pytest.approx(0.00021739361899006568423, rel=1e-15)
+        assert cell.period == 0.002
 
     @given(
         lam=st.floats(min_value=1e-3, max_value=1e3),

@@ -1,21 +1,15 @@
 import numpy as np
 import pytest
 
-from piezoband.materials import derive_constants
-from piezoband.oracle_bvp import (
+from piezoband.transfer_matrix import m_elastic_entries, m_piezo_shunted_entries, shunt_denominator
+
+from oracle_bvp import (
     OracleSingularError,
     oracle_layer_matrix,
     oracle_layer_matrix_fd,
     oracle_system_determinant,
 )
-from piezoband.transfer_matrix import (
-    m_elastic,
-    m_piezo_open,
-    m_piezo_shunted,
-    shunt_denominator,
-)
-
-from test_transfer_matrix import first_pole, normalized_max_diff
+from test_transfer_matrix import first_pole, matrix, normalized_max_diff
 
 
 def test_rejects_nonpositive_frequency(cell):
@@ -29,8 +23,8 @@ def test_static_limit_by_extrapolation(cell):
     # The oracle is defined for omega > 0 only; Richardson extrapolation of
     # its entries toward zero must recover the closed-form static matrices.
     for layer, static in (
-        (cell.elastic, m_elastic(cell, 0.0).as_array()),
-        (cell.piezo, m_piezo_open(cell, 0.0).as_array()),
+        (cell.elastic, matrix(m_elastic_entries(cell, 0.0))),
+        (cell.piezo, matrix(m_piezo_shunted_entries(cell, 0.0))),
     ):
         s = 10.0
         m_s = oracle_layer_matrix(layer, 0.0, s)
@@ -43,36 +37,32 @@ def test_static_limit_by_extrapolation(cell):
 
 
 def test_elastic_layer_agreement(cell):
-    dc = derive_constants(cell)
     for omega in np.geomspace(1e3, 5e7, 15):
-        closed = m_elastic(cell, omega).as_array()
+        closed = matrix(m_elastic_entries(cell, omega))
         oracle = oracle_layer_matrix(cell.elastic, 0.0, omega)
-        assert normalized_max_diff(closed, oracle, dc.Z1 * omega) < 1e-10
+        assert normalized_max_diff(closed, oracle, cell.elastic.impedance * omega) < 1e-10
 
 
 def test_open_circuit_forces_zero_displacement_field(cell):
     # C = 0 makes Q = C*V vanish, hence D = 0 and the bare stiffened matrix.
-    dc = derive_constants(cell)
     for omega in np.geomspace(1e4, 3e7, 9):
         oracle = oracle_layer_matrix(cell.piezo, 0.0, omega)
-        closed = m_piezo_open(cell, omega).as_array()
-        assert normalized_max_diff(closed, oracle, dc.Z2 * omega) < 1e-10
+        closed = matrix(m_piezo_shunted_entries(cell, omega))
+        assert normalized_max_diff(closed, oracle, cell.piezo.impedance * omega) < 1e-10
 
 
 def test_shunted_agreement_generic_negative_capacitance(cell):
-    dc = derive_constants(cell)
     for gamma in (-11e-6, -16.7e-6):
         c2 = cell.with_c_over_s(gamma)
         for omega in np.geomspace(1e4, 3e7, 9):
-            closed = m_piezo_shunted(c2, omega).as_array()
+            closed = matrix(m_piezo_shunted_entries(c2, omega))
             oracle = oracle_layer_matrix(cell.piezo, gamma, omega)
-            assert normalized_max_diff(closed, oracle, dc.Z2 * omega) < 1e-8
+            assert normalized_max_diff(closed, oracle, cell.piezo.impedance * omega) < 1e-8
 
 
 def test_agreement_across_four_decades_and_capacitance_grid(cell):
     # Log-spaced omega over four decades crossed with the +- capacitance
     # reference set; flagged singular neighborhoods are skipped.
-    dc = derive_constants(cell)
     guard = 1e-6 * cell.piezo.d / cell.piezo.eps
     omegas = np.geomspace(2e3, 2e7, 49)
     gammas = [0.0] + [s * g * 1e-6 for g in (1.0, 5.0, 10.67, 11.0, 12.0, 13.3, 14.0, 40.0)
@@ -84,9 +74,9 @@ def test_agreement_across_four_decades_and_capacitance_grid(cell):
         for omega in omegas:
             if gamma != 0.0 and abs(float(shunt_denominator(c2, omega))) < guard:
                 continue
-            closed = m_piezo_shunted(c2, float(omega)).as_array()
+            closed = matrix(m_piezo_shunted_entries(c2, float(omega)))
             oracle = oracle_layer_matrix(cell.piezo, gamma, float(omega))
-            worst = max(worst, normalized_max_diff(closed, oracle, dc.Z2 * omega))
+            worst = max(worst, normalized_max_diff(closed, oracle, cell.piezo.impedance * omega))
     assert worst < 1e-8
 
 
@@ -133,24 +123,23 @@ def test_singularity_matches_closed_form_denominator(cell):
 
 
 def test_finite_difference_tier(cell):
-    dc = derive_constants(cell)
+    z1, z2 = cell.elastic.impedance, cell.piezo.impedance
     omega = 3.7e6
     fd = oracle_layer_matrix_fd(cell.elastic, 0.0, omega)
-    assert normalized_max_diff(m_elastic(cell, omega).as_array(), fd, dc.Z1 * omega) < 1e-3
+    assert normalized_max_diff(matrix(m_elastic_entries(cell, omega)), fd, z1 * omega) < 1e-3
     for gamma in (0.0, -11e-6):
         fd = oracle_layer_matrix_fd(cell.piezo, gamma, omega)
         exact = oracle_layer_matrix(cell.piezo, gamma, omega)
-        assert normalized_max_diff(exact, fd, dc.Z2 * omega) < 1e-3
+        assert normalized_max_diff(exact, fd, z2 * omega) < 1e-3
 
 
 def test_finite_difference_order_of_accuracy(cell):
     # Halving the step should shrink the error about fourfold.
     omega = 3.7e6
     exact = oracle_layer_matrix(cell.piezo, -11e-6, omega)
-    dc = derive_constants(cell)
     err = [
         normalized_max_diff(exact, oracle_layer_matrix_fd(cell.piezo, -11e-6, omega, points=n),
-                            dc.Z2 * omega)
+                            cell.piezo.impedance * omega)
         for n in (251, 501, 1001)
     ]
     assert 3.0 < err[0] / err[1] < 5.0

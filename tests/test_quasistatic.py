@@ -8,7 +8,6 @@ from piezoband.materials import ElasticLayer, PiezoLayer, ShuntedCell
 from piezoband.quasistatic import (
     DegenerateShuntError,
     Regime,
-    classify_regime,
     effective_model,
     special_capacitances,
 )
@@ -119,11 +118,11 @@ class TestSpecialCapacitances:
 
 class TestRegimes:
     def test_open_circuit_positive(self, cell):
-        assert classify_regime(cell) is Regime.POSITIVE
+        assert effective_model(cell).regime is Regime.POSITIVE
 
     def test_midpoint_negative(self, cell):
         c_inf, c_zero = special_capacitances(cell)
-        assert classify_regime(cell.with_c_over_s(0.5 * (c_inf + c_zero))) is Regime.NEGATIVE
+        assert effective_model(cell.with_c_over_s(0.5 * (c_inf + c_zero))).regime is Regime.NEGATIVE
 
     def test_exact_pole_and_zero(self, cell):
         c_inf, c_zero = special_capacitances(cell)

@@ -5,24 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from piezoband import transfer_matrix
-from piezoband.materials import ElasticLayer, PiezoLayer, ShuntedCell, default_cell, derive_constants
-from piezoband.oracle_bvp import oracle_layer_matrix
+from piezoband.materials import ElasticLayer, PiezoLayer, ShuntedCell, default_cell
 from piezoband.transfer_matrix import (
     ResonancePoleError,
     has_shunt_correction,
-    m_elastic,
     m_elastic_entries,
-    m_piezo_open,
-    m_piezo_shunted,
     m_piezo_shunted_entries,
     monodromy,
     monodromy_entries,
     pole_threshold,
-    shunt_coefficients,
     shunt_denominator,
 )
 
 from conftest import random_cell
+from oracle_bvp import oracle_layer_matrix
 
 
 def normalized_max_diff(a, b, z_omega):
@@ -30,6 +26,29 @@ def normalized_max_diff(a, b, z_omega):
     weights = np.array([[1.0, z_omega], [1.0 / z_omega, 1.0]])
     scale = max(1.0, np.max(np.abs(a * weights)))
     return np.max(np.abs(a - b) * weights) / scale
+
+
+def matrix(entries):
+    """The four entries of a layer or cell at one frequency as a 2x2 array."""
+    return np.reshape(entries, (2, 2))
+
+
+def floats(entries):
+    return tuple(np.asarray(x, dtype=float).item() for x in entries)
+
+
+def bare_piezo(cell, omega):
+    """Entries of the piezo layer without shunt correction, as floats."""
+    pz = cell.piezo
+    _, _, cos_q, a12, a21 = transfer_matrix._layer(pz.rho, pz.cD, pz.d, np.array([float(omega)]))
+    return floats((cos_q, a12, a21, cos_q))
+
+
+def coupling(cell, omega):
+    """Shunt coefficients (M1, M2, M3) at one frequency, as floats."""
+    pz = cell.piezo
+    q, s = transfer_matrix._phase_sinc(pz.rho, pz.cD, pz.d, np.array([float(omega)]))
+    return floats(transfer_matrix._coupling(pz, q, s))
 
 
 def first_pole(cell, omega_max):
@@ -51,166 +70,166 @@ def first_pole(cell, omega_max):
 
 class TestElasticMatrix:
     def test_static_limit_exact(self, cell):
-        m = m_elastic(cell, 0.0)
         el = cell.elastic
-        assert (m.a11, m.a12, m.a21, m.a22) == (1.0, el.d / el.c, 0.0, 1.0)
+        assert floats(m_elastic_entries(cell, 0.0)) == (1.0, el.d / el.c, 0.0, 1.0)
 
     def test_half_wave_layer(self, cell):
         el = cell.elastic
         omega = math.pi / (el.d * el.slowness)
-        m = m_elastic(cell, omega)
-        assert m.a11 == pytest.approx(-1.0, abs=1e-12)
-        assert m.a22 == pytest.approx(-1.0, abs=1e-12)
-        assert abs(m.a12) <= 1e-12 * el.d / el.c
-        assert abs(m.a21) <= 1e-12 * el.rho * el.d * omega**2
+        a11, a12, a21, a22 = floats(m_elastic_entries(cell, omega))
+        assert a11 == pytest.approx(-1.0, abs=1e-12)
+        assert a22 == pytest.approx(-1.0, abs=1e-12)
+        assert abs(a12) <= 1e-12 * el.d / el.c
+        assert abs(a21) <= 1e-12 * el.rho * el.d * omega**2
 
     def test_generic_frequency_matches_oracle(self, cell):
-        dc = derive_constants(cell)
         for omega in (4.1e5, 3.7e6, 2.9e7):
-            closed = m_elastic(cell, omega).as_array()
+            closed = matrix(m_elastic_entries(cell, omega))
             oracle = oracle_layer_matrix(cell.elastic, 0.0, omega)
-            assert normalized_max_diff(closed, oracle, dc.Z1 * omega) < 1e-10
+            assert normalized_max_diff(closed, oracle, cell.elastic.impedance * omega) < 1e-10
 
 
 class TestPiezoOpenMatrix:
     def test_static_limit_exact(self, cell):
-        m = m_piezo_open(cell, 0.0)
         pz = cell.piezo
-        assert (m.a11, m.a12, m.a21, m.a22) == (1.0, pz.d / pz.cD, 0.0, 1.0)
+        assert floats(m_piezo_shunted_entries(cell, 0.0)) == (1.0, pz.d / pz.cD, 0.0, 1.0)
 
     def test_full_wave_layer_is_identity(self, cell):
         pz = cell.piezo
         omega = 2.0 * math.pi / (pz.d * pz.slowness)
-        m = m_piezo_open(cell, omega)
-        assert m.a11 == pytest.approx(1.0, abs=1e-12)
-        assert m.a22 == pytest.approx(1.0, abs=1e-12)
-        assert abs(m.a12) <= 1e-12 * pz.d / pz.cD
-        assert abs(m.a21) <= 1e-12 * pz.rho * pz.d * omega**2
+        a11, a12, a21, a22 = floats(m_piezo_shunted_entries(cell, omega))
+        assert a11 == pytest.approx(1.0, abs=1e-12)
+        assert a22 == pytest.approx(1.0, abs=1e-12)
+        assert abs(a12) <= 1e-12 * pz.d / pz.cD
+        assert abs(a21) <= 1e-12 * pz.rho * pz.d * omega**2
 
     def test_matches_open_circuit_oracle(self, cell):
-        dc = derive_constants(cell)
         for omega in (4.1e5, 3.7e6, 2.9e7):
-            closed = m_piezo_open(cell, omega).as_array()
+            closed = matrix(m_piezo_shunted_entries(cell, omega))
             oracle = oracle_layer_matrix(cell.piezo, 0.0, omega)
-            assert normalized_max_diff(closed, oracle, dc.Z2 * omega) < 1e-10
+            assert normalized_max_diff(closed, oracle, cell.piezo.impedance * omega) < 1e-10
 
 
 class TestShuntCoefficients:
     def test_zero_e(self):
         pz = PiezoLayer(rho=7500.0, cE=117e9, e=0.0, eps=1.302e-8, d=1e-3)
         c = ShuntedCell(ElasticLayer(rho=2500.0, c=75e9, d=1e-3), pz, -11e-6)
-        co = shunt_coefficients(c, 2.2e6)
-        assert co.M1 == 0.0
-        assert co.M2 == 0.0
-        assert co.M3 == -pz.d / pz.eps
+        M1, M2, M3 = coupling(c, 2.2e6)
+        assert M1 == 0.0
+        assert M2 == 0.0
+        assert M3 == -pz.d / pz.eps
 
     def test_periodic_arguments(self, cell):
         pz = cell.piezo
         omega = 2.0 * math.pi / (pz.d * pz.slowness)
-        co = shunt_coefficients(cell, omega)
+        M1, M2, M3 = coupling(cell, omega)
         scale = pz.h * pz.d / pz.cD
-        assert abs(co.M1) <= 1e-12 * scale
-        assert abs(co.M2) <= 1e-12 * pz.h
-        assert co.M3 == pytest.approx(-pz.d / pz.eps, rel=1e-12)
+        assert abs(M1) <= 1e-12 * scale
+        assert abs(M2) <= 1e-12 * pz.h
+        assert M3 == pytest.approx(-pz.d / pz.eps, rel=1e-12)
 
     def test_static_limits(self, cell):
         # Series limits cross-checked at omega = 1e-6 of the first-gap scale
         # against the 40-digit evaluation of h*d2/cD and -(d2/eps)*(cE/cD).
         omega = 1e-6 * 7.85e6
-        co = shunt_coefficients(cell, omega)
-        assert co.M1 == pytest.approx(1.1276576179805733147e-05, rel=1e-9)
-        assert co.M3 == pytest.approx(-56624.867512329217948, rel=1e-9)
-        exact_zero = shunt_coefficients(cell, 0.0)
-        assert exact_zero.M1 == pytest.approx(1.1276576179805733147e-05, rel=1e-15)
-        assert exact_zero.M2 == 0.0
-        assert exact_zero.M3 == pytest.approx(-56624.867512329217948, rel=1e-15)
+        M1, _, M3 = coupling(cell, omega)
+        assert M1 == pytest.approx(1.1276576179805733147e-05, rel=1e-9)
+        assert M3 == pytest.approx(-56624.867512329217948, rel=1e-9)
+        M1, M2, M3 = coupling(cell, 0.0)
+        assert M1 == pytest.approx(1.1276576179805733147e-05, rel=1e-15)
+        assert M2 == 0.0
+        assert M3 == pytest.approx(-56624.867512329217948, rel=1e-15)
 
     def test_open_circuit_flag(self, cell):
-        co = shunt_coefficients(cell, 1e6)
-        assert co.open_circuit
-        assert math.isinf(co.denom)
-        shunted = shunt_coefficients(cell.with_c_over_s(-11e-6), 1e6)
-        assert not shunted.open_circuit
-        assert shunted.denom == pytest.approx(1.0 / -11e-6 - shunted.M3, rel=1e-15)
+        # Open circuit switches the correction off; it has no denominator.
+        assert not has_shunt_correction(cell)
+        with pytest.raises(ValueError):
+            shunt_denominator(cell, 1e6)
+        shunted = cell.with_c_over_s(-11e-6)
+        assert has_shunt_correction(shunted)
+        M3 = coupling(shunted, 1e6)[2]
+        assert float(shunt_denominator(shunted, 1e6)) == pytest.approx(1.0 / -11e-6 - M3, rel=1e-15)
 
 
 class TestShuntedMatrix:
     def test_open_circuit_returns_bare_matrix_exactly(self, cell):
         for omega in (0.0, 1.3e6, 2.9e7):
-            assert m_piezo_shunted(cell, omega) == m_piezo_open(cell, omega)
+            assert floats(m_piezo_shunted_entries(cell, omega)) == bare_piezo(cell, omega)
 
     def test_zero_e_returns_bare_matrix_exactly(self):
         pz = PiezoLayer(rho=7500.0, cE=117e9, e=0.0, eps=1.302e-8, d=1e-3)
         c = ShuntedCell(ElasticLayer(rho=2500.0, c=75e9, d=1e-3), pz, -11e-6)
         for omega in (0.0, 1.3e6):
-            assert m_piezo_shunted(c, omega) == m_piezo_open(c, omega)
+            assert floats(m_piezo_shunted_entries(c, omega)) == bare_piezo(c, omega)
         # Including C/S = -eps/d2, where the correction denominator vanishes
         # but the numerator is identically zero.
         inert = ShuntedCell(c.elastic, pz, -pz.eps / pz.d)
         assert not has_shunt_correction(inert)
-        assert m_piezo_shunted(inert, 1.3e6) == m_piezo_open(inert, 1.3e6)
+        assert floats(m_piezo_shunted_entries(inert, 1.3e6)) == bare_piezo(inert, 1.3e6)
 
     def test_generic_negative_capacitance_matches_oracle(self, cell):
-        dc = derive_constants(cell)
         for gamma in (-11e-6, -16.7e-6, -40e-6):
             c2 = cell.with_c_over_s(gamma)
             for omega in (4.1e5, 3.7e6, 2.9e7):
-                closed = m_piezo_shunted(c2, omega).as_array()
+                closed = matrix(m_piezo_shunted_entries(c2, omega))
                 oracle = oracle_layer_matrix(cell.piezo, gamma, omega)
-                assert normalized_max_diff(closed, oracle, dc.Z2 * omega) < 1e-8
+                assert normalized_max_diff(closed, oracle, cell.piezo.impedance * omega) < 1e-8
 
     def test_continuity_at_open_circuit(self, cell):
         omega = 2.2e6
-        bare = m_piezo_open(cell, omega).as_array()
-        dc = derive_constants(cell)
+        bare = matrix(m_piezo_shunted_entries(cell, omega))
         for gamma in (1e-15, -1e-15):
-            shunted = m_piezo_shunted(cell.with_c_over_s(gamma), omega).as_array()
-            assert normalized_max_diff(shunted, bare, dc.Z2 * omega) < 1e-9
+            shunted = matrix(m_piezo_shunted_entries(cell.with_c_over_s(gamma), omega))
+            assert normalized_max_diff(shunted, bare, cell.piezo.impedance * omega) < 1e-9
 
     def test_short_circuit_limit_matches_constrained_oracle(self, cell):
-        dc = derive_constants(cell)
         for omega in (4.1e5, 3.7e6):
-            co = shunt_coefficients(cell, omega)
-            base = m_piezo_open(cell, omega).as_array()
-            rank1 = np.array([[co.M1 * co.M2, co.M1**2], [co.M2**2, co.M2 * co.M1]])
-            closed = base - rank1 / co.M3
+            M1, M2, M3 = coupling(cell, omega)
+            base = matrix(m_piezo_shunted_entries(cell, omega))
+            rank1 = np.array([[M1 * M2, M1**2], [M2**2, M2 * M1]])
+            closed = base - rank1 / M3
             oracle = oracle_layer_matrix(cell.piezo, 0.0, omega, short_circuit=True)
-            assert normalized_max_diff(closed, oracle, dc.Z2 * omega) < 1e-10
+            assert normalized_max_diff(closed, oracle, cell.piezo.impedance * omega) < 1e-10
 
     def test_resonance_pole_is_flagged(self, cell):
         c2 = cell.with_c_over_s(-16.7e-6)
         pole = first_pole(c2, 3.2e7)
-        with pytest.raises(ResonancePoleError):
-            m_piezo_shunted(c2, pole)
-        with pytest.raises(ResonancePoleError):
+        with pytest.raises(ResonancePoleError) as info:
             monodromy(c2, pole)
-        # Just outside the flagged neighborhood the matrix is evaluable.
         threshold = pole_threshold(c2)
+        assert info.value.omega == pole and info.value.threshold == threshold
+        assert abs(info.value.denom) < threshold
+        # Just outside the flagged neighborhood the matrix is evaluable.
         offset = pole * 1e-6
         for side in (pole - offset, pole + offset):
             assert abs(float(shunt_denominator(c2, side))) > threshold
-            m_piezo_shunted(c2, side)
+            assert np.all(np.isfinite(monodromy(c2, side)))
 
 
 class TestMonodromy:
     def test_static_open_circuit(self, cell):
         m = monodromy(cell, 0.0)
         expected = cell.elastic.d / cell.elastic.c + cell.piezo.d / cell.piezo.cD
-        assert (m.a11, m.a21, m.a22) == (1.0, 0.0, 1.0)
-        assert m.a12 == pytest.approx(expected, rel=1e-15)
+        assert m.shape == (2, 2)
+        assert (m[0, 0], m[1, 0], m[1, 1]) == (1.0, 0.0, 1.0)
+        assert m[0, 1] == pytest.approx(expected, rel=1e-15)
 
     def test_half_trace_is_one_at_zero_frequency(self, cell):
         for gamma in (0.0, -11e-6, -16.7e-6, -40e-6, 5e-6):
             m = monodromy(cell.with_c_over_s(gamma), 0.0)
-            assert 0.5 * m.trace() == 1.0
+            assert 0.5 * (m[0, 0] + m[1, 1]) == 1.0
 
     def test_zero_e_reduces_to_elastic_bilayer(self):
         pz = PiezoLayer(rho=7500.0, cE=158696620583.71735, e=0.0, eps=1e-8, d=1e-3)
         el = ElasticLayer(rho=2500.0, c=75e9, d=1e-3)
         c = ShuntedCell(el, pz, -11e-6)
         omega = 2.2e6
-        expected = m_piezo_open(c, omega) @ m_elastic(c, omega)
-        assert monodromy(c, omega) == expected
+        # Bare piezo matrix times elastic matrix, in Python floats.
+        b11, b12, b21, b22 = bare_piezo(c, omega)
+        a11, a12, a21, a22 = floats(m_elastic_entries(c, omega))
+        expected = [[b11 * a11 + b12 * a21, b11 * a12 + b12 * a22],
+                    [b21 * a11 + b22 * a21, b21 * a12 + b22 * a22]]
+        assert monodromy(c, omega).tolist() == expected
 
     def test_vectorized_entries_match_scalar_path(self, cell):
         c2 = cell.with_c_over_s(-16.7e-6)
@@ -218,7 +237,7 @@ class TestMonodromy:
         t11, t12, t21, t22 = monodromy_entries(c2, omegas)
         for i, omega in enumerate(omegas):
             m = monodromy(c2, float(omega))
-            assert (t11[i], t12[i], t21[i], t22[i]) == (m.a11, m.a12, m.a21, m.a22)
+            assert [t11[i], t12[i], t21[i], t22[i]] == m.ravel().tolist()
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -234,13 +253,17 @@ class TestMonodromy:
             PiezoLayer(rho=7500.0, cE=117e9, e=e, eps=1.302e-8, d=1e-3),
             gamma_uf * 1e-6,
         )
+        # The checked monodromy goes first: the unchecked layer entries are
+        # taken only where it found no pole.
         try:
-            matrices = [m_elastic(c, omega), m_piezo_shunted(c, omega), monodromy(c, omega)]
+            cell_matrix = monodromy(c, omega)
         except ResonancePoleError:
             return
-        for m in matrices:
-            scale = max(1.0, abs(m.a11 * m.a22) + abs(m.a12 * m.a21))
-            assert abs(m.det() - 1.0) <= 1e-12 * scale
+        layers = [matrix(m_elastic_entries(c, omega)), matrix(m_piezo_shunted_entries(c, omega))]
+        for m in layers + [cell_matrix]:
+            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+            scale = max(1.0, abs(m[0, 0] * m[1, 1]) + abs(m[0, 1] * m[1, 0]))
+            assert abs(det - 1.0) <= 1e-12 * scale
 
 
 # --- bitwise oracle: the unfused, unblocked kernel formulas as reference ------
@@ -380,12 +403,11 @@ class TestKernelBitsMatchPlainFormulas:
         rng = np.random.default_rng(3)
         for cell in oracle_cells()[:45]:
             for omega in self.frequencies(cell, rng, 8):
+                omega = float(omega)
                 try:
-                    m = monodromy(cell, float(omega))
+                    m = monodromy(cell, omega)
                 except ResonancePoleError:
                     continue
-                assert (m.a11, m.a12, m.a21, m.a22) == plain_monodromy(cell, float(omega))
-                co = shunt_coefficients(cell, float(omega))
-                assert (co.M1, co.M2, co.M3) == tuple(
-                    float(x) for x in plain_shunt_terms(cell, float(omega))
-                )
+                assert bits([m]) == bits([matrix(monodromy_entries(cell, omega))])
+                assert tuple(m.ravel().tolist()) == plain_monodromy(cell, omega)
+                assert coupling(cell, omega) == floats(plain_shunt_terms(cell, omega))
