@@ -5,7 +5,8 @@ Everything here is driven by one adaptive frequency scan per cell: the
 scan samples the half-trace, locates shunt resonance poles from sign
 changes of the correction denominator, inserts guarded breakpoints around
 them so that no root bracket ever spans a pole, and refines locally near
-band edges.
+band edges. Branches and stopband edges come from one root search on that
+scan: a stopband edge is a K = 0 or K = pi/T branch sample.
 
 Root search is array code throughout. The targets cos(K*T) of all K are
 sorted once; each unblocked scan interval finds its candidate targets by
@@ -103,13 +104,11 @@ class StopbandInterval:
     Attributes:
         omega_lo: Lower edge (rad/s).
         omega_hi: Upper edge (rad/s).
-        absolute: Always True for this scalar 1D problem.
         quasistatic: True when the interval starts at omega = 0.
     """
 
     omega_lo: float
     omega_hi: float
-    absolute: bool = True
     quasistatic: bool = False
 
 
@@ -139,6 +138,7 @@ def bloch_wavenumber(cell: ShuntedCell, omega: float) -> tuple[float, float]:
     the half-trace.
 
     Raises:
+        ValueError: If omega is not finite.
         ResonancePoleError: At a flagged shunt resonance.
     """
     t = monodromy(cell, omega)
@@ -269,17 +269,19 @@ def scan_frequencies(
     omega_max: float | None = None,
     *,
     base_points: int = DEFAULT_BASE_POINTS,
-    refine_factor: int = DEFAULT_REFINE_FACTOR,
 ) -> FrequencyScan:
     """Build the adaptive half-trace scan for a cell.
 
     The base grid is uniform; cells where the half-trace crosses +-1 and
-    cells adjacent to pole guards are subdivided by ``refine_factor``.
+    cells adjacent to pole guards are subdivided by ``DEFAULT_REFINE_FACTOR``.
+
+    Raises:
+        ValueError: If omega_max is not positive and finite.
     """
     if omega_max is None:
         omega_max = default_omega_max(cell)
-    if omega_max <= 0.0:
-        raise ValueError("omega_max must be positive")
+    if not (math.isfinite(omega_max) and omega_max > 0.0):
+        raise ValueError(f"omega_max must be positive and finite, got {omega_max!r}")
 
     nodes = np.linspace(0.0, omega_max, base_points + 1)
     poles = _find_poles(cell, omega_max, 4 * base_points + 1)
@@ -290,7 +292,6 @@ def scan_frequencies(
         for lo, hi in guards:
             keep &= ~((nodes > lo) & (nodes < hi))
         nodes = np.unique(np.concatenate([nodes[keep], guard_pts]))
-        nodes = nodes[(nodes >= 0.0) & (nodes <= omega_max)]
 
     values = half_trace_values(cell, nodes)
     blocked = _blocked_mask(nodes, poles)
@@ -306,7 +307,7 @@ def scan_frequencies(
     refine = (cross | near_pole) & ~blocked
     if refine.any():
         i = np.nonzero(refine)[0]
-        ratios = np.arange(1, refine_factor) / refine_factor
+        ratios = np.arange(1, DEFAULT_REFINE_FACTOR) / DEFAULT_REFINE_FACTOR
         extra = (nodes[i, None] + (nodes[i + 1] - nodes[i])[:, None] * ratios).ravel()
         extra_values = half_trace_values(cell, extra)
         # A node and an inserted point can coincide; np.unique keeps the
@@ -323,6 +324,15 @@ def scan_frequencies(
         poles=poles,
         blocked=blocked,
     )
+
+
+def _scan_of(cell: ShuntedCell, omega_max: float | None, scan: FrequencyScan | None):
+    """The given scan, checked to be of ``cell``, or a new scan of ``cell``."""
+    if scan is None:
+        return scan_frequencies(cell, omega_max)
+    if scan.cell != cell:
+        raise ValueError("scan was built for a different cell")
+    return scan
 
 
 def _blocked_mask(nodes: np.ndarray, poles: np.ndarray) -> np.ndarray:
@@ -431,17 +441,19 @@ def trace_branches(
         cell: Unit cell.
         k_points: Number of K samples (>= 2).
         omega_max: Scan ceiling (rad/s); defaults to ``default_omega_max``.
-        scan: Optional pre-built scan to reuse; its window then wins over
-            omega_max.
+        scan: Optional pre-built scan of ``cell`` to reuse; its window then
+            wins over omega_max.
 
     Returns:
         Branches ordered by index; empty list if no roots exist below
         omega_max.
+
+    Raises:
+        ValueError: If k_points < 2 or ``scan`` is not a scan of ``cell``.
     """
     if k_points < 2:
         raise ValueError("k_points must be at least 2")
-    if scan is None:
-        scan = scan_frequencies(cell, omega_max)
+    scan = _scan_of(cell, omega_max, scan)
     period = cell.period
     k_grid = np.linspace(0.0, math.pi / period, k_points)
     include_origin = effective_model(cell).regime in (Regime.POSITIVE, Regime.POLE)
@@ -475,19 +487,17 @@ def stopbands(
 ) -> list[StopbandInterval]:
     """Maximal stop/pole intervals in [0, omega_max].
 
-    Edges are refined by bisection on |half-trace| - 1; an interval whose
-    closure reaches omega = 0 carries the quasistatic flag.
+    Each edge is a root of h(omega) = +-1 from the branches' own root
+    search, so it is the K = 0 or K = pi/T sample of ``trace_branches`` on
+    the same scan. An interval whose closure reaches omega = 0 carries the
+    quasistatic flag.
+
+    Raises:
+        ValueError: If ``scan`` is not a scan of ``cell``.
     """
-    if scan is None:
-        scan = scan_frequencies(cell, omega_max)
-    cell_ = scan.cell
-    g = np.abs(scan.values) - 1.0
-    prod = g[:-1] * g[1:]
-    idx = np.nonzero((prod < 0.0) & ~scan.blocked)[0]
-    func = lambda x, live: np.abs(half_trace_values(cell_, x)) - 1.0
-    edges = _bisect(func, scan.nodes[idx], scan.nodes[idx + 1], g[idx], rtol=ROOT_RTOL)
-    interior_zeros = scan.nodes[(g == 0.0) & (scan.nodes > 0.0) & (scan.nodes < scan.omega_max)]
-    edges = np.unique(np.concatenate([edges, interior_zeros]))
+    scan = _scan_of(cell, omega_max, scan)
+    roots, _ = _scan_roots_batch(scan, np.array([1.0, -1.0]))
+    edges = np.unique(roots[(roots > 0.0) & (roots < scan.omega_max)])
 
     boundaries = np.concatenate([[0.0], edges, [scan.omega_max]])
     lo, hi = boundaries[:-1], boundaries[1:]
@@ -505,7 +515,7 @@ def stopbands(
         else:
             merged.append([lo, hi])
     return [
-        StopbandInterval(omega_lo=lo, omega_hi=hi, absolute=True, quasistatic=(lo == 0.0))
+        StopbandInterval(omega_lo=lo, omega_hi=hi, quasistatic=(lo == 0.0))
         for lo, hi in merged
         if hi - lo >= sliver
     ]

@@ -32,6 +32,7 @@ from .materials import (
     InvalidMaterialError,
     MaterialFileError,
     ShuntedCell,
+    _schema_values,
     default_cell,
     load_material_file,
 )
@@ -68,10 +69,8 @@ def _load_cell(args) -> ShuntedCell:
 def _resolve_omega_max(args, cell: ShuntedCell) -> float:
     if args.omega_max is None:
         return default_omega_max(cell)
-    value = parse_quantity(args.omega_max, "frequency")
-    if value <= 0.0:
-        raise ValueError("--omega-max must be positive")
-    return value
+    # scan_frequencies rejects a value that is not positive and finite.
+    return parse_quantity(args.omega_max, "frequency")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -102,20 +101,6 @@ def _stopbands_csv(intervals) -> str:
         flag = "true" if s.quasistatic else "false"
         lines.append(f"{_fmt(s.omega_lo)},{_fmt(s.omega_hi)},{flag}")
     return "\n".join(lines) + "\n"
-
-
-def _material_dict(cell: ShuntedCell) -> dict[str, float]:
-    return {
-        "elastic.rho": cell.elastic.rho,
-        "elastic.c": cell.elastic.c,
-        "elastic.d": cell.elastic.d,
-        "piezo.rho": cell.piezo.rho,
-        "piezo.cE": cell.piezo.cE,
-        "piezo.e": cell.piezo.e,
-        "piezo.eps": cell.piezo.eps,
-        "piezo.d": cell.piezo.d,
-        "circuit.c_over_s": cell.c_over_s,
-    }
 
 
 # --- subcommands -----------------------------------------------------------
@@ -213,30 +198,28 @@ def _cmd_sweep(args) -> int:
     else:
         values = [v * 1e-6 for v in DEFAULT_SWEEP_UF]
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    # Every panel is solved and checked before the directory is touched, so
+    # a failing panel leaves nothing behind.
+    files = {}
     panels = []
     for i, gamma in enumerate(values):
         name = f"bands_{i:02d}.csv"
         panel_cell = cell.with_c_over_s(gamma)
         branches = trace_branches(panel_cell, args.k_points, omega_max)
         flat = [b.index for b in detect_flat_bands(branches, args.flatness_tol)]
-        (out_dir / name).write_text(_bands_csv(panel_cell, branches), encoding="utf-8", newline="")
+        files[name] = _bands_csv(panel_cell, branches)
         panels.append({"file": name, "c_over_s": gamma, "flat_branch_indices": flat})
 
     reference_cell = cell.with_c_over_s(0.0)
     reference_name = "reference_c0.csv"
     reference_branches = trace_branches(reference_cell, args.k_points, omega_max)
-    (out_dir / reference_name).write_text(
-        _bands_csv(reference_cell, reference_branches), encoding="utf-8", newline=""
-    )
+    files[reference_name] = _bands_csv(reference_cell, reference_branches)
 
     manifest = {
         "tool": "piezoband",
         "version": __version__,
         "command": "sweep",
-        "material": _material_dict(cell),
+        "material": _schema_values(cell),
         "settings": {
             "k_points": args.k_points,
             "omega_max": omega_max,
@@ -245,9 +228,12 @@ def _cmd_sweep(args) -> int:
         "panels": panels,
         "reference": {"file": reference_name, "c_over_s": 0.0},
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline=""
-    )
+    files["manifest.json"] = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out_dir / name).write_text(text, encoding="utf-8", newline="")
     return 0
 
 

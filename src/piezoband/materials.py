@@ -159,7 +159,7 @@ class ShuntedCell:
 
 # --- material file I/O ----------------------------------------------------
 
-# key -> (unit kind, required)
+# key -> unit kind; every key is required, in this (canonical) order.
 _SCHEMA: dict[str, str] = {
     "elastic.rho": "density",
     "elastic.c": "stiffness",
@@ -171,6 +171,16 @@ _SCHEMA: dict[str, str] = {
     "piezo.d": "length",
     "circuit.c_over_s": "capacitance",
 }
+
+
+def _schema_values(cell: ShuntedCell) -> dict[str, float]:
+    """The cell's value of every ``_SCHEMA`` key, in schema order."""
+    owners = {"elastic": cell.elastic, "piezo": cell.piezo, "circuit": cell}
+    values = {}
+    for key in _SCHEMA:
+        owner, _, name = key.partition(".")
+        values[key] = getattr(owners[owner], name)
+    return values
 
 
 def parse_material_file(text: str) -> ShuntedCell:
@@ -223,19 +233,8 @@ def serialize_material_file(cell: ShuntedCell) -> str:
     ``parse_material_file`` of the result reproduces the cell exactly;
     serialization is idempotent (the canonical text is its own normal form).
     """
-    fields = [
-        ("elastic.rho", cell.elastic.rho),
-        ("elastic.c", cell.elastic.c),
-        ("elastic.d", cell.elastic.d),
-        ("piezo.rho", cell.piezo.rho),
-        ("piezo.cE", cell.piezo.cE),
-        ("piezo.e", cell.piezo.e),
-        ("piezo.eps", cell.piezo.eps),
-        ("piezo.d", cell.piezo.d),
-        ("circuit.c_over_s", cell.c_over_s),
-    ]
     lines = ["# piezoband material file (canonical form, SI units)"]
-    lines += [f"{key} = {value!r}" for key, value in fields]
+    lines += [f"{key} = {value!r}" for key, value in _schema_values(cell).items()]
     return "\n".join(lines) + "\n"
 
 

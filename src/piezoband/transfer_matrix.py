@@ -242,10 +242,13 @@ def monodromy(cell: ShuntedCell, omega: float) -> np.ndarray:
     The checked scalar entry point: the same bits as ``monodromy_entries``.
 
     Raises:
+        ValueError: If omega is not finite.
         ResonancePoleError: When the shunt correction is active and the
             magnitude of its denominator falls below ``pole_threshold(cell)``.
     """
     omega = float(omega)
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega!r}")
     if has_shunt_correction(cell):
         denom = float(shunt_denominator(cell, omega))
         threshold = pole_threshold(cell)

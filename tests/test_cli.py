@@ -210,16 +210,23 @@ class TestSweep:
         assert (err["error"], err["type"]) == ("input", "UnitError")
         assert not out_dir.exists()
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
-    def test_bad_flatness_tol_exits_2_before_writing_a_panel(self, tol, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "bad_args, message",
+        [pytest.param(["--flatness-tol", tol], "flatness_tol", id=tol)
+         for tol in ("-1", "0", "nan", "inf")]
+        + [pytest.param(["--k-points", "1"], "k_points", id="k-points-1")],
+    )
+    def test_bad_flatness_tol_exits_2_before_writing_a_panel(
+        self, bad_args, message, tmp_path, capsys
+    ):
         out_dir = tmp_path / "sweep"
-        code = main(["sweep", "--values", "0", "--k-points", "40", "--flatness-tol", tol,
+        code = main(["sweep", "--values", "0", "--k-points", "40", *bad_args,
                      "--out", str(out_dir)])
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["type"]) == ("input", "ValueError")
-        assert "flatness_tol" in err["message"]
-        assert list(out_dir.iterdir()) == []
+        assert message in err["message"]
+        assert not out_dir.exists()
 
 
 class TestErrorHandling:
@@ -242,6 +249,15 @@ class TestErrorHandling:
         assert main(["effective", "--material", str(bad)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert "elastic.d" in err["message"]
+
+    @pytest.mark.parametrize("omega_max", ["nan", "inf", "-1", "0"])
+    def test_bad_omega_max_exit_2(self, omega_max, capsys):
+        # Regression: nan exited 0 with the single row 1,0,0,0,nan.
+        assert main(["bands", f"--omega-max={omega_max}", "--k-points", "5", "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert (err["error"], err["type"]) == ("input", "ValueError")
 
     def test_unknown_unit_exit_2(self, capsys):
         assert main(["bands", "--c-over-s=1 parsec", "--out", "-"]) == 2
