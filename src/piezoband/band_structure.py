@@ -6,7 +6,9 @@ scan samples the half-trace, locates shunt resonance poles from sign
 changes of the correction denominator, inserts guarded breakpoints around
 them so that no root bracket ever spans a pole, and refines locally near
 band edges. Branches and stopband edges come from one root search on that
-scan: a stopband edge is a K = 0 or K = pi/T branch sample.
+scan: a stopband edge is a K = 0 or K = pi/T branch sample. A pole where
+the rank-1 shunt term r vanishes too is removable: it is a flat band, a
+root at every K, and flat-band capacitances follow from the roots of r.
 
 Root search is array code throughout. The targets cos(K*T) of all K are
 sorted once; each unblocked scan interval finds its candidate targets by
@@ -22,13 +24,15 @@ without moving any root.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .materials import ShuntedCell
 from .quasistatic import Regime, effective_model, special_capacitances
 from .transfer_matrix import (
+    _cell_parts,
+    _residue_vanishes,
     has_shunt_correction,
     monodromy,
     monodromy_entries,
@@ -65,6 +69,8 @@ DEFAULT_REFINE_FACTOR = 16
 ROOT_RTOL = 1e-10
 RESIDUAL_TOL = 1e-9
 DEFAULT_FLATNESS_TOL = 1e-3
+# Relative width at which a pole (or a root of r) is located.
+_POLE_RTOL = 1e-14
 
 
 class BracketError(ValueError):
@@ -167,6 +173,9 @@ class FrequencyScan:
         poles: Located shunt resonance frequencies in (0, omega_max).
         blocked: Per-interval mask, True when (nodes[i], nodes[i+1])
             contains a pole and must never be used as a root bracket.
+        removable: The poles at which r vanishes too (see
+            ``transfer_matrix._cell_parts``). Each is a flat band: a root
+            of h(omega) = cos(K*T) at every K.
     """
 
     cell: ShuntedCell
@@ -175,6 +184,7 @@ class FrequencyScan:
     values: np.ndarray
     poles: np.ndarray
     blocked: np.ndarray
+    removable: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def _bisect(func, lo, hi, f_lo, *, rtol, residual_tol=None, max_iter=200):
@@ -229,19 +239,23 @@ def _bisect(func, lo, hi, f_lo, *, rtol, residual_tol=None, max_iter=200):
     return result
 
 
+def _probe_roots(func, omega_max: float, probe_points: int) -> np.ndarray:
+    """Zeros of func in (0, omega_max): sign changes on a uniform probe grid, bisected."""
+    grid = np.linspace(0.0, omega_max, probe_points)
+    values = func(grid)
+    idx = np.nonzero(values[:-1] * values[1:] < 0.0)[0]
+    func_live = lambda x, live: func(x)
+    located = _bisect(func_live, grid[idx], grid[idx + 1], values[idx], rtol=_POLE_RTOL)
+    # Exact zeros at probe nodes are roots themselves.
+    roots = np.unique(np.concatenate([located, grid[values == 0.0]]))
+    return roots[(roots > 0.0) & (roots < omega_max)]
+
+
 def _find_poles(cell: ShuntedCell, omega_max: float, probe_points: int) -> np.ndarray:
     """Locate zeros of the shunt denominator in (0, omega_max)."""
     if not has_shunt_correction(cell):
         return np.empty(0)
-    grid = np.linspace(0.0, omega_max, probe_points)
-    den = shunt_denominator(cell, grid)
-    prod = den[:-1] * den[1:]
-    idx = np.nonzero(prod < 0.0)[0]
-    func = lambda x, live: shunt_denominator(cell, x)
-    located = _bisect(func, grid[idx], grid[idx + 1], den[idx], rtol=1e-14)
-    # Exact zeros at probe nodes are poles themselves.
-    poles = np.unique(np.concatenate([located, grid[den == 0.0]]))
-    return poles[(poles > 0.0) & (poles < omega_max)]
+    return _probe_roots(lambda x: shunt_denominator(cell, x), omega_max, probe_points)
 
 
 def _pole_guards(cell: ShuntedCell, poles: np.ndarray, omega_max: float):
@@ -274,17 +288,16 @@ def scan_frequencies(
 
     The base grid is uniform; cells where the half-trace crosses +-1 and
     cells adjacent to pole guards are subdivided by ``DEFAULT_REFINE_FACTOR``.
+    A located pole where r vanishes as well is kept as removable.
 
     Raises:
-        ValueError: If omega_max is not positive and finite.
+        ValueError: If omega_max is not positive and finite, or the window
+            holds more bands than ``base_points`` can resolve.
     """
-    if omega_max is None:
-        omega_max = default_omega_max(cell)
-    if not (math.isfinite(omega_max) and omega_max > 0.0):
-        raise ValueError(f"omega_max must be positive and finite, got {omega_max!r}")
-
+    omega_max = _window(cell, omega_max, base_points)
     nodes = np.linspace(0.0, omega_max, base_points + 1)
     poles = _find_poles(cell, omega_max, 4 * base_points + 1)
+    removable = poles[_residue_vanishes(cell, poles, _POLE_RTOL)]
     if poles.size:
         guards = _pole_guards(cell, poles, omega_max)
         guard_pts = np.array([x for lo_hi in guards for x in lo_hi])
@@ -323,7 +336,29 @@ def scan_frequencies(
         values=values,
         poles=poles,
         blocked=blocked,
+        removable=removable,
     )
+
+
+def _window(cell: ShuntedCell, omega_max: float | None, base_points: int) -> float:
+    """omega_max, or ``default_omega_max``, checked against a base grid of base_points.
+
+    The window holds about 4*omega_max/default_omega_max(cell) bands; above
+    base_points/4 of them a band gets fewer than four base intervals, and
+    far above the kernel overflows.
+    """
+    default = default_omega_max(cell)
+    if omega_max is None:
+        omega_max = default
+    if not (math.isfinite(omega_max) and omega_max > 0.0):
+        raise ValueError(f"omega_max must be positive and finite, got {omega_max!r}")
+    bands = 4.0 * omega_max / default
+    if bands > base_points / 4:
+        raise ValueError(
+            f"omega_max={omega_max!r} spans about {bands:.3g} bands, more than the "
+            f"{base_points / 4:g} that {base_points} base points resolve"
+        )
+    return float(omega_max)
 
 
 def _scan_of(cell: ShuntedCell, omega_max: float | None, scan: FrequencyScan | None):
@@ -394,7 +429,8 @@ def _scan_roots_batch(
 
     Brackets come from ``_target_hits`` (sorted-target binary search, never
     across a blocked interval) and are refined together by bisection, the
-    only refinement used; exact zeros at scan nodes are roots as they are.
+    only refinement used; exact zeros at scan nodes are roots as they are,
+    and so is each removable pole of the scan, for every target.
 
     Returns:
         (roots, counts): the roots grouped by target in target order and
@@ -413,6 +449,11 @@ def _scan_roots_batch(
     )
     roots = np.concatenate([scan.nodes[node], refined])
     owners = np.concatenate([zero_owner, owner])
+    if scan.removable.size:
+        roots = np.concatenate([roots, np.tile(scan.removable, len(targets))])
+        owners = np.concatenate(
+            [owners, np.repeat(np.arange(len(targets)), scan.removable.size)]
+        )
     order = np.lexsort((roots, owners))
     return roots[order], np.bincount(owners, minlength=len(targets))
 
@@ -490,7 +531,8 @@ def stopbands(
     Each edge is a root of h(omega) = +-1 from the branches' own root
     search, so it is the K = 0 or K = pi/T sample of ``trace_branches`` on
     the same scan. An interval whose closure reaches omega = 0 carries the
-    quasistatic flag.
+    quasistatic flag. A removable pole is a flat band of zero width, so the
+    two stop intervals it separates stay apart.
 
     Raises:
         ValueError: If ``scan`` is not a scan of ``cell``.
@@ -509,8 +551,9 @@ def stopbands(
     # gaps and drop sliver stopbands.
     sliver = 1e-12 * scan.omega_max
     merged: list[list[float]] = []
+    flat = set(scan.removable.tolist())
     for lo, hi in raw:
-        if merged and lo - merged[-1][1] < sliver:
+        if merged and lo - merged[-1][1] < sliver and lo not in flat:
             merged[-1][1] = hi
         else:
             merged.append([lo, hi])
@@ -640,6 +683,24 @@ def detect_flat_bands(
     return [b for b in branches if branch_flatness(b) < flatness_tol]
 
 
+def _flat_band_candidates(cell: ShuntedCell, omega_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """(omega*, C*/S) of the flat bands of the cell's shunt family, ascending omega*.
+
+    At fixed omega the half-trace h0 + gamma*r/(1 - gamma*M3) is a
+    linear-fractional function of gamma = C/S. A branch can only hold one
+    frequency over the whole zone where the +-1 capacitance curves meet,
+    which forces r(omega*) = 0 and gamma* = 1/M3(omega*): there the pole at
+    omega* is removable. The roots of r in (0, omega_max) are found on the
+    pole search's probe grid; each is a candidate, to be confirmed by a
+    trace.
+    """
+    if cell.piezo.e == 0.0:
+        return np.empty(0), np.empty(0)
+    r = lambda x: _cell_parts(cell, x)[1]
+    omega = _probe_roots(r, omega_max, 4 * DEFAULT_BASE_POINTS + 1)
+    return omega, 1.0 / _cell_parts(cell, omega)[2]
+
+
 def find_flat_capacitance(
     cell: ShuntedCell,
     bracket: tuple[float, float],
@@ -648,22 +709,28 @@ def find_flat_capacitance(
     omega_max: float | None = None,
     flatness_tol: float = DEFAULT_FLATNESS_TOL,
 ) -> float:
-    """C/S at which the first branch is flat, by bisection on its end slope.
+    """C/S in the bracket at which the first branch is flat, in closed form.
+
+    The candidates C*/S = 1/M3(omega*) at the roots omega* of r (see
+    ``_flat_band_candidates``) that lie in the bracket are tried in
+    ascending omega*; the first whose traced first branch has a relative
+    spread below flatness_tol is returned. At C* the flat band is the
+    scan's removable pole, so that branch holds omega* at every K.
 
     Args:
         cell: Template cell (its own c_over_s is ignored).
         bracket: (c_lo, c_hi) in F/m^2, both strictly inside the
-            negative-stiffness interval, with opposite first-branch
-            end-to-end slopes.
+            negative-stiffness interval.
 
     Returns:
         The flat-band capacitance per area C*/S.
 
     Raises:
         BracketError: If the bracket leaves the negative-stiffness interval
-            or both ends give the same slope sign.
-        NumericalError: If bisection exhausts the bracket without reaching
-            the requested flatness.
+            or holds no candidate, that is, the first-branch end slope
+            has the same sign at both ends.
+        NumericalError: If no candidate in the bracket gives a first branch
+            flat to flatness_tol.
     """
     c_lo, c_hi = sorted(bracket)
     c_inf, c_zero = special_capacitances(cell)
@@ -672,48 +739,22 @@ def find_flat_capacitance(
             "bracket must lie strictly inside the negative-stiffness interval "
             f"({c_zero:.6e}, {c_inf:.6e}) F/m^2"
         )
-
-    def first_branch(gamma: float) -> Branch:
+    omega_max = _window(cell, omega_max, DEFAULT_BASE_POINTS)
+    _, c_star = _flat_band_candidates(cell, omega_max)
+    c_star = c_star[(c_star >= c_lo) & (c_star <= c_hi)]
+    if not c_star.size:
+        raise BracketError(
+            "no flat-band capacitance in the bracket: the first-branch end slope "
+            "has the same sign at both ends"
+        )
+    for gamma in c_star.tolist():
         branches = trace_branches(cell.with_c_over_s(gamma), k_points, omega_max)
-        if not branches:
-            raise NumericalError(f"no branches found at C/S = {gamma!r}")
-        return branches[0]
-
-    def end_slope(branch: Branch) -> float:
-        return float(branch.omega[-1] - branch.omega[0])
-
-    b_lo, b_hi = first_branch(c_lo), first_branch(c_hi)
-    s_lo, s_hi = end_slope(b_lo), end_slope(b_hi)
-    if s_lo == 0.0:
-        return c_lo
-    if s_hi == 0.0:
-        return c_hi
-    if (s_lo > 0) == (s_hi > 0):
-        raise BracketError("first-branch end slope has the same sign at both bracket ends")
-
-    best = None
-    for _ in range(200):
-        mid = 0.5 * (c_lo + c_hi)
-        if mid <= c_lo or mid >= c_hi:
-            break
-        branch = first_branch(mid)
-        flatness = branch_flatness(branch)
-        if best is None or flatness < best[1]:
-            best = (mid, flatness)
-        if flatness < 0.1 * flatness_tol:
-            return mid
-        s_mid = end_slope(branch)
-        if s_mid == 0.0:
-            return mid
-        if (s_mid > 0) == (s_lo > 0):
-            c_lo, s_lo = mid, s_mid
-        else:
-            c_hi, s_hi = mid, s_mid
-        if (c_hi - c_lo) <= 1e-12 * abs(mid):
-            break
-    if best is not None and best[1] < flatness_tol:
-        return best[0]
-    raise NumericalError("bisection exhausted the bracket without reaching the flatness tolerance")
+        if branches and branch_flatness(branches[0]) < flatness_tol:
+            return gamma
+    raise NumericalError(
+        f"none of the {c_star.size} flat-band candidate(s) in the bracket gives a first "
+        f"branch flat to {flatness_tol!r}"
+    )
 
 
 def half_trace_curvature(cell: ShuntedCell) -> float:

@@ -152,6 +152,17 @@ class TestScan:
         with pytest.raises(ValueError, match="different cell"):
             bs.stopbands(cell, scan=scan)
 
+    def test_window_is_sized_to_the_base_grid(self, cell):
+        # Regression: omega_max = 1e300 overflowed the kernel and gave roots
+        # at 7e295 rad/s. A window holds about 4*omega_max/default_omega_max
+        # bands, and a base grid resolves at most base_points/4 of them.
+        omega0 = bs.default_omega_max(cell)
+        assert bs.scan_frequencies(cell, 50.0 * omega0).omega_max == 50.0 * omega0
+        assert bs.scan_frequencies(cell, 12.5 * omega0, base_points=200).nodes.size > 200
+        for omega_max, base_points in ((1e300, 2000), (126.0 * omega0, 2000), (13.0 * omega0, 200)):
+            with pytest.raises(ValueError, match="bands"):
+                bs.scan_frequencies(cell, omega_max, base_points=base_points)
+
     def test_pole_intervals_are_blocked(self, cell):
         scan = bs.scan_frequencies(cell.with_c_over_s(interior_gamma(cell)))
         assert scan.poles.size == np.count_nonzero(scan.blocked)
@@ -328,6 +339,18 @@ class TestGroupVelocity:
         assert bs.group_velocity(branch, 0.0) == pytest.approx(em.v_eff, rel=5e-3)
 
 
+# The flat bands of the shipped cell below default_omega_max: (flat branch,
+# omega* in rad/s, C*/S in uF/m^2), where r(omega*) = 0 and C*/S = 1/M3(omega*).
+FLAT_BANDS = [
+    (1, 5.6338435e6, -16.311921),
+    (2, 1.6315729e7, -12.650469),
+    (3, 2.5565393e7, -12.624045),
+    (4, 3.0322232e7, -13.179591),
+]
+# The lowest of them, 1/M3(omega*) as a float.
+C_STAR = -1.631192105104346e-05
+
+
 class TestFlatBands:
     def test_open_circuit_has_no_flat_bands(self, cell):
         assert bs.detect_flat_bands(bs.trace_branches(cell)) == []
@@ -343,6 +366,45 @@ class TestFlatBands:
         assert -16.5e-6 < c_star < -16.2e-6
         flat = bs.detect_flat_bands(bs.trace_branches(cell.with_c_over_s(c_star), k_points=120))
         assert [b.index for b in flat] == [1]
+
+    def test_candidates_are_the_closed_form_flat_bands(self, cell):
+        omega_star, c_star = bs._flat_band_candidates(cell, bs.default_omega_max(cell))
+        np.testing.assert_allclose(omega_star, [w for _, w, _ in FLAT_BANDS], rtol=1e-7)
+        np.testing.assert_allclose(c_star * 1e6, [c for _, _, c in FLAT_BANDS], rtol=1e-7)
+        for (index, _, _), gamma in zip(FLAT_BANDS, c_star.tolist()):
+            branches = bs.trace_branches(cell.with_c_over_s(gamma))
+            assert [b.index for b in bs.detect_flat_bands(branches)] == [index]
+            assert bs.branch_flatness(branches[index - 1]) == 0.0
+
+    def test_exact_flat_capacitance_keeps_the_flat_band(self, cell):
+        # Regression: at C* the whole first band lies inside the guard of its
+        # own pole, which is removable there. trace_branches returned 2
+        # branches, branch 1 starting at 16.3 Mrad/s, and stopbands merged
+        # the two stop intervals on either side of omega* into one.
+        flat = cell.with_c_over_s(C_STAR)
+        branches = bs.trace_branches(flat)
+        assert [len(b) for b in branches] == [200, 200, 200]
+        omega_star = branches[0].omega[0]
+        assert omega_star == pytest.approx(5.6338435e6, rel=1e-7)
+        assert np.all(branches[0].omega == omega_star)
+        assert bs.branch_flatness(branches[0]) == 0.0
+        assert np.all(branches[1].omega > omega_star)
+        intervals = bs.stopbands(flat)
+        assert len(intervals) == 4
+        assert intervals[0].quasistatic
+        assert intervals[0].omega_hi == intervals[1].omega_lo == omega_star
+
+    def test_find_flat_capacitance_runs_one_trace(self, cell, monkeypatch):
+        calls = []
+        trace = bs.trace_branches
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return trace(*args, **kwargs)
+
+        monkeypatch.setattr(bs, "trace_branches", counted)
+        assert bs.find_flat_capacitance(cell, (-16.5e-6, -16.2e-6)) == C_STAR
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_tolerance_must_be_positive_and_finite(self, tol):

@@ -250,9 +250,11 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err)
         assert "elastic.d" in err["message"]
 
-    @pytest.mark.parametrize("omega_max", ["nan", "inf", "-1", "0"])
+    @pytest.mark.parametrize("omega_max", ["nan", "inf", "-1", "0", "1e300"])
     def test_bad_omega_max_exit_2(self, omega_max, capsys):
-        # Regression: nan exited 0 with the single row 1,0,0,0,nan.
+        # Regression: nan exited 0 with the single row 1,0,0,0,nan, and 1e300
+        # exited 0 after overflow warnings (errors under this suite's
+        # RuntimeWarning filter) with rows at 7e295 rad/s.
         assert main(["bands", f"--omega-max={omega_max}", "--k-points", "5", "--out", "-"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

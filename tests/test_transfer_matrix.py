@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from piezoband import transfer_matrix
 from piezoband.materials import ElasticLayer, PiezoLayer, ShuntedCell, default_cell
+from piezoband.quasistatic import special_capacitances
 from piezoband.transfer_matrix import (
     ResonancePoleError,
     has_shunt_correction,
@@ -411,3 +412,61 @@ class TestKernelBitsMatchPlainFormulas:
                 assert bits([m]) == bits([matrix(monodromy_entries(cell, omega))])
                 assert tuple(m.ravel().tolist()) == plain_monodromy(cell, omega)
                 assert coupling(cell, omega) == floats(plain_shunt_terms(cell, omega))
+
+
+class TestCellParts:
+    """h = h0 + gamma*r/(1 - gamma*M3): the shunt enters in one rational step."""
+
+    def test_parts_reproduce_the_kernel_half_trace(self):
+        # The error bound scales with the condition of the denominator,
+        # kappa = |S/C| / |S/C - M3|, which grows without limit at a pole:
+        # error <= 2e-14 * (1 + |h|) * max(1, kappa). Measured worst over
+        # these 305 cells: 4.0e-15 (9.5e-17 at -11 uF/m^2). Points inside the
+        # pole threshold are skipped.
+        base = default_cell()
+        draws = np.random.default_rng(0)
+        cells = [base.with_c_over_s(g * 1e-6) for g in (0.0, -5.0, -11.0, -16.7, -40.0)]
+        cells += [random_cell(draws) for _ in range(300)]
+        for cell in cells:
+            omega_max = 4.0 * math.pi / (
+                cell.elastic.d * cell.elastic.slowness + cell.piezo.d * cell.piezo.slowness
+            )
+            omega = np.linspace(0.0, omega_max, 4001)
+            t11, _, _, t22 = monodromy_entries(cell, omega)
+            h = 0.5 * (t11 + t22)
+            h0, r, M3 = transfer_matrix._cell_parts(cell, omega)
+            gamma = cell.c_over_s
+            kappa = 1.0
+            keep = np.ones(omega.size, dtype=bool)
+            if has_shunt_correction(cell):
+                denom = shunt_denominator(cell, omega)
+                keep = np.abs(denom) >= pole_threshold(cell)
+                kappa = np.maximum(1.0, abs(1.0 / gamma) / np.abs(denom))
+            error = np.abs(h0 + gamma * r / (1.0 - gamma * M3) - h) / ((1.0 + np.abs(h)) * kappa)
+            assert np.max(error[keep]) <= 2e-14
+
+    def test_removable_rule_at_the_flat_bands(self):
+        # r vanishes at the four flat bands omega* of the shipped cell below
+        # its default window: at omega* itself, and at the pole located at
+        # C*/S = 1/M3(omega*). At the poles of the default panels and of 300
+        # random cells inside their negative-stiffness interval it does not.
+        from piezoband import band_structure as bs
+
+        rtol = bs._POLE_RTOL
+        omega_star, c_star = bs._flat_band_candidates(default_cell(), 3.2e7)
+        assert omega_star.size == 4
+        assert transfer_matrix._residue_vanishes(default_cell(), omega_star, rtol).all()
+        for gamma in c_star.tolist():
+            assert bs.scan_frequencies(default_cell(gamma)).removable.size == 1
+        draws = np.random.default_rng(0)
+        cells = [default_cell(g * 1e-6) for g in (-10.67, -11.0, -12.0, -13.3, -14.0, -16.7, -40.0)]
+        for _ in range(300):
+            cell = random_cell(draws, allow_zero_e=False)
+            c_inf, c_zero = special_capacitances(cell)
+            cells.append(cell.with_c_over_s(c_zero + draws.uniform(0.05, 0.95) * (c_inf - c_zero)))
+        seen = 0
+        for cell in cells:
+            poles = bs.scan_frequencies(cell).poles
+            assert not transfer_matrix._residue_vanishes(cell, poles, rtol).any()
+            seen += poles.size
+        assert seen >= 250
