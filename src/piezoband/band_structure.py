@@ -3,28 +3,30 @@
 The dispersion relation is cos(K*T) = half-trace of the unit-cell matrix.
 Everything here is driven by one adaptive frequency scan per cell: the
 scan samples the half-trace, locates shunt resonance poles from sign
-changes of the correction denominator, inserts guarded breakpoints around
-them so that no root bracket ever spans a pole, and refines locally near
-band edges. Branches and stopband edges come from one root search on that
-scan: a stopband edge is a K = 0 or K = pi/T branch sample. A pole where
-the rank-1 shunt term r vanishes too is removable: it is a flat band, a
-root at every K, and flat-band capacitances follow from the roots of r.
+changes of the correction denominator, and refines locally near band
+edges and poles. Branches and stopband edges come from one root search on
+that scan: a stopband edge is a K = 0 or K = pi/T branch sample.
+
+The pole rule: no root is ever bisected on a function with a pole inside
+its bracket. A scan interval that holds a pole is searched on the
+pole-free numerator g_t = (S/C - M3)*(h - t) = (S/C - M3)*(h0 - t) + r
+instead of h - t (see ``transfer_matrix._cell_parts``). Where r vanishes
+at the pole too, g_t vanishes there for every target t: the frequency is
+a flat band, a root at every K.
 
 Root search is array code throughout. The targets cos(K*T) of all K are
-sorted once; each unblocked scan interval finds its candidate targets by
+sorted once; each pole-free scan interval finds its candidate targets by
 binary search on its two end values and keeps those that pass the strict
 sign-change test, so the cost is O(nodes * log targets + brackets) with no
-targets x nodes temporary. Root refinement is bisection only: the
-half-trace has poles for C < 0 and bisection inside pole-free
-sub-intervals is unconditionally safe. The bisection drops finished
-brackets from its working arrays each pass, which saves kernel points
-without moving any root.
+targets x nodes temporary. Root refinement is bisection only, which never
+leaves its bracket. It drops finished brackets from its working arrays
+each pass, which saves kernel points without moving any root.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,11 +34,9 @@ from .materials import ShuntedCell
 from .quasistatic import Regime, effective_model, special_capacitances
 from .transfer_matrix import (
     _cell_parts,
-    _residue_vanishes,
     has_shunt_correction,
     monodromy,
     monodromy_entries,
-    pole_threshold,
     shunt_denominator,
 )
 
@@ -168,14 +168,11 @@ class FrequencyScan:
         cell: The scanned cell.
         omega_max: Upper end of the scan window (rad/s).
         nodes: Sorted sample frequencies; nodes[0] == 0.
-        values: Half-trace at the nodes (finite everywhere; pole
-            neighborhoods are bounded away by guard nodes).
+        values: Half-trace at the nodes.
         poles: Located shunt resonance frequencies in (0, omega_max).
         blocked: Per-interval mask, True when (nodes[i], nodes[i+1])
-            contains a pole and must never be used as a root bracket.
-        removable: The poles at which r vanishes too (see
-            ``transfer_matrix._cell_parts``). Each is a flat band: a root
-            of h(omega) = cos(K*T) at every K.
+            contains a pole: its roots are bracketed and bisected on the
+            pole-free numerator g_t, never on the half-trace.
     """
 
     cell: ShuntedCell
@@ -184,7 +181,6 @@ class FrequencyScan:
     values: np.ndarray
     poles: np.ndarray
     blocked: np.ndarray
-    removable: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def _bisect(func, lo, hi, f_lo, *, rtol, residual_tol=None, max_iter=200):
@@ -258,26 +254,6 @@ def _find_poles(cell: ShuntedCell, omega_max: float, probe_points: int) -> np.nd
     return _probe_roots(lambda x: shunt_denominator(cell, x), omega_max, probe_points)
 
 
-def _pole_guards(cell: ShuntedCell, poles: np.ndarray, omega_max: float):
-    """Guard interval (lo, hi) around each pole with safely finite values."""
-    threshold = pole_threshold(cell)
-    guards = []
-    for i, p in enumerate(poles):
-        room = p if i == 0 else p - poles[i - 1]
-        room = min(room, (poles[i + 1] - p) if i + 1 < len(poles) else omega_max - p)
-        g = max(1e-12 * omega_max, 1e-10 * p)
-        for _ in range(80):
-            lo, hi = p - g, p + g
-            if lo <= 0.0 or g > 0.25 * room:
-                break
-            vals = np.abs(shunt_denominator(cell, np.array([lo, hi])))
-            if vals.min() > 10.0 * threshold:
-                break
-            g *= 4.0
-        guards.append((max(p - g, p * 0.5), min(p + g, omega_max)))
-    return guards
-
-
 def scan_frequencies(
     cell: ShuntedCell,
     omega_max: float | None = None,
@@ -286,9 +262,9 @@ def scan_frequencies(
 ) -> FrequencyScan:
     """Build the adaptive half-trace scan for a cell.
 
-    The base grid is uniform; cells where the half-trace crosses +-1 and
-    cells adjacent to pole guards are subdivided by ``DEFAULT_REFINE_FACTOR``.
-    A located pole where r vanishes as well is kept as removable.
+    The base grid is uniform; the intervals where the half-trace crosses
+    +-1 and the interval that holds each located pole are subdivided by
+    ``DEFAULT_REFINE_FACTOR``, so that ``blocked`` marks a short interval.
 
     Raises:
         ValueError: If omega_max is not positive and finite, or the window
@@ -297,37 +273,26 @@ def scan_frequencies(
     omega_max = _window(cell, omega_max, base_points)
     nodes = np.linspace(0.0, omega_max, base_points + 1)
     poles = _find_poles(cell, omega_max, 4 * base_points + 1)
-    removable = poles[_residue_vanishes(cell, poles, _POLE_RTOL)]
-    if poles.size:
-        guards = _pole_guards(cell, poles, omega_max)
-        guard_pts = np.array([x for lo_hi in guards for x in lo_hi])
-        keep = np.ones(nodes.shape, dtype=bool)
-        for lo, hi in guards:
-            keep &= ~((nodes > lo) & (nodes < hi))
-        nodes = np.unique(np.concatenate([nodes[keep], guard_pts]))
+    # Where S/C - M3 rounds to 0 next to a pole the half-trace is not finite;
+    # such nodes are dropped at the end, and the pole's interval spans them.
+    with np.errstate(invalid="ignore"):
+        values = half_trace_values(cell, nodes)
 
-    values = half_trace_values(cell, nodes)
-    blocked = _blocked_mask(nodes, poles)
-
-    # One local refinement pass near band edges and pole guards.
-    lower = values - 1.0
-    upper = values + 1.0
-    cross = (lower[:-1] * lower[1:] < 0.0) | (upper[:-1] * upper[1:] < 0.0)
-    near_pole = np.zeros_like(cross)
-    if poles.size:
-        near_pole[:-1] |= blocked[1:]
-        near_pole[1:] |= blocked[:-1]
-    refine = (cross | near_pole) & ~blocked
-    if refine.any():
-        i = np.nonzero(refine)[0]
-        ratios = np.arange(1, DEFAULT_REFINE_FACTOR) / DEFAULT_REFINE_FACTOR
-        extra = (nodes[i, None] + (nodes[i + 1] - nodes[i])[:, None] * ratios).ravel()
-        extra_values = half_trace_values(cell, extra)
-        # A node and an inserted point can coincide; np.unique keeps the
-        # first occurrence, so the node's own value wins.
-        nodes, unique_idx = np.unique(np.concatenate([nodes, extra]), return_index=True)
-        values = np.concatenate([values, extra_values])[unique_idx]
-        blocked = _blocked_mask(nodes, poles)
+        # One local refinement pass near band edges and poles.
+        lower, upper = values - 1.0, values + 1.0
+        refine = (lower[:-1] * lower[1:] < 0.0) | (upper[:-1] * upper[1:] < 0.0)
+        refine |= _blocked_mask(nodes, poles)
+        if refine.any():
+            i = np.nonzero(refine)[0]
+            ratios = np.arange(1, DEFAULT_REFINE_FACTOR) / DEFAULT_REFINE_FACTOR
+            extra = (nodes[i, None] + (nodes[i + 1] - nodes[i])[:, None] * ratios).ravel()
+            extra_values = half_trace_values(cell, extra)
+            # A node and an inserted point can coincide; np.unique keeps the
+            # first occurrence, so the node's own value wins.
+            nodes, unique_idx = np.unique(np.concatenate([nodes, extra]), return_index=True)
+            values = np.concatenate([values, extra_values])[unique_idx]
+    finite = np.isfinite(values)
+    nodes, values = nodes[finite], values[finite]
 
     return FrequencyScan(
         cell=cell,
@@ -335,8 +300,7 @@ def scan_frequencies(
         nodes=nodes,
         values=values,
         poles=poles,
-        blocked=blocked,
-        removable=removable,
+        blocked=_blocked_mask(nodes, poles),
     )
 
 
@@ -397,6 +361,11 @@ def _target_hits(scan: FrequencyScan, targets: np.ndarray):
     for a bracket, f == 0 for an exact zero. Work and memory scale with
     nodes * log(targets) plus the number of hits.
 
+    A blocked interval tries every target on the pole-free numerator
+    g_t = (S/C - M3)*(h - t) instead, whose sign at a node is
+    sign(S/C - M3)*(h - t): its brackets pass g_lo*g_hi < 0, carry g_lo as
+    f_lo and come after all others.
+
     Returns:
         (interval, owner, f_lo) of every bracket and (node, owner) of every
         exact zero, where owner indexes ``targets``.
@@ -412,6 +381,17 @@ def _target_hits(scan: FrequencyScan, targets: np.ndarray):
     owner = order[position]
     f_lo = values[interval] - targets[owner]
     keep = f_lo * (values[interval + 1] - targets[owner]) < 0.0
+    brackets = (interval[keep], owner[keep], f_lo[keep])
+
+    pole_interval = np.nonzero(scan.blocked)[0]
+    if pole_interval.size:
+        ends = np.stack([pole_interval, pole_interval + 1])
+        sign = np.sign(shunt_denominator(scan.cell, scan.nodes[ends]))
+        g_lo, g_hi = sign[:, :, None] * (values[ends][:, :, None] - targets)
+        hit, pole_owner = np.nonzero(g_lo * g_hi < 0.0)
+        if hit.size:
+            at_pole = (pole_interval[hit], pole_owner, g_lo[hit, pole_owner])
+            brackets = tuple(map(np.concatenate, zip(brackets, at_pole)))
 
     node, position = _index_ranges(
         np.searchsorted(ordered, values, side="left"),
@@ -419,41 +399,42 @@ def _target_hits(scan: FrequencyScan, targets: np.ndarray):
     )
     zero_owner = order[position]
     exact = values[node] - targets[zero_owner] == 0.0
-    return (interval[keep], owner[keep], f_lo[keep]), (node[exact], zero_owner[exact])
+    return brackets, (node[exact], zero_owner[exact])
 
 
 def _scan_roots_batch(
     scan: FrequencyScan, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of the half-trace h(omega) = t for every target t, one bisection run.
+    """Roots of the half-trace h(omega) = t for every target t.
 
-    Brackets come from ``_target_hits`` (sorted-target binary search, never
-    across a blocked interval) and are refined together by bisection, the
-    only refinement used; exact zeros at scan nodes are roots as they are,
-    and so is each removable pole of the scan, for every target.
+    Brackets come from ``_target_hits`` and are refined by bisection, the
+    only refinement used: on h - t to ``ROOT_RTOL`` and ``RESIDUAL_TOL``,
+    except in blocked intervals, where h - t has a pole (0/0 at a flat
+    band) and the bisection runs on g_t = (S/C - M3)*(h0 - t) + r to
+    ``ROOT_RTOL`` alone. Exact zeros at scan nodes are roots as they are.
 
     Returns:
         (roots, counts): the roots grouped by target in target order and
         sorted within each group, and the number of roots of each target.
     """
-    cell = scan.cell
+    cell, nodes = scan.cell, scan.nodes
     (interval, owner, f_lo), (node, zero_owner) = _target_hits(scan, targets)
+    # Brackets in blocked intervals come last, so both groups are views.
+    split = interval.size - np.count_nonzero(scan.blocked[interval])
+    free, pole = interval[:split], interval[split:]
     func = lambda x, live: half_trace_values(cell, x) - targets[owner[live]]
     refined = _bisect(
-        func,
-        scan.nodes[interval],
-        scan.nodes[interval + 1],
-        f_lo,
-        rtol=ROOT_RTOL,
-        residual_tol=RESIDUAL_TOL,
+        func, nodes[free], nodes[free + 1], f_lo[:split], rtol=ROOT_RTOL, residual_tol=RESIDUAL_TOL
     )
-    roots = np.concatenate([scan.nodes[node], refined])
+    if pole.size:
+        def numerator(x, live):
+            h0, r, M3 = _cell_parts(cell, x)
+            return (1.0 / cell.c_over_s - M3) * (h0 - targets[owner[split + live]]) + r
+
+        at_poles = _bisect(numerator, nodes[pole], nodes[pole + 1], f_lo[split:], rtol=ROOT_RTOL)
+        refined = np.concatenate([refined, at_poles])
+    roots = np.concatenate([nodes[node], refined])
     owners = np.concatenate([zero_owner, owner])
-    if scan.removable.size:
-        roots = np.concatenate([roots, np.tile(scan.removable, len(targets))])
-        owners = np.concatenate(
-            [owners, np.repeat(np.arange(len(targets)), scan.removable.size)]
-        )
     order = np.lexsort((roots, owners))
     return roots[order], np.bincount(owners, minlength=len(targets))
 
@@ -531,15 +512,17 @@ def stopbands(
     Each edge is a root of h(omega) = +-1 from the branches' own root
     search, so it is the K = 0 or K = pi/T sample of ``trace_branches`` on
     the same scan. An interval whose closure reaches omega = 0 carries the
-    quasistatic flag. A removable pole is a flat band of zero width, so the
-    two stop intervals it separates stay apart.
+    quasistatic flag. An edge that is a root of both h = 1 and h = -1 is a
+    flat band of zero width, so the two stop intervals it separates stay
+    apart.
 
     Raises:
         ValueError: If ``scan`` is not a scan of ``cell``.
     """
     scan = _scan_of(cell, omega_max, scan)
-    roots, _ = _scan_roots_batch(scan, np.array([1.0, -1.0]))
+    roots, counts = _scan_roots_batch(scan, np.array([1.0, -1.0]))
     edges = np.unique(roots[(roots > 0.0) & (roots < scan.omega_max)])
+    flat = set(np.intersect1d(roots[: counts[0]], roots[counts[0] :]).tolist())
 
     boundaries = np.concatenate([[0.0], edges, [scan.omega_max]])
     lo, hi = boundaries[:-1], boundaries[1:]
@@ -551,7 +534,6 @@ def stopbands(
     # gaps and drop sliver stopbands.
     sliver = 1e-12 * scan.omega_max
     merged: list[list[float]] = []
-    flat = set(scan.removable.tolist())
     for lo, hi in raw:
         if merged and lo - merged[-1][1] < sliver and lo not in flat:
             merged[-1][1] = hi
@@ -690,7 +672,7 @@ def _flat_band_candidates(cell: ShuntedCell, omega_max: float) -> tuple[np.ndarr
     linear-fractional function of gamma = C/S. A branch can only hold one
     frequency over the whole zone where the +-1 capacitance curves meet,
     which forces r(omega*) = 0 and gamma* = 1/M3(omega*): there the pole at
-    omega* is removable. The roots of r in (0, omega_max) are found on the
+    omega* cancels. The roots of r in (0, omega_max) are found on the
     pole search's probe grid; each is a candidate, to be confirmed by a
     trace.
     """
@@ -714,8 +696,8 @@ def find_flat_capacitance(
     The candidates C*/S = 1/M3(omega*) at the roots omega* of r (see
     ``_flat_band_candidates``) that lie in the bracket are tried in
     ascending omega*; the first whose traced first branch has a relative
-    spread below flatness_tol is returned. At C* the flat band is the
-    scan's removable pole, so that branch holds omega* at every K.
+    spread below flatness_tol is returned. At C* the pole at omega* cancels,
+    so that branch holds omega* at every K.
 
     Args:
         cell: Template cell (its own c_over_s is ignored).
@@ -727,8 +709,7 @@ def find_flat_capacitance(
 
     Raises:
         BracketError: If the bracket leaves the negative-stiffness interval
-            or holds no candidate, that is, the first-branch end slope
-            has the same sign at both ends.
+            or holds no candidate C*/S = 1/M3(omega*) with r(omega*) = 0.
         NumericalError: If no candidate in the bracket gives a first branch
             flat to flatness_tol.
     """
@@ -744,8 +725,8 @@ def find_flat_capacitance(
     c_star = c_star[(c_star >= c_lo) & (c_star <= c_hi)]
     if not c_star.size:
         raise BracketError(
-            "no flat-band capacitance in the bracket: the first-branch end slope "
-            "has the same sign at both ends"
+            "no flat-band capacitance in the bracket: no C*/S = 1/M3(omega*) with "
+            "r(omega*) = 0 lies in it"
         )
     for gamma in c_star.tolist():
         branches = trace_branches(cell.with_c_over_s(gamma), k_points, omega_max)

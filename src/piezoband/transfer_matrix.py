@@ -21,7 +21,8 @@ shunted piezo entries. ``monodromy_entries`` is the fused cell kernel:
 it writes t11, t12, t21, t22 into one preallocated (4, n) array,
 ``_BLOCK`` frequencies at a time, with in-place ufuncs. ``_cell_parts``
 splits the half-trace into the parts h0, r, M3 that do not depend on C/S;
-it serves flat bands and removable poles and defines no output bit.
+it serves flat bands and the pole-free root search next to poles, and
+defines no output bit.
 
 The per-element operation order is fixed: every entry is the same
 sequence of correctly rounded float operations as the formulas in the
@@ -198,46 +199,26 @@ def m_piezo_shunted_entries(cell: ShuntedCell, omega):
     return _entries(lambda w: _piezo(cell, w), omega)
 
 
-def _parts(cell: ShuntedCell, omega: np.ndarray):
-    """h0, r, M3 and the rounding scale of r of a cell, 1-D omega.
-
-    h0 = cos q2*a11 + (b12*a21 + b21*a12)/2 is the open-circuit half-trace
-    and r = M1*M2*a11 + (a12*M2^2 + a21*M1^2)/2, where a_ij are the elastic
-    and b_ij the bare piezo entries; the scale is the sum of the magnitudes
-    of the three terms of r.
-    """
-    el, pz = cell.elastic, cell.piezo
-    _, _, a11, a12, a21 = _layer(el.rho, el.c, el.d, omega)
-    q, s, cos_q, b12, b21 = _layer(pz.rho, pz.cD, pz.d, omega)
-    M1, M2, M3 = _coupling(pz, q, s)
-    h0 = cos_q * a11 + 0.5 * (b12 * a21 + b21 * a12)
-    terms = (M1 * M2 * a11, 0.5 * a12 * M2 * M2, 0.5 * a21 * M1 * M1)
-    return h0, sum(terms), M3, sum(np.abs(t) for t in terms)
-
-
 def _cell_parts(cell: ShuntedCell, omega):
     """(h0, r, M3) of a cell, elementwise over omega; none depends on C/S.
 
     With gamma = C/S the half-trace is h = h0 + gamma*r/(1 - gamma*M3):
     the shunt enters only through f = 1/(S/C - M3) times the rank-1 term,
-    whose half-trace against the elastic layer is r.
+    whose half-trace against the elastic layer is r. Here h0 = cos q2*a11 +
+    (b12*a21 + b21*a12)/2 is the open-circuit half-trace and r = M1*M2*a11
+    + (a12*M2^2 + a21*M1^2)/2, where a_ij are the elastic and b_ij the bare
+    piezo entries.
     """
-    return _entries(lambda w: _parts(cell, w)[:3], omega)
+    el, pz = cell.elastic, cell.piezo
 
+    def parts(w):
+        _, _, a11, a12, a21 = _layer(el.rho, el.c, el.d, w)
+        q, s, cos_q, b12, b21 = _layer(pz.rho, pz.cD, pz.d, w)
+        M1, M2, M3 = _coupling(pz, q, s)
+        h0 = cos_q * a11 + 0.5 * (b12 * a21 + b21 * a12)
+        return h0, M1 * M2 * a11 + 0.5 * a12 * M2 * M2 + 0.5 * a21 * M1 * M1, M3
 
-def _residue_vanishes(cell: ShuntedCell, omega: np.ndarray, rtol: float) -> np.ndarray:
-    """Whether r vanishes within rtol of each frequency, 1-D omega.
-
-    True where r changes sign over [omega*(1 - rtol), omega*(1 + rtol)], or
-    is at its rounding level at omega: |r| <= 1e-13*(|M1*M2*a11| +
-    |a12*M2^2|/2 + |a21*M1^2|/2). At a pole located to rtol this makes the
-    pole removable, and the frequency a flat band: (S/C - M3)*(h - c) =
-    (S/C - M3)*(h0 - c) + r vanishes there for every c.
-    """
-    n = omega.size
-    at = np.concatenate([omega, omega * (1.0 - rtol), omega * (1.0 + rtol)])
-    _, r, _, scale = _parts(cell, at)
-    return (np.abs(r[:n]) <= 1e-13 * scale[:n]) | (r[n : 2 * n] * r[2 * n :] <= 0.0)
+    return _entries(parts, omega)
 
 
 def _cell_block(cell: ShuntedCell, omega: np.ndarray, out: np.ndarray) -> None:

@@ -166,10 +166,13 @@ class TestScan:
     def test_pole_intervals_are_blocked(self, cell):
         scan = bs.scan_frequencies(cell.with_c_over_s(interior_gamma(cell)))
         assert scan.poles.size == np.count_nonzero(scan.blocked)
+        # Each pole's base interval is refined like a band-edge interval.
+        step = scan.omega_max / bs.DEFAULT_BASE_POINTS / bs.DEFAULT_REFINE_FACTOR
         for p in scan.poles:
             i = np.searchsorted(scan.nodes, p) - 1
             assert scan.blocked[i]
             assert scan.nodes[i] < p < scan.nodes[i + 1]
+            assert scan.nodes[i + 1] - scan.nodes[i] == pytest.approx(step, rel=1e-9)
 
 
 class TestBranches:
@@ -347,8 +350,14 @@ FLAT_BANDS = [
     (3, 2.5565393e7, -12.624045),
     (4, 3.0322232e7, -13.179591),
 ]
-# The lowest of them, 1/M3(omega*) as a float.
-C_STAR = -1.631192105104346e-05
+# Their C*/S = 1/M3(omega*) as floats, in the same order.
+C_STARS = (
+    -1.631192105104346e-05,
+    -1.2650469349254451e-05,
+    -1.2624044476357653e-05,
+    -1.3179591285920325e-05,
+)
+C_STAR = C_STARS[0]
 
 
 class TestFlatBands:
@@ -376,23 +385,31 @@ class TestFlatBands:
             assert [b.index for b in bs.detect_flat_bands(branches)] == [index]
             assert bs.branch_flatness(branches[index - 1]) == 0.0
 
-    def test_exact_flat_capacitance_keeps_the_flat_band(self, cell):
-        # Regression: at C* the whole first band lies inside the guard of its
-        # own pole, which is removable there. trace_branches returned 2
-        # branches, branch 1 starting at 16.3 Mrad/s, and stopbands merged
-        # the two stop intervals on either side of omega* into one.
-        flat = cell.with_c_over_s(C_STAR)
-        branches = bs.trace_branches(flat)
-        assert [len(b) for b in branches] == [200, 200, 200]
-        omega_star = branches[0].omega[0]
-        assert omega_star == pytest.approx(5.6338435e6, rel=1e-7)
-        assert np.all(branches[0].omega == omega_star)
-        assert bs.branch_flatness(branches[0]) == 0.0
-        assert np.all(branches[1].omega > omega_star)
-        intervals = bs.stopbands(flat)
+    @pytest.mark.parametrize("delta", [0.0, 8.3e-15, 1e-12, 1e-9, -1e-9, 1e-8, -1e-8, 1e-7])
+    @pytest.mark.parametrize("row", range(len(FLAT_BANDS)))
+    def test_exact_flat_capacitance_keeps_the_flat_band(self, cell, row, delta):
+        # Regression: at and near C* the whole flat band lay inside the guard
+        # of its own pole. At C* itself that pole was classified removable
+        # and kept, but from 8.3e-15 to +-1e-8 relative off C* the flat
+        # branch was missing (for band 1, branch 1 started at 16.3 Mrad/s)
+        # and stopbands returned 3 intervals; at 1e-7 bands 3 and 4 still
+        # came out with 137 and 43 samples. The spread is at most about
+        # 15*|delta|.
+        index, omega_star, _ = FLAT_BANDS[row]
+        near = cell.with_c_over_s(C_STARS[row] * (1.0 + delta))
+        branches = bs.trace_branches(near)
+        assert [len(b) for b in branches] == [200] * (3 if index == 1 else 4)
+        assert [b.index for b in bs.detect_flat_bands(branches)] == [index]
+        flat = branches[index - 1]
+        assert bs.branch_flatness(flat) <= 20.0 * abs(delta) + 1e-9
+        assert np.min(flat.omega) == pytest.approx(omega_star, rel=1e-7 + 20.0 * abs(delta))
+        intervals = bs.stopbands(near)
         assert len(intervals) == 4
-        assert intervals[0].quasistatic
-        assert intervals[0].omega_hi == intervals[1].omega_lo == omega_star
+        if delta == 0.0:
+            # A flat band of zero width: two stop intervals share its edge.
+            assert bs.branch_flatness(flat) == 0.0
+            shared = [a.omega_hi for a, b in zip(intervals, intervals[1:]) if a.omega_hi == b.omega_lo]
+            assert flat.omega[0] in shared
 
     def test_find_flat_capacitance_runs_one_trace(self, cell, monkeypatch):
         calls = []
@@ -412,12 +429,71 @@ class TestFlatBands:
             bs.detect_flat_bands([], tol)
 
     def test_same_sign_bracket_raises(self, cell):
-        with pytest.raises(bs.BracketError, match="slope"):
+        with pytest.raises(bs.BracketError, match=r"no C\*/S = 1/M3\(omega\*\)"):
             bs.find_flat_capacitance(cell, (-17.3e-6, -17.0e-6), k_points=80)
 
     def test_bracket_outside_interval_raises(self, cell):
         with pytest.raises(bs.BracketError, match="interval"):
             bs.find_flat_capacitance(cell, (-15e-6, -14e-6), k_points=80)
+
+
+# Draws 265 and 532 (0-based) of random_cell(default_rng(1), allow_zero_e=False),
+# each moved to C0/S + u*(Cinf/S - C0/S) with u = rng.uniform(0.02, 0.98):
+# weakly coupled (k^2 = 3.8e-4 and 2.3e-5), with a pole right above a band.
+WEAK_COUPLING = [
+    (
+        ShuntedCell(
+            ElasticLayer(rho=12205.527837186306, c=6537732852.631718, d=0.003811619768441258),
+            PiezoLayer(rho=5224.920322585748, cE=351228926455.84766, e=-1.8231527009873578,
+                       eps=2.4839590464131953e-08, d=0.0001234157739463201),
+            -0.00020134422079697166,
+        ),
+        3, (1.78388e6, 1.78495e6),
+    ),
+    (
+        ShuntedCell(
+            ElasticLayer(rho=7831.143901791784, c=4692271068.814354, d=0.000374792068337424),
+            PiezoLayer(rho=13086.643517706181, cE=280170739845.3414, e=0.5003841419439744,
+                       eps=3.904564942302598e-08, d=0.00022402111801110217),
+            -0.00017429847058787447,
+        ),
+        1, (3.36929e6, 3.55202e6),
+    ),
+]
+
+
+class TestWeakCoupling:
+    @pytest.mark.parametrize("cell, index, band", WEAK_COUPLING, ids=["draw265", "draw532"])
+    def test_band_next_to_a_pole_is_kept(self, cell, index, band):
+        # Regression: the guard around the pole grew to 21% of the pole
+        # frequency ([1.644, 2.040] and [3.333, 4.134] Mrad/s) and swallowed
+        # this band: 3 branches and 4 stop intervals, and in the second
+        # cell every branch label shifted down by one. The band's range is
+        # that of |h| <= 1 on a 200 001-point grid.
+        branches = bs.trace_branches(cell)
+        assert [len(b) for b in branches] == [200, 200, 200, 200]
+        omega = branches[index - 1].omega
+        assert np.min(omega) == pytest.approx(band[0], rel=1e-5)
+        assert np.max(omega) == pytest.approx(band[1], rel=1e-5)
+        assert len(bs.stopbands(cell)) == 5
+
+    def test_nodes_where_the_denominator_rounds_to_zero_are_dropped(self):
+        # Regression: with k^2 = 1e-11, S/C - M3 rounds to 0 over some 400
+        # rad/s around the pole. A scan node there had a nan half-trace, with a
+        # RuntimeWarning, and stopbands then judged the stop interval that
+        # holds the pole to be a pass interval. (With guards, the same cell
+        # lost the pass band below the pole instead: 3 stop intervals.)
+        cell = ShuntedCell(
+            ElasticLayer(rho=2497.5781723749765, c=9611359457.756977, d=0.0013146730844866212),
+            PiezoLayer(rho=4447.0008688036505, cE=27019050667.788, e=0.00012323407480432084,
+                       eps=5.390648441095975e-08, d=0.0005088045633313426),
+            -0.00010594732888898348,
+        )
+        scan = bs.scan_frequencies(cell)
+        assert np.isfinite(scan.values).all()
+        intervals = bs.stopbands(cell, scan=scan)
+        assert len(intervals) == 4
+        assert any(s.omega_lo < scan.poles[0] < s.omega_hi for s in intervals)
 
 
 class TestRandomizedConsistency:

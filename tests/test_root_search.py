@@ -4,7 +4,8 @@ The bracket search, the compacting bisection, the stopband interval
 classification and the whole-branch group velocity stencil must reproduce,
 bit for bit, the per-target bracket loop, the uncompacted bisection loop,
 the per-interval classification loop and the per-sample stencil kept below
-as references.
+as references. In a scan interval that holds a pole the references
+bracket and bisect the pole-free numerator g_t = (S/C - M3)*(h - t).
 """
 
 import math
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from piezoband import band_structure as bs
+from piezoband import transfer_matrix
 from piezoband.cli import DEFAULT_SWEEP_UF
 from piezoband.materials import default_cell
 from piezoband.quasistatic import special_capacitances
@@ -20,14 +22,28 @@ from piezoband.quasistatic import special_capacitances
 from conftest import random_cell
 
 
+def denominator_signs(scan):
+    """sign(S/C - M3) at every scan node; ones where the shunt is inactive."""
+    if not transfer_matrix.has_shunt_correction(scan.cell):
+        return np.ones(scan.nodes.size)
+    return np.sign(transfer_matrix.shunt_denominator(scan.cell, scan.nodes))
+
+
 def reference_hits(scan, targets):
-    """Per-target loop: (interval, target, f_lo) brackets and (node, target) zeros."""
+    """Per-target loop: (interval, target, f_lo) brackets and (node, target) zeros.
+
+    Unblocked intervals test f = h - t, blocked ones g = sign(S/C - M3)*f.
+    """
     brackets, zeros = set(), set()
+    sign = denominator_signs(scan)
     for j, target in enumerate(targets):
         f = scan.values - target
+        g = sign * f
         zeros |= {(int(i), j) for i in np.nonzero(f == 0.0)[0]}
         idx = np.nonzero((f[:-1] * f[1:] < 0.0) & ~scan.blocked)[0]
         brackets |= {(int(i), j, float(f[i])) for i in idx}
+        idx = np.nonzero((g[:-1] * g[1:] < 0.0) & scan.blocked)[0]
+        brackets |= {(int(i), j, float(g[i])) for i in idx}
     return brackets, zeros
 
 
@@ -62,24 +78,39 @@ def reference_bisect(func, lo, hi, f_lo, *, rtol, residual_tol=None, max_iter=20
 
 
 def reference_roots(scan, targets):
-    """Per-target bracket lists refined in one uncompacted bisection run."""
-    lo, hi, f_lo, tgt, owner = [], [], [], [], []
+    """Per-target bracket lists refined in uncompacted bisection runs.
+
+    Brackets of h - t are refined on h - t to ROOT_RTOL and RESIDUAL_TOL,
+    brackets in blocked intervals on g_t = (S/C - M3)*(h0 - t) + r to
+    ROOT_RTOL alone.
+    """
+    sign = denominator_signs(scan)
     exact = []
+    found = {False: [], True: []}
     for j, target in enumerate(targets):
         f = scan.values - target
+        g = sign * f
         exact.append(scan.nodes[f == 0.0])
-        idx = np.nonzero((f[:-1] * f[1:] < 0.0) & ~scan.blocked)[0]
-        lo.append(scan.nodes[idx])
-        hi.append(scan.nodes[idx + 1])
-        f_lo.append(f[idx])
-        tgt.append(np.full(idx.size, target))
-        owner.append(np.full(idx.size, j))
-    tgt, owner = np.concatenate(tgt), np.concatenate(owner)
-    roots, _ = reference_bisect(
-        lambda x: bs.half_trace_values(scan.cell, x) - tgt,
-        np.concatenate(lo), np.concatenate(hi), np.concatenate(f_lo),
-        rtol=bs.ROOT_RTOL, residual_tol=bs.RESIDUAL_TOL,
-    )
+        for at_pole, v in ((False, f), (True, g)):
+            idx = np.nonzero((v[:-1] * v[1:] < 0.0) & (scan.blocked == at_pole))[0]
+            found[at_pole].append((scan.nodes[idx], scan.nodes[idx + 1], v[idx], np.full(idx.size, j)))
+
+    def numerator(x, tgt):
+        h0, r, M3 = transfer_matrix._cell_parts(scan.cell, x)
+        return (1.0 / scan.cell.c_over_s - M3) * (h0 - tgt) + r
+
+    roots, owner = [], []
+    for at_pole, brackets in found.items():
+        lo, hi, f_lo, own = (np.concatenate(a) for a in zip(*brackets))
+        tgt = targets[own]
+        if at_pole:
+            func, kwargs = (lambda x: numerator(x, tgt)), dict(rtol=bs.ROOT_RTOL)
+        else:
+            func = lambda x: bs.half_trace_values(scan.cell, x) - tgt
+            kwargs = dict(rtol=bs.ROOT_RTOL, residual_tol=bs.RESIDUAL_TOL)
+        roots.append(reference_bisect(func, lo, hi, f_lo, **kwargs)[0] if lo.size else lo)
+        owner.append(own)
+    roots, owner = np.concatenate(roots), np.concatenate(owner)
     return [np.sort(np.concatenate([exact[j], roots[owner == j]])) for j in range(len(targets))]
 
 
@@ -127,13 +158,22 @@ def shunted_cell(draws):
 
 
 def awkward_targets(scan, rng):
-    """Unsorted targets with duplicates, scan values and pole-straddling values."""
+    """Unsorted targets with duplicates, scan values and values at poles.
+
+    Next to a pole the half-trace runs off to +-inf. A target between the
+    end values of a blocked interval is crossed there an even number of
+    times; one above both is crossed once on the steep flank, which is a
+    root of g_t in that interval.
+    """
     cos_grid = np.cos(np.linspace(0.0, math.pi, 24))
     node_values = rng.choice(scan.values[np.abs(scan.values) <= 1.0], 6)
     blocked = np.nonzero(scan.blocked)[0]
-    across_poles = 0.5 * (scan.values[blocked] + scan.values[blocked + 1])
+    ends = np.stack([scan.values[blocked], scan.values[blocked + 1]])
+    across_poles = ends.mean(axis=0)
+    beyond_poles = ends.max(axis=0) + np.abs(ends).max(axis=0)
     targets = np.concatenate([
-        cos_grid, cos_grid[:5], node_values, node_values[:2], across_poles, rng.uniform(-1, 1, 8),
+        cos_grid, cos_grid[:5], node_values, node_values[:2], across_poles, beyond_poles,
+        rng.uniform(-1, 1, 8),
     ])
     return rng.permutation(targets)
 
@@ -141,7 +181,7 @@ def awkward_targets(scan, rng):
 def test_bracket_search_matches_per_target_loop():
     rng = np.random.default_rng(11)
     draws = np.random.default_rng(0)
-    seen_poles = seen_zeros = 0
+    seen_poles = seen_pole_brackets = seen_zeros = 0
     for _ in range(300):
         scan = bs.scan_frequencies(shunted_cell(draws), base_points=400)
         targets = awkward_targets(scan, rng)
@@ -151,11 +191,13 @@ def test_bracket_search_matches_per_target_loop():
         assert got == expected_brackets
         assert len(got) == interval.size
         assert set(zip(node.tolist(), zero_owner.tolist())) == expected_zeros
-        # Pole safety: a blocked interval never yields a bracket.
-        assert not scan.blocked[interval].any()
+        # Brackets in blocked intervals come last, for the g_t bisection.
+        at_pole = scan.blocked[interval]
+        assert np.all(np.diff(at_pole.astype(int)) >= 0)
         seen_poles += bool(scan.blocked.any())
+        seen_pole_brackets += bool(at_pole.any())
         seen_zeros += bool(node.size)
-    assert seen_poles >= 50 and seen_zeros >= 250
+    assert seen_poles >= 50 and seen_pole_brackets >= 50 and seen_zeros >= 250
 
 
 def test_bracket_test_is_the_strict_product_test():
@@ -181,6 +223,10 @@ def test_compacting_bisection_matches_plain_loop():
         scan = bs.scan_frequencies(shunted_cell(draws), base_points=400)
         targets = awkward_targets(scan, rng)
         (interval, owner, f_lo), _ = bs._target_hits(scan, targets)
+        # The brackets of h - t; those in blocked intervals, bisected on
+        # g_t, are compared end to end by the batched-roots test.
+        plain = ~scan.blocked[interval]
+        interval, owner, f_lo = interval[plain], owner[plain], f_lo[plain]
         lo, hi = scan.nodes[interval], scan.nodes[interval + 1]
         calls = []
 
@@ -202,6 +248,7 @@ def test_compacting_bisection_matches_plain_loop():
 def test_batched_roots_match_per_target_lists():
     draws = np.random.default_rng(5)
     rng = np.random.default_rng(6)
+    seen_poles = 0
     for _ in range(40):
         scan = bs.scan_frequencies(shunted_cell(draws), base_points=400)
         targets = awkward_targets(scan, rng)
@@ -209,6 +256,8 @@ def test_batched_roots_match_per_target_lists():
         groups = np.split(roots, np.cumsum(counts)[:-1])
         expected = reference_roots(scan, targets)
         assert [g.tobytes() for g in groups] == [e.tobytes() for e in expected]
+        seen_poles += bool(scan.blocked.any())
+    assert seen_poles >= 10
 
 
 def test_interval_classification_matches_per_interval_loop():

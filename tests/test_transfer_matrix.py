@@ -445,19 +445,15 @@ class TestCellParts:
             error = np.abs(h0 + gamma * r / (1.0 - gamma * M3) - h) / ((1.0 + np.abs(h)) * kappa)
             assert np.max(error[keep]) <= 2e-14
 
-    def test_removable_rule_at_the_flat_bands(self):
-        # r vanishes at the four flat bands omega* of the shipped cell below
-        # its default window: at omega* itself, and at the pole located at
-        # C*/S = 1/M3(omega*). At the poles of the default panels and of 300
-        # random cells inside their negative-stiffness interval it does not.
+    def test_pole_intervals_hold_no_pass_band_root(self):
+        # At the poles of the default panels and of 300 random cells inside
+        # their negative-stiffness interval r does not vanish, so each pole
+        # sits inside a stopband: no target cos(K*T) is bracketed in a
+        # blocked interval, and every branch root is a root of h - cos(K*T)
+        # to RESIDUAL_TOL. (At a flat band, where r vanishes too, the blocked
+        # interval does hold the flat branch; see test_band_structure.)
         from piezoband import band_structure as bs
 
-        rtol = bs._POLE_RTOL
-        omega_star, c_star = bs._flat_band_candidates(default_cell(), 3.2e7)
-        assert omega_star.size == 4
-        assert transfer_matrix._residue_vanishes(default_cell(), omega_star, rtol).all()
-        for gamma in c_star.tolist():
-            assert bs.scan_frequencies(default_cell(gamma)).removable.size == 1
         draws = np.random.default_rng(0)
         cells = [default_cell(g * 1e-6) for g in (-10.67, -11.0, -12.0, -13.3, -14.0, -16.7, -40.0)]
         for _ in range(300):
@@ -466,7 +462,12 @@ class TestCellParts:
             cells.append(cell.with_c_over_s(c_zero + draws.uniform(0.05, 0.95) * (c_inf - c_zero)))
         seen = 0
         for cell in cells:
-            poles = bs.scan_frequencies(cell).poles
-            assert not transfer_matrix._residue_vanishes(cell, poles, rtol).any()
-            seen += poles.size
+            scan = bs.scan_frequencies(cell)
+            k = np.linspace(0.0, math.pi / cell.period, bs.DEFAULT_K_POINTS)
+            (interval, _, _), _ = bs._target_hits(scan, np.cos(k * cell.period))
+            assert not scan.blocked[interval].any()
+            for branch in bs.trace_branches(cell, scan=scan):
+                residual = bs.half_trace_values(cell, branch.omega) - np.cos(branch.k * cell.period)
+                assert np.max(np.abs(residual)) <= bs.RESIDUAL_TOL
+            seen += scan.poles.size
         assert seen >= 250
