@@ -2,10 +2,11 @@
 
 The dispersion relation is cos(K*T) = half-trace of the unit-cell matrix.
 Everything here is driven by one adaptive frequency scan per cell: the
-scan samples the half-trace, locates shunt resonance poles from sign
-changes of the correction denominator, and refines locally near band
-edges and poles. Branches and stopband edges come from one root search on
-that scan: a stopband edge is a K = 0 or K = pi/T branch sample.
+scan samples the half-trace, locates shunt resonance poles in closed-form
+brackets (between consecutive extrema of the piezo-layer sin(q)/q, each
+holding at most one pole), and refines locally near band edges and poles.
+Branches and stopband edges come from one root search on that scan: a
+stopband edge is a K = 0 or K = pi/T branch sample.
 
 The pole rule: no root is ever bisected on a function with a pole inside
 its bracket. A scan interval that holds a pole is searched on the
@@ -169,7 +170,9 @@ class FrequencyScan:
         omega_max: Upper end of the scan window (rad/s).
         nodes: Sorted sample frequencies; nodes[0] == 0.
         values: Half-trace at the nodes.
-        poles: Located shunt resonance frequencies in (0, omega_max).
+        poles: Shunt resonance frequencies in (0, omega_max), ascending:
+            zeros of S/C - M3, each bisected in its bracket between
+            consecutive extrema of the piezo sin(q)/q.
         blocked: Per-interval mask, True when (nodes[i], nodes[i+1])
             contains a pole: its roots are bracketed and bisected on the
             pole-free numerator g_t, never on the half-trace.
@@ -247,11 +250,76 @@ def _probe_roots(func, omega_max: float, probe_points: int) -> np.ndarray:
     return roots[(roots > 0.0) & (roots < omega_max)]
 
 
-def _find_poles(cell: ShuntedCell, omega_max: float, probe_points: int) -> np.ndarray:
-    """Locate zeros of the shunt denominator in (0, omega_max)."""
+def _sinc_extrema(q_max: float) -> np.ndarray:
+    """The roots of tan q = q in (0, q_max), where sin(q)/q has its extrema."""
+    n = np.arange(1, int(q_max / math.pi) + 1)
+    q = (n + 0.5) * math.pi
+    q -= 1.0 / q
+    for _ in range(4):
+        # Newton on sin q - q*cos q, whose derivative is q*sin q.
+        q -= (np.sin(q) - q * np.cos(q)) / (q * np.sin(q))
+    return q[q < q_max]
+
+
+def _find_poles(cell: ShuntedCell, omega_max: float) -> np.ndarray:
+    """Locate zeros of the shunt denominator D = S/C - M3 in (0, omega_max).
+
+    D = S/C + d/eps - h^2*(d/cD)*sin(q)/q depends on omega only through the
+    piezo phase q = alpha*omega, alpha = d*sqrt(rho/cD). sin(q)/q is
+    monotone between consecutive roots of tan q = q, so each segment of
+    [0, omega_max] between them holds at most one pole, bracketed where D
+    changes sign across it; ``_bisect_poles`` locates each. Exact zeros of D
+    at segment ends are poles themselves.
+    """
     if not has_shunt_correction(cell):
         return np.empty(0)
-    return _probe_roots(lambda x: shunt_denominator(cell, x), omega_max, probe_points)
+    pz = cell.piezo
+    alpha = pz.d * pz.slowness
+    ends = np.concatenate([[0.0], _sinc_extrema(alpha * omega_max) / alpha, [omega_max]])
+    d_ends = shunt_denominator(cell, ends)
+    poles = ends[1:-1][d_ends[1:-1] == 0.0]
+    idx = np.nonzero(d_ends[:-1] * d_ends[1:] < 0.0)[0]
+    if idx.size:
+        located = _bisect_poles(cell, alpha, ends[idx], ends[idx + 1], d_ends[idx], d_ends[idx + 1])
+        poles = np.unique(np.concatenate([poles, located]))
+    return poles[(poles > 0.0) & (poles < omega_max)]
+
+
+def _bisect_poles(cell: ShuntedCell, alpha: float, lo, hi, d_lo, d_hi) -> np.ndarray:
+    """The one zero of S/C - M3 in each bracket [lo, hi] of ``_find_poles``.
+
+    Six Newton steps on D, with D' = -h^2*(d/cD)*alpha*(cos q - sin(q)/q)/q
+    and each step kept inside its bracket, propose the pole. Every point
+    evaluated on the way, and the two at relative +-``_POLE_RTOL``/4 around
+    the last proposal, replaces the bracket end whose sign it has, so
+    bisection finishes in one pass where those two straddle the pole.
+    """
+    pz = cell.piezo
+
+    def tighten(x):
+        # An exact zero closes its bracket on itself.
+        nonlocal lo, hi, d_lo
+        d_x = shunt_denominator(cell, x)
+        exact = d_x == 0.0
+        low = ((d_x > 0.0) == (d_lo > 0.0)) | exact
+        lo, d_lo = np.where(low, x, lo), np.where(low, d_x, d_lo)
+        hi = np.where(low & ~exact, hi, x)
+        return d_x
+
+    # Start where a half cosine through both ends, flat at both like D
+    # between extrema of sin(q)/q, has its zero. From there 3-5 steps reach
+    # the pole to _POLE_RTOL/4, unless rounding noise in D is wider.
+    x = lo + (hi - lo) / math.pi * np.arccos((d_lo + d_hi) / (d_hi - d_lo))
+    slope = -pz.h * pz.h * (pz.d / pz.cD) * alpha
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(6):
+            d_x = tighten(x)
+            q = alpha * x
+            step = x - d_x * q / (slope * (np.cos(q) - np.sin(q) / q))
+            x = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+    for side in (1.0 - _POLE_RTOL / 4, 1.0 + _POLE_RTOL / 4):
+        tighten(np.clip(x * side, lo, hi))
+    return _bisect(lambda x, live: shunt_denominator(cell, x), lo, hi, d_lo, rtol=_POLE_RTOL)
 
 
 def scan_frequencies(
@@ -272,7 +340,7 @@ def scan_frequencies(
     """
     omega_max = _window(cell, omega_max, base_points)
     nodes = np.linspace(0.0, omega_max, base_points + 1)
-    poles = _find_poles(cell, omega_max, 4 * base_points + 1)
+    poles = _find_poles(cell, omega_max)
     # Where S/C - M3 rounds to 0 next to a pole the half-trace is not finite;
     # such nodes are dropped at the end, and the pole's interval spans them.
     with np.errstate(invalid="ignore"):
@@ -672,9 +740,9 @@ def _flat_band_candidates(cell: ShuntedCell, omega_max: float) -> tuple[np.ndarr
     linear-fractional function of gamma = C/S. A branch can only hold one
     frequency over the whole zone where the +-1 capacitance curves meet,
     which forces r(omega*) = 0 and gamma* = 1/M3(omega*): there the pole at
-    omega* cancels. The roots of r in (0, omega_max) are found on the
-    pole search's probe grid; each is a candidate, to be confirmed by a
-    trace.
+    omega* cancels. The roots of r in (0, omega_max) are found from sign
+    changes on an 8001-point probe grid; each is a candidate, to be
+    confirmed by a trace.
     """
     if cell.piezo.e == 0.0:
         return np.empty(0), np.empty(0)
@@ -748,10 +816,9 @@ def half_trace_curvature(cell: ShuntedCell) -> float:
     """
     omega_ref = 0.25 * default_omega_max(cell)  # first-gap center scale
     step = omega_ref / 64.0
-    if has_shunt_correction(cell):
-        poles = _find_poles(cell, omega_ref, 8001)
-        if poles.size:
-            step = min(step, poles[0] / 64.0)
+    poles = _find_poles(cell, omega_ref)
+    if poles.size:
+        step = min(step, poles[0] / 64.0)
 
     def second_difference(s: float) -> float:
         # The half-trace is even in omega with value exactly 1 at 0.

@@ -175,6 +175,64 @@ class TestScan:
             assert scan.nodes[i + 1] - scan.nodes[i] == pytest.approx(step, rel=1e-9)
 
 
+class TestPoles:
+    # The first minimum of sin(q)/q, at the first positive root of tan q = q.
+    Q_MIN = 4.493409457909064
+
+    @pytest.mark.parametrize("offset", [1e-8, 1e-10])
+    def test_near_double_pole_pair_is_found(self, cell, offset):
+        # Regression: with sin(q)/q = kappa just above its first minimum the
+        # two poles around q_min (about 20.67 Mrad/s) are 1.3 krad/s and 130
+        # rad/s apart. The uniform probe grid that located poles missed the
+        # pair in 27 and 38 of these 40 windows.
+        pz = cell.piezo
+        s_min = math.sin(self.Q_MIN) / self.Q_MIN
+        kappa = s_min + abs(s_min) * offset
+        shunted = cell.with_c_over_s(1.0 / (kappa * pz.h**2 * pz.d / pz.cD - pz.d / pz.eps))
+        alpha = pz.d * pz.slowness
+        for j in range(40):
+            omega_max = bs.default_omega_max(cell) * (1.0 + 3.7e-5 * j)
+            poles = bs.scan_frequencies(shunted, omega_max).poles
+            near = np.abs(alpha * poles - self.Q_MIN) <= 1e-3 * self.Q_MIN
+            assert np.count_nonzero(near) == 2, j
+
+    def test_every_pole_is_certified_by_a_sign_change(self):
+        # Each pole is an exact zero of S/C - M3 or has a sign change of it
+        # within p*(1 +- 1e-14): the bracket its bisection ended on. At a
+        # pole of a strongly coupled cell at small phase q, where sin(q)/q is
+        # flat, S/C - M3 is rounding noise over more than that width, and
+        # p*(1 - 1e-14) and p*(1 + 1e-14) can share a sign (2 of these 300
+        # random cells), so the test looks at every float in between. No
+        # sign change of S/C - M3 on a fine grid may go without a pole.
+        from conftest import random_cell
+        from piezoband.cli import DEFAULT_SWEEP_UF
+        from piezoband.materials import default_cell
+        from piezoband.transfer_matrix import has_shunt_correction, shunt_denominator
+
+        draws = np.random.default_rng(0)
+        cells = [default_cell(g * 1e-6) for g in DEFAULT_SWEEP_UF]
+        for _ in range(300):
+            cell = random_cell(draws, allow_zero_e=False)
+            c_inf, c_zero = special_capacitances(cell)
+            cells.append(cell.with_c_over_s(c_zero + draws.uniform(0.05, 0.95) * (c_inf - c_zero)))
+        seen = 0
+        for cell in cells:
+            scan = bs.scan_frequencies(cell)
+            poles = scan.poles
+            assert np.all(np.diff(poles) > 0.0)
+            assert np.all((poles > 0.0) & (poles < scan.omega_max))
+            if not has_shunt_correction(cell):
+                assert poles.size == 0
+                continue
+            around = poles[:, None] * np.linspace(1.0 - 1e-14, 1.0 + 1e-14, 401)
+            d = shunt_denominator(cell, around)
+            assert np.all((d.min(axis=1) <= 0.0) & (d.max(axis=1) >= 0.0))
+            grid = shunt_denominator(cell, np.linspace(0.0, scan.omega_max, 200_001))
+            assert poles.size >= np.count_nonzero(grid[:-1] * grid[1:] < 0.0)
+            seen += poles.size
+        assert seen >= 250
+
+
 class TestBranches:
     def test_elastic_reduction_matches_classical_dispersion(self):
         pz = PiezoLayer(rho=7500.0, cE=1.2e11, e=0.0, eps=1e-8, d=0.7e-3)
