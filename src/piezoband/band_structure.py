@@ -15,6 +15,12 @@ instead of h - t (see ``transfer_matrix._cell_parts``). Where r vanishes
 at the pole too, g_t vanishes there for every target t: the frequency is
 a flat band, a root at every K.
 
+The flat-band frequencies, where r changes sign, solve theta(omega) = k*pi
+for a rising phase theta: one in each (k*pi/T, (k + 2)*pi/T) (see
+``_flat_band_candidates``). ``_locate`` finds poles and flat bands alike:
+Newton on the closed form, then a sign-verified bracket of the kernel's
+own function around it, bisected.
+
 Root search is array code throughout. The targets cos(K*T) of all K are
 sorted once; each pole-free scan interval finds its candidate targets by
 binary search on its two end values and keeps those that pass the strict
@@ -206,7 +212,7 @@ def _bisect(func, lo, hi, f_lo, *, rtol, residual_tol=None, max_iter=200):
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
-    f_lo = np.array(f_lo, dtype=float)
+    positive = np.asarray(f_lo, dtype=float) > 0.0  # moving lo keeps sign(f(lo))
     result = np.empty_like(lo)
     live = np.arange(lo.size)
     for _ in range(max_iter):
@@ -215,39 +221,23 @@ def _bisect(func, lo, hi, f_lo, *, rtol, residual_tol=None, max_iter=200):
         mid = 0.5 * (lo + hi)
         stuck = (mid <= lo) | (mid >= hi)
         f_mid = func(mid, live)
-        exact = f_mid == 0.0
-        same_side = (f_mid > 0) == (f_lo > 0)
-        move_lo = same_side & ~exact
-        move_hi = ~same_side & ~exact
-        lo = np.where(move_lo, mid, lo)
-        f_lo = np.where(move_lo, f_mid, f_lo)
-        hi = np.where(move_hi, mid, hi)
+        low = (f_mid > 0.0) == positive
+        lo = np.where(low, mid, lo)
+        hi = np.where(low, hi, mid)
         converged = (hi - lo) <= rtol * np.abs(mid)
         if residual_tol is not None:
             converged &= np.abs(f_mid) <= residual_tol
-        finished = stuck | converged | exact
+        finished = stuck | converged | (f_mid == 0.0)
         if finished.any():
             result[live[finished]] = mid[finished]
             open_ = ~finished
-            live, lo, hi, f_lo = live[open_], lo[open_], hi[open_], f_lo[open_]
+            live, lo, hi, positive = live[open_], lo[open_], hi[open_], positive[open_]
     if live.size:
         raise NumericalError(
             f"bisection left {live.size} bracket(s) open after {max_iter} passes; "
             f"first open bracket [{lo[0]!r}, {hi[0]!r}]"
         )
     return result
-
-
-def _probe_roots(func, omega_max: float, probe_points: int) -> np.ndarray:
-    """Zeros of func in (0, omega_max): sign changes on a uniform probe grid, bisected."""
-    grid = np.linspace(0.0, omega_max, probe_points)
-    values = func(grid)
-    idx = np.nonzero(values[:-1] * values[1:] < 0.0)[0]
-    func_live = lambda x, live: func(x)
-    located = _bisect(func_live, grid[idx], grid[idx + 1], values[idx], rtol=_POLE_RTOL)
-    # Exact zeros at probe nodes are roots themselves.
-    roots = np.unique(np.concatenate([located, grid[values == 0.0]]))
-    return roots[(roots > 0.0) & (roots < omega_max)]
 
 
 def _sinc_extrema(q_max: float) -> np.ndarray:
@@ -268,58 +258,69 @@ def _find_poles(cell: ShuntedCell, omega_max: float) -> np.ndarray:
     piezo phase q = alpha*omega, alpha = d*sqrt(rho/cD). sin(q)/q is
     monotone between consecutive roots of tan q = q, so each segment of
     [0, omega_max] between them holds at most one pole, bracketed where D
-    changes sign across it; ``_bisect_poles`` locates each. Exact zeros of D
-    at segment ends are poles themselves.
+    changes sign across it; ``_locate`` locates each from this closed form.
+    Exact zeros of D at segment ends are poles themselves.
     """
     if not has_shunt_correction(cell):
         return np.empty(0)
     pz = cell.piezo
     alpha = pz.d * pz.slowness
+    level, weight = 1.0 / cell.c_over_s + pz.d / pz.eps, pz.h * pz.h * (pz.d / pz.cD)
+
+    def model(x):
+        # D and D' = -h^2*(d/cD)*alpha*(cos q - sin(q)/q)/q.
+        q = alpha * x
+        sinc = np.sin(q) / q
+        return level - weight * sinc, (weight * alpha) * (sinc - np.cos(q)) / q
+
     ends = np.concatenate([[0.0], _sinc_extrema(alpha * omega_max) / alpha, [omega_max]])
     d_ends = shunt_denominator(cell, ends)
     poles = ends[1:-1][d_ends[1:-1] == 0.0]
     idx = np.nonzero(d_ends[:-1] * d_ends[1:] < 0.0)[0]
     if idx.size:
-        located = _bisect_poles(cell, alpha, ends[idx], ends[idx + 1], d_ends[idx], d_ends[idx + 1])
+        lo, hi, d_lo, d_hi = ends[idx], ends[idx + 1], d_ends[idx], d_ends[idx + 1]
+        # Start where a half cosine through both ends, flat at both like D, is 0.
+        x = lo + (hi - lo) / math.pi * np.arccos((d_lo + d_hi) / (d_hi - d_lo))
+        located = _locate(model, lambda x: shunt_denominator(cell, x), x, lo, hi, d_lo < 0.0)
         poles = np.unique(np.concatenate([poles, located]))
     return poles[(poles > 0.0) & (poles < omega_max)]
 
 
-def _bisect_poles(cell: ShuntedCell, alpha: float, lo, hi, d_lo, d_hi) -> np.ndarray:
-    """The one zero of S/C - M3 in each bracket [lo, hi] of ``_find_poles``.
+def _locate(model, func, x, lo, hi, rising) -> np.ndarray:
+    """The zero of the kernel's func in each bracket [lo, hi], from a closed form.
 
-    Six Newton steps on D, with D' = -h^2*(d/cD)*alpha*(cos q - sin(q)/q)/q
-    and each step kept inside its bracket, propose the pole. Every point
-    evaluated on the way, and the two at relative +-``_POLE_RTOL``/4 around
-    the last proposal, replaces the bracket end whose sign it has, so
-    bisection finishes in one pass where those two straddle the pole.
+    Newton runs from x on ``model(x)``, the values and derivatives of a
+    monotone closed form of func (``rising`` where it increases), with no
+    kernel call; a step out of the bracket, which each iterate's sign
+    narrows, becomes its midpoint. Then func is called once per round at
+    x*(1 -+ delta) in [lo, hi], from delta = ``_POLE_RTOL``/4 up 16x, until
+    the two values differ in sign or one is 0 (``NumericalError`` if not
+    even at lo and hi). ``_bisect`` takes that pair to ``_POLE_RTOL``.
     """
-    pz = cell.piezo
-
-    def tighten(x):
-        # An exact zero closes its bracket on itself.
-        nonlocal lo, hi, d_lo
-        d_x = shunt_denominator(cell, x)
-        exact = d_x == 0.0
-        low = ((d_x > 0.0) == (d_lo > 0.0)) | exact
-        lo, d_lo = np.where(low, x, lo), np.where(low, d_x, d_lo)
-        hi = np.where(low & ~exact, hi, x)
-        return d_x
-
-    # Start where a half cosine through both ends, flat at both like D
-    # between extrema of sin(q)/q, has its zero. From there 3-5 steps reach
-    # the pole to _POLE_RTOL/4, unless rounding noise in D is wider.
-    x = lo + (hi - lo) / math.pi * np.arccos((d_lo + d_hi) / (d_hi - d_lo))
-    slope = -pz.h * pz.h * (pz.d / pz.cD) * alpha
+    a, b = lo, hi
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(6):
-            d_x = tighten(x)
-            q = alpha * x
-            step = x - d_x * q / (slope * (np.cos(q) - np.sin(q) / q))
-            x = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-    for side in (1.0 - _POLE_RTOL / 4, 1.0 + _POLE_RTOL / 4):
-        tighten(np.clip(x * side, lo, hi))
-    return _bisect(lambda x, live: shunt_denominator(cell, x), lo, hi, d_lo, rtol=_POLE_RTOL)
+        for _ in range(60):
+            f, df = model(x)
+            below = (f < 0.0) == rising
+            a, b = np.where(below, x, a), np.where(below, b, x)
+            step = x - f / df
+            x, last = np.where(((step > a) & (step < b)) | (step == x), step, 0.5 * (a + b)), x
+            if np.all(np.abs(x - last) <= _POLE_RTOL / 4 * np.abs(last)):
+                break
+    a, b, f_a = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    todo, delta = np.arange(x.size), _POLE_RTOL / 4
+    while todo.size:
+        pair = np.clip(np.outer([1.0 - delta, 1.0 + delta], x[todo]), lo[todo], hi[todo])
+        f = func(pair.ravel()).reshape(pair.shape)
+        zero = f == 0.0
+        # An exact zero closes its bracket on itself.
+        a[todo] = np.where(zero[1] & ~zero[0], pair[1], pair[0])
+        b[todo], f_a[todo] = np.where(zero[0], pair[0], pair[1]), f[0]
+        done = np.sign(f[0]) * np.sign(f[1]) <= 0.0
+        if np.any(~done & (pair[0] <= lo[todo]) & (pair[1] >= hi[todo])):
+            raise NumericalError(f"no sign change next to the roots {x[todo][~done]!r}")
+        todo, delta = todo[~done], 16.0 * delta
+    return _bisect(lambda x, live: func(x), a, b, f_a, rtol=_POLE_RTOL)
 
 
 def scan_frequencies(
@@ -740,14 +741,33 @@ def _flat_band_candidates(cell: ShuntedCell, omega_max: float) -> tuple[np.ndarr
     linear-fractional function of gamma = C/S. A branch can only hold one
     frequency over the whole zone where the +-1 capacitance curves meet,
     which forces r(omega*) = 0 and gamma* = 1/M3(omega*): there the pole at
-    omega* cancels. The roots of r in (0, omega_max) are found from sign
-    changes on an 8001-point probe grid; each is a candidate, to be
-    confirmed by a trace.
+    omega* cancels. Each such omega* is a candidate, to be confirmed by a
+    trace.
+
+    With travel times t1, t2 (T = t1 + t2), s, c = sin, cos(t2*omega/2) and
+    zeta = Z2/Z1 (piezo impedance on cD over elastic), r = 2h^2*s^2*(c^2 +
+    zeta^2*s^2)*sin(theta)/(zeta*omega*Z2) with the phase theta = T*omega -
+    pi - 2*atan2((1 - zeta)*s*c, c^2 + zeta*s^2), whose slope t1 +
+    t2*zeta/(c^2 + zeta^2*s^2) is positive. So r changes sign once per level
+    k = 0, ..., floor(theta(omega_max)/pi), where theta = k*pi, inside
+    (k*pi/T, (k + 2)*pi/T), as |atan2| < pi/2.
     """
     if cell.piezo.e == 0.0:
         return np.empty(0), np.empty(0)
+    el, pz = cell.elastic, cell.piezo
+    t1, t2, zeta = el.d * el.slowness, pz.d * pz.slowness, pz.impedance / el.impedance
+
+    def theta(x, k=0.0):
+        s, c = np.sin(0.5 * t2 * x), np.cos(0.5 * t2 * x)
+        arc = np.arctan2((1.0 - zeta) * s * c, c * c + zeta * (s * s))
+        slope = t1 + t2 * zeta / (c * c + zeta * zeta * (s * s))
+        return (t1 + t2) * x - (k + 1.0) * math.pi - 2.0 * arc, slope
+
+    k = np.arange(math.floor(theta(omega_max)[0] / math.pi) + 1.0)
+    lo, hi = k * (math.pi / (t1 + t2)), (k + 2.0) * (math.pi / (t1 + t2))
     r = lambda x: _cell_parts(cell, x)[1]
-    omega = _probe_roots(r, omega_max, 4 * DEFAULT_BASE_POINTS + 1)
+    omega = _locate(lambda x: theta(x, k), r, 0.5 * (lo + hi), lo, hi, True)
+    omega = omega[(omega > 0.0) & (omega < omega_max)]
     return omega, 1.0 / _cell_parts(cell, omega)[2]
 
 

@@ -85,13 +85,11 @@ def _bands_csv(cell: ShuntedCell, branches: list[Branch]) -> str:
     period = cell.period
     lines = ["branch_index,K*T/pi [-],omega [rad/s],f [Hz],group_velocity [m/s]"]
     for branch in branches:
-        # nan on branches too short (or too irregular) for the 5-point stencil.
-        velocities = _group_velocities(branch).tolist()
-        for k, w, vg in zip(branch.k.tolist(), branch.omega.tolist(), velocities):
-            lines.append(
-                f"{branch.index},{_fmt(k * period / math.pi)},{_fmt(w)},"
-                f"{_fmt(w / (2.0 * math.pi))},{_fmt(vg)}"
-            )
+        w = branch.omega
+        # v_g is nan where the 5-point stencil does not fit; "%.17g" is _fmt's format.
+        columns = (branch.k * period / math.pi, w, w / (2.0 * math.pi), _group_velocities(branch))
+        rows = zip(*(c.tolist() for c in columns))
+        lines += ["%d,%.17g,%.17g,%.17g,%.17g" % (branch.index, *row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

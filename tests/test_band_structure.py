@@ -5,11 +5,11 @@ import pytest
 from scipy.optimize import brentq
 
 from piezoband import band_structure as bs
-from piezoband.materials import ElasticLayer, PiezoLayer, ShuntedCell
+from piezoband.materials import ElasticLayer, PiezoLayer, ShuntedCell, default_cell
 from piezoband.quasistatic import effective_model, special_capacitances
-from piezoband.transfer_matrix import ResonancePoleError, monodromy
+from piezoband.transfer_matrix import ResonancePoleError, _cell_parts, monodromy
 
-from conftest import elastic_bilayer
+from conftest import elastic_bilayer, random_cell
 
 
 def classical_bilayer_roots(cell, k_value, omega_max, grid_points=6000):
@@ -204,9 +204,7 @@ class TestPoles:
         # p*(1 - 1e-14) and p*(1 + 1e-14) can share a sign (2 of these 300
         # random cells), so the test looks at every float in between. No
         # sign change of S/C - M3 on a fine grid may go without a pole.
-        from conftest import random_cell
         from piezoband.cli import DEFAULT_SWEEP_UF
-        from piezoband.materials import default_cell
         from piezoband.transfer_matrix import has_shunt_correction, shunt_denominator
 
         draws = np.random.default_rng(0)
@@ -259,7 +257,6 @@ class TestBranches:
         # Regression: at C/S = Cinf/S (c_eff infinite) the origin was dropped,
         # so branch 1 started at K = 0 on band 2's root and then fell to the
         # first band.
-        from conftest import random_cell
         from piezoband.quasistatic import Regime
 
         draws = np.random.default_rng(3)
@@ -410,10 +407,10 @@ FLAT_BANDS = [
 ]
 # Their C*/S = 1/M3(omega*) as floats, in the same order.
 C_STARS = (
-    -1.631192105104346e-05,
-    -1.2650469349254451e-05,
-    -1.2624044476357653e-05,
-    -1.3179591285920325e-05,
+    -1.631192105104345e-05,
+    -1.2650469349254446e-05,
+    -1.2624044476357633e-05,
+    -1.3179591285920347e-05,
 )
 C_STAR = C_STARS[0]
 
@@ -495,6 +492,61 @@ class TestFlatBands:
             bs.find_flat_capacitance(cell, (-15e-6, -14e-6), k_points=80)
 
 
+def phase_levels(cell, omega_max):
+    """How many levels k*pi >= 0 the phase theta of r reaches below omega_max.
+
+    Independent arctan form: theta = t1*omega + 2*Phi(t2*omega/2) - pi with
+    Phi(x) = arctan(zeta*tan x) + pi*round(x/pi), zeta = Z2/Z1.
+    """
+    el, pz = cell.elastic, cell.piezo
+    x = 0.5 * pz.d * pz.slowness * omega_max
+    phi = math.atan(pz.impedance / el.impedance * math.tan(x)) + math.pi * round(x / math.pi)
+    theta = el.d * el.slowness * omega_max + 2.0 * phi - math.pi
+    return math.floor(theta / math.pi) + 1
+
+
+def r_sign_changes(cell, omega):
+    """Strict sign changes of r from _cell_parts between consecutive omega."""
+    sign = np.sign(_cell_parts(cell, omega)[1])
+    return np.count_nonzero(sign[:-1] * sign[1:] < 0.0)
+
+
+def r_changes_sign_across(cell, omega_star, rtol):
+    r = _cell_parts(cell, np.outer([1.0 - rtol, 1.0 + rtol], omega_star))[1]
+    return bool(np.all(np.sign(r[0]) * np.sign(r[1]) < 0.0))
+
+
+class TestFlatBandPhase:
+    @pytest.mark.parametrize("zeta, count", [(3e-5, 3), (1e5, 4)])
+    def test_extreme_impedance_mismatch_keeps_every_flat_band(self, zeta, count):
+        # Regression: the roots of r came from sign changes on an 8001-point
+        # probe, which found 1 of these 3 flat bands at zeta = Z2/Z1 = 3e-5
+        # and 2 of 4 at 1e5: pairs of roots 2.2 krad/s (at 14.45 Mrad/s) and
+        # 382 rad/s (at 28.9 Mrad/s) apart fell between two probe nodes.
+        pz = default_cell().piezo
+        z1 = pz.impedance / zeta
+        cell = ShuntedCell(ElasticLayer(rho=z1 / 5000.0, c=z1 * 5000.0, d=1e-3), pz)
+        omega_max = bs.default_omega_max(cell)
+        omega_star, c_star = bs._flat_band_candidates(cell, omega_max)
+        assert omega_star.size == c_star.size == count == phase_levels(cell, omega_max)
+        assert r_sign_changes(cell, np.linspace(0.0, omega_max, 2_000_001)) == count
+        assert r_changes_sign_across(cell, omega_star, 1e-12)
+
+    def test_one_flat_band_per_phase_level(self):
+        # theta rises, so r changes sign once per level k*pi it reaches: the
+        # candidates are all the sign changes of r, none missed or doubled.
+        draws = np.random.default_rng(0)
+        cells = [default_cell()] + [random_cell(draws, allow_zero_e=False) for _ in range(300)]
+        for cell in cells:
+            for scale in (1.0, 10.0, 50.0):
+                omega_max = scale * bs.default_omega_max(cell)
+                omega_star, _ = bs._flat_band_candidates(cell, omega_max)
+                assert np.all(np.diff(omega_star) > 0.0)
+                assert omega_star.size == phase_levels(cell, omega_max)
+                assert omega_star.size == r_sign_changes(cell, np.linspace(0.0, omega_max, 20_001))
+                assert r_changes_sign_across(cell, omega_star, 1e-12)
+
+
 # Draws 265 and 532 (0-based) of random_cell(default_rng(1), allow_zero_e=False),
 # each moved to C0/S + u*(Cinf/S - C0/S) with u = rng.uniform(0.02, 0.98):
 # weakly coupled (k^2 = 3.8e-4 and 2.3e-5), with a pole right above a band.
@@ -560,7 +612,6 @@ class TestRandomizedConsistency:
         # different regime (interior, near-pole, below-zero, near the
         # removable point) and checks the solver invariants end to end.
         rng = np.random.default_rng(20240809)
-        from conftest import random_cell
         from piezoband.quasistatic import Regime
 
         for trial in range(30):
