@@ -26,14 +26,14 @@ sorted once; each pole-free scan interval finds its candidate targets by
 binary search on its two end values and keeps those that pass the strict
 sign-change test, so the cost is O(nodes * log targets + brackets) with no
 targets x nodes temporary. Root refinement is bisection only, which never
-leaves its bracket. It drops finished brackets from its working arrays
-each pass, which saves kernel points without moving any root.
+leaves its bracket; it drops finished brackets each pass. ``stopbands``
+reuses the roots of h = +-1 that a trace on the same scan found.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -182,6 +182,9 @@ class FrequencyScan:
         blocked: Per-interval mask, True when (nodes[i], nodes[i+1])
             contains a pole: its roots are bracketed and bisected on the
             pole-free numerator g_t, never on the half-trace.
+
+    ``trace_branches`` keeps its roots of h = +-1 (K = 0 and pi/T) in a
+    private field outside init, equality and repr; ``stopbands`` reuses them.
     """
 
     cell: ShuntedCell
@@ -190,6 +193,7 @@ class FrequencyScan:
     values: np.ndarray
     poles: np.ndarray
     blocked: np.ndarray
+    _edges: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 
 def _bisect(func, lo, hi, f_lo, *, rtol, residual_tol=None, max_iter=200):
@@ -201,8 +205,12 @@ def _bisect(func, lo, hi, f_lo, *, rtol, residual_tol=None, max_iter=200):
     the returned point is small), when it hits an exact zero, or when the
     floating-point grid is exhausted. Finished brackets leave the working
     arrays in the pass they finish, so ``func`` sees only live brackets.
-    Each bracket's arithmetic is that of plain bisection, so dropping
-    finished ones changes no root and no pass count.
+    The ends are one (2, n) array; each pass scatters mid into row 0 where
+    f(mid) has the sign of f(lo), else into row 1 (slots row*n + arange(n)).
+    Before pass floor(log2(w/(rtol*m))) - 2 (w the narrowest bracket, m the
+    largest |end|, rtol >= 2^-50, m >= 2^-1000) every bracket is wider than
+    8*rtol*m - 2^-52*m, so none can converge or be stuck: those passes test
+    only for exact zeros, and each bracket ends in the pass it would anyway.
 
     The returned point is always one whose residual was actually
     evaluated, never an unchecked interval center.
@@ -210,32 +218,36 @@ def _bisect(func, lo, hi, f_lo, *, rtol, residual_tol=None, max_iter=200):
     Raises:
         NumericalError: If a bracket is still open after max_iter passes.
     """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
+    ends = np.array([lo, hi], dtype=float)
     positive = np.asarray(f_lo, dtype=float) > 0.0  # moving lo keeps sign(f(lo))
-    result = np.empty_like(lo)
-    live = np.arange(lo.size)
-    for _ in range(max_iter):
+    result = np.empty(ends.shape[1])
+    live = index = np.arange(ends.shape[1])
+    scale = max(rtol, 2.0**-50) * max(np.abs(ends).max(initial=0.0), 2.0**-1000)
+    bound = np.min(ends[1] - ends[0], initial=np.inf) / scale
+    quiet = math.frexp(bound)[1] - 3 if 1.0 <= bound < math.inf else 0  # floor(log2) - 2
+    for npass in range(max_iter):
         if not live.size:
             return result
+        lo, hi = ends
         mid = 0.5 * (lo + hi)
-        stuck = (mid <= lo) | (mid >= hi)
+        stuck = npass >= quiet and (mid <= lo) | (mid >= hi)
         f_mid = func(mid, live)
-        low = (f_mid > 0.0) == positive
-        lo = np.where(low, mid, lo)
-        hi = np.where(low, hi, mid)
-        converged = (hi - lo) <= rtol * np.abs(mid)
-        if residual_tol is not None:
-            converged &= np.abs(f_mid) <= residual_tol
-        finished = stuck | converged | (f_mid == 0.0)
-        if finished.any():
-            result[live[finished]] = mid[finished]
-            open_ = ~finished
-            live, lo, hi, positive = live[open_], lo[open_], hi[open_], positive[open_]
+        ends.reshape(-1)[((f_mid > 0.0) != positive) * live.size + index[: live.size]] = mid
+        finished = f_mid == 0.0
+        if npass >= quiet:
+            converged = (hi - lo) <= rtol * np.abs(mid)
+            if residual_tol is not None:
+                converged &= np.abs(f_mid) <= residual_tol
+            finished |= stuck | converged
+        if not finished.any():
+            continue
+        done, keep = np.flatnonzero(finished), np.flatnonzero(~finished)
+        result[live[done]] = mid[done]
+        ends, live, positive = ends.take(keep, axis=1), live.take(keep), positive.take(keep)
     if live.size:
         raise NumericalError(
             f"bisection left {live.size} bracket(s) open after {max_iter} passes; "
-            f"first open bracket [{lo[0]!r}, {hi[0]!r}]"
+            f"first open bracket [{ends[0, 0]!r}, {ends[1, 0]!r}]"
         )
     return result
 
@@ -549,7 +561,10 @@ def trace_branches(
     k_grid = np.linspace(0.0, math.pi / period, k_points)
     include_origin = effective_model(cell).regime in (Regime.POSITIVE, Regime.POLE)
 
-    roots, counts = _scan_roots_batch(scan, np.cos(k_grid * period))
+    roots, counts = _scan_roots_batch(scan, targets := np.cos(k_grid * period))
+    if targets[0] == 1.0 and targets[-1] == -1.0:  # the stopband edges, kept for stopbands
+        edges = np.concatenate([roots[: counts[0]], roots[roots.size - counts[-1] :]])
+        object.__setattr__(scan, "_edges", (edges, counts[[0, -1]]))
     # At K = 0 the node omega = 0 is an exact root; it is kept, as the
     # trivial solution, only where c_eff is positive or infinite.
     trivial = int(np.searchsorted(roots[: counts[0]], 0.0, side="right"))
@@ -580,16 +595,16 @@ def stopbands(
 
     Each edge is a root of h(omega) = +-1 from the branches' own root
     search, so it is the K = 0 or K = pi/T sample of ``trace_branches`` on
-    the same scan. An interval whose closure reaches omega = 0 carries the
-    quasistatic flag. An edge that is a root of both h = 1 and h = -1 is a
-    flat band of zero width, so the two stop intervals it separates stay
-    apart.
+    the same scan, and taken from the scan once a trace has run. An interval
+    whose closure reaches omega = 0 carries the quasistatic flag. An edge
+    that is a root of both h = 1 and h = -1 is a flat band of zero width, so
+    the two stop intervals it separates stay apart.
 
     Raises:
         ValueError: If ``scan`` is not a scan of ``cell``.
     """
     scan = _scan_of(cell, omega_max, scan)
-    roots, counts = _scan_roots_batch(scan, np.array([1.0, -1.0]))
+    roots, counts = scan._edges or _scan_roots_batch(scan, np.array([1.0, -1.0]))
     edges = np.unique(roots[(roots > 0.0) & (roots < scan.omega_max)])
     flat = set(np.intersect1d(roots[: counts[0]], roots[counts[0] :]).tolist())
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from piezoband import band_structure as bs
+from piezoband.cli import DEFAULT_SWEEP_UF
 from piezoband.materials import ElasticLayer, PiezoLayer, ShuntedCell, default_cell
 from piezoband.quasistatic import effective_model, special_capacitances
 from piezoband.transfer_matrix import ResonancePoleError, _cell_parts, monodromy
@@ -371,6 +372,35 @@ class TestStopbands:
                 assert not inside.any()
             edges = inner_edges(intervals, scan.omega_max)
             assert edges and np.isin(edges, zone_edge_samples(c2, branches)).all()
+
+    @pytest.mark.parametrize(
+        "c_over_s, factor",
+        [(uf * 1e-6, 1.0) for uf in DEFAULT_SWEEP_UF]
+        + [(-1.631192105104345e-05, 1.0)]
+        + [(uf * 1e-6, f) for uf in (0.0, -11.0, -16.7) for f in (10.0, 50.0)],
+    )
+    def test_stopbands_reuse_the_edges_of_a_trace(self, cell, monkeypatch, c_over_s, factor):
+        # The edges are the trace's K = 0 and K = pi/T roots on the same
+        # scan, so a traced scan needs no kernel call to find them again.
+        shunted = cell.with_c_over_s(c_over_s)
+        omega_max = factor * bs.default_omega_max(cell)
+        scan = bs.scan_frequencies(shunted, omega_max)
+        bs.trace_branches(shunted, scan=scan)
+        calls = []
+        kernel = bs.monodromy_entries
+        with monkeypatch.context() as patch:
+            patch.setattr(bs, "monodromy_entries", lambda *args: calls.append(1) or kernel(*args))
+            reused = bs.stopbands(shunted, scan=scan)
+        assert not calls
+        assert reused == bs.stopbands(shunted, omega_max)
+        # Stopbands first leave nothing that a later trace reads.
+        scan = bs.scan_frequencies(shunted, omega_max)
+        bs.stopbands(shunted, scan=scan)
+        later = bs.trace_branches(shunted, scan=scan)
+        fresh = bs.trace_branches(shunted, omega_max=omega_max)
+        assert [(b.index, b.k.tobytes(), b.omega.tobytes()) for b in later] == [
+            (b.index, b.k.tobytes(), b.omega.tobytes()) for b in fresh
+        ]
 
 
 class TestGroupVelocity:

@@ -48,10 +48,14 @@ def reference_hits(scan, targets):
 
 
 def reference_bisect(func, lo, hi, f_lo, *, rtol, residual_tol=None, max_iter=200):
-    """Uncompacted bisection: every pass evaluates func on every bracket."""
+    """Uncompacted bisection: every pass evaluates func on every bracket.
+
+    Returns the roots and, per bracket, the number of passes it took.
+    """
     lo, hi, f_lo = (np.array(a, dtype=float) for a in (lo, hi, f_lo))
     result = 0.5 * (lo + hi)
     done = np.zeros(lo.shape, dtype=bool)
+    took = np.zeros(lo.shape, dtype=int)
     passes = 0
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
@@ -70,11 +74,12 @@ def reference_bisect(func, lo, hi, f_lo, *, rtol, residual_tol=None, max_iter=20
             converged &= np.abs(f_mid) <= residual_tol
         newly_done = ~done & (stuck | converged | exact)
         result = np.where(newly_done, mid, result)
+        took[newly_done] = passes
         done |= newly_done
         lo, hi, f_lo = new_lo, new_hi, new_f_lo
         if done.all():
             break
-    return result, passes
+    return result, took
 
 
 def reference_roots(scan, targets):
@@ -216,33 +221,74 @@ def test_bracket_test_is_the_strict_product_test():
     assert brackets == {(1, 0, -1e-200), (1, 1, -0.25), (1, 2, -0.25)}
 
 
+def assert_bisection_matches_plain_loop(func, lo, hi, f_lo, **kwargs):
+    """_bisect on func(x, live) equals the plain loop bit for bit, and each
+    bracket is evaluated in exactly the passes the plain loop takes for it."""
+    calls = []
+    evaluated = np.zeros(len(lo), dtype=int)
+
+    def live_func(x, live):
+        calls.append(x.size)
+        np.add.at(evaluated, live, 1)
+        return func(x, live)
+
+    roots = bs._bisect(live_func, lo, hi, f_lo, **kwargs)
+    everywhere = np.arange(len(lo))
+    expected, took = reference_bisect(lambda x: func(x, everywhere), lo, hi, f_lo, **kwargs)
+    assert roots.tobytes() == expected.tobytes()
+    assert evaluated.tolist() == took.tolist()
+    if len(lo):
+        assert len(calls) == took.max()
+
+
+def plain_brackets(scan, targets):
+    """The brackets of h - t; those in blocked intervals, bisected on g_t,
+    are compared end to end by the batched-roots test."""
+    (interval, owner, f_lo), _ = bs._target_hits(scan, targets)
+    plain = ~scan.blocked[interval]
+    interval, owner, f_lo = interval[plain], owner[plain], f_lo[plain]
+    func = lambda x, live: bs.half_trace_values(scan.cell, x) - targets[owner[live]]
+    return func, scan.nodes[interval], scan.nodes[interval + 1], f_lo
+
+
 def test_compacting_bisection_matches_plain_loop():
     draws = np.random.default_rng(3)
     rng = np.random.default_rng(4)
+    kwargs = dict(rtol=bs.ROOT_RTOL, residual_tol=bs.RESIDUAL_TOL)
     for _ in range(40):
         scan = bs.scan_frequencies(shunted_cell(draws), base_points=400)
-        targets = awkward_targets(scan, rng)
-        (interval, owner, f_lo), _ = bs._target_hits(scan, targets)
-        # The brackets of h - t; those in blocked intervals, bisected on
-        # g_t, are compared end to end by the batched-roots test.
-        plain = ~scan.blocked[interval]
-        interval, owner, f_lo = interval[plain], owner[plain], f_lo[plain]
-        lo, hi = scan.nodes[interval], scan.nodes[interval + 1]
-        calls = []
+        brackets = plain_brackets(scan, awkward_targets(scan, rng))
+        assert_bisection_matches_plain_loop(*brackets, **kwargs)
+    # Full size: every K target of a trace on the 50x window, about 40 000 brackets.
+    cell = default_cell(-11e-6)
+    scan = bs.scan_frequencies(cell, 50.0 * bs.default_omega_max(cell))
+    targets = np.cos(np.linspace(0.0, math.pi, bs.DEFAULT_K_POINTS))
+    func, lo, hi, f_lo = plain_brackets(scan, targets)
+    assert lo.size > 35_000
+    assert_bisection_matches_plain_loop(func, lo, hi, f_lo, **kwargs)
 
-        def live_func(x, live):
-            calls.append(x.size)
-            return bs.half_trace_values(scan.cell, x) - targets[owner[live]]
 
-        kwargs = dict(rtol=bs.ROOT_RTOL, residual_tol=bs.RESIDUAL_TOL)
-        roots = bs._bisect(live_func, lo, hi, f_lo, **kwargs)
-        expected, passes = reference_bisect(
-            lambda x: bs.half_trace_values(scan.cell, x) - targets[owner], lo, hi, f_lo, **kwargs
-        )
-        assert roots.tobytes() == expected.tobytes()
-        if interval.size:
-            assert len(calls) == passes
-            assert sum(calls) <= passes * interval.size
+@pytest.mark.parametrize("rtol", [bs.ROOT_RTOL, 1e-14, 0.0, 1e-17])
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_bisection_passes_before_any_bracket_can_converge(rtol, degenerate):
+    # Brackets at least 0.5 wide with ends of at most 1000 leave 20 or more
+    # passes in which none can converge or run out of floats. Exact zeros must still end a
+    # bracket in those passes: at the first mid ([0, 2], [-8, -1]) and at
+    # the second ([0, 4], [-5, -1]). At rtol = 0 and 1e-17 only the float
+    # grid or an exact zero ends a bracket: (x - 999) - 0.4 has no float
+    # zero, and [999, 999.5] runs out of floats after 42 passes, one before
+    # a bound taken at rtol = 1e-17 instead of 2^-50 would test again. A
+    # zero-width bracket leaves no pass that cannot end.
+    lo = np.array([0.0, 0.0, 0.0, -8.0, -5.0, -1000.0, 999.0, 0.5, 0.0, 10.0])
+    hi = np.array([2.0, 4.0, 1.0, -1.0, -1.0, -999.0, 999.5, 1.0, 1000.0, 11.0])
+    offset = np.array([1.0, 3.0, 0.3, 3.5, 3.0, 0.877, 0.4, 0.4999, 1e-3, 0.6])
+    if degenerate:
+        lo, hi, offset = np.append(lo, 7.0), np.append(hi, 7.0), np.append(offset, 0.0)
+    sign = np.where(np.arange(lo.size) % 2 == 0, 1.0, -1.0)
+    func = lambda x, live: sign[live] * ((x - lo[live]) - offset[live])
+    f_lo = -sign * offset
+    for residual_tol in (None, 1e-6):
+        assert_bisection_matches_plain_loop(func, lo, hi, f_lo, rtol=rtol, residual_tol=residual_tol)
 
 
 def test_batched_roots_match_per_target_lists():
