@@ -26,8 +26,8 @@ sorted once; each pole-free scan interval finds its candidate targets by
 binary search on its two end values and keeps those that pass the strict
 sign-change test, so the cost is O(nodes * log targets + brackets) with no
 targets x nodes temporary. Root refinement is bisection only, which never
-leaves its bracket; it drops finished brackets each pass. ``stopbands``
-reuses the roots of h = +-1 that a trace on the same scan found.
+leaves its bracket; it drops finished brackets each pass and evaluates a
+mid shared by brackets once. ``stopbands`` reuses a trace's h = +-1 roots.
 """
 
 from __future__ import annotations
@@ -483,6 +483,23 @@ def _target_hits(scan: FrequencyScan, targets: np.ndarray):
     return brackets, (node[exact], zero_owner[exact])
 
 
+def _once_per_run(kernel):
+    """kernel(x), a tuple of elementwise arrays, once per run of equal adjacent x."""
+    looking = True
+
+    def shared(x):
+        nonlocal looking
+        if looking:
+            new = np.append(True, x[1:] != x[:-1])
+            looking = 4 * np.count_nonzero(new) <= 3 * x.size
+        if not looking:
+            return kernel(x)
+        run = np.add.accumulate(new, dtype=np.intp) - 1
+        return tuple(v[run] for v in kernel(x[new]))
+
+    return shared
+
+
 def _scan_roots_batch(
     scan: FrequencyScan, targets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -494,6 +511,12 @@ def _scan_roots_batch(
     band) and the bisection runs on g_t = (S/C - M3)*(h0 - t) + r to
     ``ROOT_RTOL`` alone. Exact zeros at scan nodes are roots as they are.
 
+    Brackets of one interval share mids until their targets part. The kernel
+    is elementwise and runs once per run of equal adjacent mids; equal mids
+    are adjacent, as brackets come by interval, then target, one h(mid) splits
+    an interval's targets at a threshold, and compaction keeps order. Runs only
+    split; under a quarter repeating, the search costs what it saves, and stops.
+
     Returns:
         (roots, counts): the roots grouped by target in target order and
         sorted within each group, and the number of roots of each target.
@@ -503,14 +526,16 @@ def _scan_roots_batch(
     # Brackets in blocked intervals come last, so both groups are views.
     split = interval.size - np.count_nonzero(scan.blocked[interval])
     free, pole = interval[:split], interval[split:]
-    func = lambda x, live: half_trace_values(cell, x) - targets[owner[live]]
+    target, trace = targets[owner], _once_per_run(lambda x: (half_trace_values(cell, x),))
+    func = lambda x, live: trace(x)[0] - target[live]
     refined = _bisect(
         func, nodes[free], nodes[free + 1], f_lo[:split], rtol=ROOT_RTOL, residual_tol=RESIDUAL_TOL
     )
     if pole.size:
+        parts, pole_target = _once_per_run(lambda x: _cell_parts(cell, x)), target[split:]
         def numerator(x, live):
-            h0, r, M3 = _cell_parts(cell, x)
-            return (1.0 / cell.c_over_s - M3) * (h0 - targets[owner[split + live]]) + r
+            h0, r, M3 = parts(x)
+            return (1.0 / cell.c_over_s - M3) * (h0 - pole_target[live]) + r
 
         at_poles = _bisect(numerator, nodes[pole], nodes[pole + 1], f_lo[split:], rtol=ROOT_RTOL)
         refined = np.concatenate([refined, at_poles])

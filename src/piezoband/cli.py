@@ -13,6 +13,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .band_structure import (
     Branch,
@@ -82,15 +84,14 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _bands_csv(cell: ShuntedCell, branches: list[Branch]) -> str:
-    period = cell.period
-    lines = ["branch_index,K*T/pi [-],omega [rad/s],f [Hz],group_velocity [m/s]"]
+    text = ["branch_index,K*T/pi [-],omega [rad/s],f [Hz],group_velocity [m/s]\n"]
     for branch in branches:
         w = branch.omega
         # v_g is nan where the 5-point stencil does not fit; "%.17g" is _fmt's format.
-        columns = (branch.k * period / math.pi, w, w / (2.0 * math.pi), _group_velocities(branch))
-        rows = zip(*(c.tolist() for c in columns))
-        lines += ["%d,%.17g,%.17g,%.17g,%.17g" % (branch.index, *row) for row in rows]
-    return "\n".join(lines) + "\n"
+        columns = (branch.k * cell.period / math.pi, w, w / (2.0 * math.pi), _group_velocities(branch))
+        row = "%d,%%.17g,%%.17g,%%.17g,%%.17g\n" % branch.index
+        text.append(row * len(branch) % tuple(np.column_stack(columns).ravel().tolist()))
+    return "".join(text)
 
 
 def _stopbands_csv(intervals) -> str:

@@ -32,10 +32,9 @@ commutations of a single product or sum are allowed, which are exact,
 so every output bit is independent of the block size and of array
 shape; root positions and the CSV output depend on it.
 
-Blocking keeps the working set of about twenty temporaries in cache: at
-4096 points each is 32 KiB, so a block fits a core's 2 MiB L2, where a
-whole 14k-48k point scan would spill to memory. Larger blocks spill and
-smaller ones pay the per-call Python overhead more often.
+Blocking keeps about twenty 64 KiB temporaries (8192 points) in a core's
+2 MiB L2. A 40 000-point call takes 3.30, 2.86, 2.67 and 3.52 ms in blocks
+of 2048, 4096, 8192 and 16384 (medians, shared 2-core Xeon).
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ __all__ = [
 POLE_DENOM_RTOL = 1e-9
 
 # Frequencies per block of the cell kernel (see the module docstring).
-_BLOCK = 4096
+_BLOCK = 8192
 
 
 class ResonancePoleError(ArithmeticError):

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from piezoband.cli import main
+from piezoband.band_structure import _group_velocities, trace_branches
+from piezoband.cli import DEFAULT_SWEEP_UF, _bands_csv, main
 from piezoband.materials import default_cell, serialize_material_file
 from piezoband.quasistatic import special_capacitances
 
@@ -137,6 +138,32 @@ class TestBands:
         assert code == 0
         rows = out.read_text(encoding="utf-8").splitlines()[1:]
         assert all(float(r.split(",")[2]) <= 2e6 * math.pi for r in rows)
+
+
+def reference_bands_csv(cell, branches):
+    """The row-by-row bands writer: one formatted line per sample."""
+    lines = ["branch_index,K*T/pi [-],omega [rad/s],f [Hz],group_velocity [m/s]"]
+    for branch in branches:
+        w = branch.omega
+        columns = (branch.k * cell.period / math.pi, w, w / (2.0 * math.pi), _group_velocities(branch))
+        rows = zip(*(c.tolist() for c in columns))
+        lines += ["%d,%.17g,%.17g,%.17g,%.17g" % (branch.index, *row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_bands_csv_matches_row_by_row_writer():
+    # The sweep's 10 panels, a top branch of fewer than 5 samples (nan
+    # group velocity) and an empty branch list.
+    cell = default_cell()
+    for gamma in [uf * 1e-6 for uf in DEFAULT_SWEEP_UF] + [0.0]:
+        panel = cell.with_c_over_s(gamma)
+        branches = trace_branches(panel)
+        assert _bands_csv(panel, branches) == reference_bands_csv(panel, branches)
+    branches = trace_branches(cell, 40, 2.5586e7)
+    assert 0 < len(branches[-1]) < 5
+    assert _bands_csv(cell, branches) == reference_bands_csv(cell, branches)
+    assert "nan" in _bands_csv(cell, branches)
+    assert _bands_csv(cell, []) == reference_bands_csv(cell, [])
 
 
 class TestStopbands:

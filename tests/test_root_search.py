@@ -5,7 +5,9 @@ classification and the whole-branch group velocity stencil must reproduce,
 bit for bit, the per-target bracket loop, the uncompacted bisection loop,
 the per-interval classification loop and the per-sample stencil kept below
 as references. In a scan interval that holds a pole the references
-bracket and bisect the pole-free numerator g_t = (S/C - M3)*(h - t).
+bracket and bisect the pole-free numerator g_t = (S/C - M3)*(h - t). The
+batched root search evaluates each distinct mid of a pass once while
+enough of them repeat.
 """
 
 import math
@@ -266,6 +268,109 @@ def test_compacting_bisection_matches_plain_loop():
     func, lo, hi, f_lo = plain_brackets(scan, targets)
     assert lo.size > 35_000
     assert_bisection_matches_plain_loop(func, lo, hi, f_lo, **kwargs)
+
+
+def mids_per_pass(func, lo, hi, f_lo, **kwargs):
+    """(open brackets, distinct mids among them) in each pass of the plain loop."""
+    mids = []
+
+    def record(x):
+        mids.append(x)
+        return func(x)
+
+    _, took = reference_bisect(record, lo, hi, f_lo, **kwargs)
+    return [(np.count_nonzero(took > npass), np.unique(x[took > npass]).size)
+            for npass, x in enumerate(mids)]
+
+
+def shared_points(passes):
+    """Kernel points when each pass evaluates its distinct mids once, until
+    the first pass in which under a quarter of its mids repeat."""
+    points, looking = 0, True
+    for size, distinct in passes:
+        looking = looking and 4 * distinct <= 3 * size
+        points += distinct if looking else size
+    return points
+
+
+def counted(monkeypatch, name):
+    """Patch the band_structure kernel ``name`` to log its point counts."""
+    points, kernel = [], getattr(bs, name)
+
+    def count(cell, x):
+        points.append(np.size(x))
+        return kernel(cell, x)
+
+    monkeypatch.setattr(bs, name, count)
+    return points
+
+
+def assert_roots_match_reference(scan, targets, expected):
+    roots, counts = bs._scan_roots_batch(scan, targets)
+    groups = np.split(roots, np.cumsum(counts)[:-1])
+    assert [g.tobytes() for g in groups] == [e.tobytes() for e in expected]
+
+
+@pytest.fixture(scope="module")
+def wide_scan():
+    """The shipped cell at -11 uF/m^2 on the 50x window, its K targets and reference roots."""
+    cell = default_cell(-11e-6)
+    scan = bs.scan_frequencies(cell, 50.0 * bs.default_omega_max(cell))
+    targets = np.cos(np.linspace(0.0, math.pi, bs.DEFAULT_K_POINTS))
+    return scan, targets, reference_roots(scan, targets)
+
+
+def test_shared_mids_are_evaluated_once(wide_scan, monkeypatch):
+    # Brackets of one scan interval share their first mids; each pass
+    # evaluates the half-trace once per distinct mid while at least a
+    # quarter of its mids repeat.
+    scan, targets, expected = wide_scan
+    func, lo, hi, f_lo = plain_brackets(scan, targets)
+    plain = lambda x: func(x, np.arange(lo.size))
+    kwargs = dict(rtol=bs.ROOT_RTOL, residual_tol=bs.RESIDUAL_TOL)
+    passes = mids_per_pass(plain, lo, hi, f_lo, **kwargs)
+    points = counted(monkeypatch, "half_trace_values")
+    assert_roots_match_reference(scan, targets, expected)
+    assert sum(points) == shared_points(passes) < 0.9 * sum(size for size, _ in passes)
+
+
+def test_shared_mids_in_shuffled_bracket_order(wide_scan, monkeypatch):
+    # Equal mids that are not adjacent are evaluated apart, with the same roots.
+    scan, targets, expected = wide_scan
+    target_hits, rng = bs._target_hits, np.random.default_rng(12)
+
+    def shuffled(scan, targets):
+        (interval, owner, f_lo), zeros = target_hits(scan, targets)
+        at_pole = scan.blocked[interval]
+        order = np.concatenate([
+            rng.permutation(np.flatnonzero(~at_pole)), rng.permutation(np.flatnonzero(at_pole)),
+        ])
+        return (interval[order], owner[order], f_lo[order]), zeros
+
+    monkeypatch.setattr(bs, "_target_hits", shuffled)
+    assert_roots_match_reference(scan, targets, expected)
+
+
+def test_flat_band_bisection_evaluates_each_mid_once(monkeypatch):
+    # At C* every target converges on the flat band omega*, so the 200
+    # brackets of the blocked interval share every mid.
+    cell = default_cell(-1.631192105104345e-05)
+    scan = bs.scan_frequencies(cell)
+    targets = np.cos(np.linspace(0.0, math.pi, bs.DEFAULT_K_POINTS))
+    (interval, owner, f_lo), _ = bs._target_hits(scan, targets)
+    pole = scan.blocked[interval]
+    assert pole.sum() == targets.size
+
+    def numerator(x):
+        h0, r, M3 = transfer_matrix._cell_parts(cell, x)
+        return (1.0 / cell.c_over_s - M3) * (h0 - targets[owner[pole]]) + r
+
+    lo, hi = scan.nodes[interval[pole]], scan.nodes[interval[pole] + 1]
+    passes = mids_per_pass(numerator, lo, hi, f_lo[pole], rtol=bs.ROOT_RTOL)
+    expected = reference_roots(scan, targets)
+    points = counted(monkeypatch, "_cell_parts")
+    assert_roots_match_reference(scan, targets, expected)
+    assert sum(points) == shared_points(passes) == len(passes) < 30
 
 
 @pytest.mark.parametrize("rtol", [bs.ROOT_RTOL, 1e-14, 0.0, 1e-17])

@@ -414,6 +414,25 @@ class TestKernelBitsMatchPlainFormulas:
                 assert coupling(cell, omega) == floats(plain_shunt_terms(cell, omega))
 
 
+def test_block_size_moves_no_bit(monkeypatch):
+    # 40 000 frequencies on the 50x window, the size of a wide bisection
+    # pass, through blocks of 4096 and of 8192.
+    rng = np.random.default_rng(4)
+    draws = np.random.default_rng(5)
+    cells = [default_cell(g * 1e-6) for g in (0.0, -11.0, -16.7)]
+    cells += [random_cell(draws) for _ in range(20)]
+    for cell in cells:
+        omega_max = 50.0 * 4.0 * math.pi / (
+            cell.elastic.d * cell.elastic.slowness + cell.piezo.d * cell.piezo.slowness
+        )
+        omega = rng.uniform(0.0, omega_max, 40_000)
+        got = []
+        for block in (4096, 8192):
+            monkeypatch.setattr(transfer_matrix, "_BLOCK", block)
+            got.append(bits(monodromy_entries(cell, omega)))
+        assert got[0] == got[1]
+
+
 class TestCellParts:
     """h = h0 + gamma*r/(1 - gamma*M3): the shunt enters in one rational step."""
 
