@@ -13,7 +13,8 @@ its bracket. A scan interval that holds a pole is searched on the
 pole-free numerator g_t = (S/C - M3)*(h - t) = (S/C - M3)*(h0 - t) + r
 instead of h - t (see ``transfer_matrix._cell_parts``). Where r vanishes
 at the pole too, g_t vanishes there for every target t: the frequency is
-a flat band, a root at every K.
+a flat band, a root at every K. ``group_velocity`` differentiates g_t
+implicitly, by one complex step of the parts, so a flat band has v_g = 0.
 
 The flat-band frequencies, where r changes sign, solve theta(omega) = k*pi
 for a rising phase theta: one in each (k*pi/T, (k + 2)*pi/T) (see
@@ -89,7 +90,7 @@ class NumericalError(RuntimeError):
 
 
 class InsufficientSamplesError(ValueError):
-    """Too few branch samples for the requested stencil."""
+    """Too few branch samples for ``origin_slope``, the one function that raises it."""
 
 
 @dataclass(frozen=True)
@@ -680,54 +681,30 @@ def _intervals_are_stop(scan: FrequencyScan, lo: np.ndarray, hi: np.ndarray) -> 
 # --- derived branch quantities ------------------------------------------------
 
 
-def _uniform_spacing(k: np.ndarray) -> float | None:
-    """Common K step of the samples, or None if they are not uniform."""
-    dk = np.diff(k)
-    if dk.size and np.allclose(dk, dk[0], rtol=1e-9, atol=0.0):
-        return float(dk[0])
-    return None
+def group_velocity(cell: ShuntedCell, k, omega) -> np.ndarray:
+    """d omega / d K at dispersion samples (K, omega) of the cell, elementwise (m/s).
 
-
-def _group_velocities(branch: Branch) -> np.ndarray:
-    """``group_velocity`` at every sample of a branch, in one pass (m/s).
-
-    Samples where ``group_velocity`` would raise InsufficientSamplesError
-    (fewer than 5 samples, non-uniform K) get nan.
+    The branches are the zeros of the pole-free G = (1 - gamma*M3)*(h0 - cos KT)
+    + gamma*r, gamma = C/S (see ``_cell_parts``), so v_g = -T*sin(KT)*(1 -
+    gamma*M3)/(dG/domega), and a flat-band sample gets 0. dG/domega comes from
+    one complex step of the parts, at omega + i*1e-20*max(omega, 1), free of
+    cancellation (Martins, Sturdza & Alonso, ACM TOMS 29(3), 2003). Samples at
+    omega == 0 take the quasistatic v_eff: inf at C/S = Cinf/S, nan where no
+    branch leaves the origin.
     """
-    n = len(branch)
-    dk = _uniform_spacing(branch.k) if n >= 5 else None
-    if dk is None:
-        return np.full(n, np.nan)
-    w = branch.omega
-    v = np.empty(n)
-    v[2:-2] = (w[:-4] - 8 * w[1:-3] + 8 * w[3:-1] - w[4:]) / (12 * dk)
-    v[0] = (-25 * w[0] + 48 * w[1] - 36 * w[2] + 16 * w[3] - 3 * w[4]) / (12 * dk)
-    v[1] = (-3 * w[0] - 10 * w[1] + 18 * w[2] - 6 * w[3] + w[4]) / (12 * dk)
-    v[-2] = (3 * w[-1] + 10 * w[-2] - 18 * w[-3] + 6 * w[-4] - w[-5]) / (12 * dk)
-    v[-1] = (25 * w[-1] - 48 * w[-2] + 36 * w[-3] - 16 * w[-4] + 3 * w[-5]) / (12 * dk)
+    k, omega = np.broadcast_arrays(np.asarray(k, dtype=float), np.asarray(omega, dtype=float))
+    gamma, period = cell.c_over_s, cell.period
+    step = 1e-20 * np.maximum(omega, 1.0)
+    h0, r, M3 = _cell_parts(cell, omega + 1j * step)
+    shunt = 1.0 - gamma * M3
+    dG = (shunt * (h0 - np.cos(k * period)) + gamma * r).imag / step
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # + 0.0 turns the -0.0 of K = 0 samples into 0.0.
+        v = -period * np.sin(k * period) * shunt.real / dG + 0.0
+    if np.any(origin := omega == 0.0):
+        em = effective_model(cell)
+        v = np.where(origin, math.inf if em.regime is Regime.POLE else em.v_eff or math.nan, v)
     return v
-
-
-def group_velocity(branch: Branch, k: float) -> float:
-    """d omega / d K at the branch sample nearest to k (m/s).
-
-    Fourth-order central differences in the interior, one-sided stencils
-    of the same order at the edges.
-
-    Raises:
-        InsufficientSamplesError: With fewer than 5 samples, or samples
-            not uniformly spaced in K.
-        ValueError: If k lies outside the branch sample range.
-    """
-    if len(branch) < 5:
-        raise InsufficientSamplesError("group velocity needs at least 5 branch samples")
-    dk = _uniform_spacing(branch.k)
-    if dk is None:
-        raise InsufficientSamplesError("branch samples are not uniformly spaced in K")
-    if k < branch.k[0] - 0.5 * dk or k > branch.k[-1] + 0.5 * dk:
-        raise ValueError("k outside the branch sample range")
-    i = int(np.argmin(np.abs(branch.k - k)))
-    return float(_group_velocities(branch)[i])
 
 
 def origin_slope(branch: Branch) -> float:

@@ -21,10 +21,9 @@ from .band_structure import (
     BracketError,
     InsufficientSamplesError,
     NumericalError,
-    _group_velocities,
     default_omega_max,
     detect_flat_bands,
-    group_velocity,  # noqa: F401  (kept importable: bench/tracing.py patches cli.group_velocity)
+    group_velocity,
     stopbands,
     trace_branches,
     DEFAULT_FLATNESS_TOL,
@@ -85,10 +84,14 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _bands_csv(cell: ShuntedCell, branches: list[Branch]) -> str:
     text = ["branch_index,K*T/pi [-],omega [rad/s],f [Hz],group_velocity [m/s]\n"]
-    for branch in branches:
+    # One group_velocity call over the samples of every branch, split back.
+    k = np.concatenate([np.empty(0)] + [b.k for b in branches])
+    omega = np.concatenate([np.empty(0)] + [b.omega for b in branches])
+    v = np.split(group_velocity(cell, k, omega), np.cumsum([len(b) for b in branches])[:-1])
+    for branch, v_g in zip(branches, v):
         w = branch.omega
-        # v_g is nan where the 5-point stencil does not fit; "%.17g" is _fmt's format.
-        columns = (branch.k * cell.period / math.pi, w, w / (2.0 * math.pi), _group_velocities(branch))
+        columns = (branch.k * cell.period / math.pi, w, w / (2.0 * math.pi), v_g)
+        # "%.17g" is _fmt's format.
         row = "%d,%%.17g,%%.17g,%%.17g,%%.17g\n" % branch.index
         text.append(row * len(branch) % tuple(np.column_stack(columns).ravel().tolist()))
     return "".join(text)

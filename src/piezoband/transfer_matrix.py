@@ -21,8 +21,8 @@ shunted piezo entries. ``monodromy_entries`` is the fused cell kernel:
 it writes t11, t12, t21, t22 into one preallocated (4, n) array,
 ``_BLOCK`` frequencies at a time, with in-place ufuncs. ``_cell_parts``
 splits the half-trace into the parts h0, r, M3 that do not depend on C/S;
-it serves flat bands and the pole-free root search next to poles, and
-defines no output bit.
+it serves flat bands, the pole-free root search next to poles and, at
+complex omega, the group velocity, and defines no root bit.
 
 The per-element operation order is fixed: every entry is the same
 sequence of correctly rounded float operations as the formulas in the
@@ -147,8 +147,9 @@ def _piezo(cell: ShuntedCell, omega: np.ndarray):
 
 
 def _entries(fn, omega):
-    """Apply a 1-D entries helper to omega of any shape; results shaped like omega."""
-    omega = np.asarray(omega, dtype=float)
+    """Apply a 1-D entries helper to omega of any shape (complex stays complex)."""
+    omega = np.asarray(omega)
+    omega = omega.astype(np.result_type(omega, float), copy=False)
     return tuple(x.reshape(omega.shape) for x in fn(omega.reshape(-1)))
 
 
@@ -167,14 +168,12 @@ def shunt_denominator(cell: ShuntedCell, omega):
     if not has_shunt_correction(cell):
         raise ValueError("shunt correction inactive (e == 0 or open circuit)")
     pz = cell.piezo
-    omega = np.asarray(omega, dtype=float)
-    # S/C - (h*M1 - d/eps) with M1 = (h*(d/cD))*s, built in place on s.
-    _, s = _phase_sinc(pz.rho, pz.cD, pz.d, omega.reshape(-1))
-    s *= pz.h * (pz.d / pz.cD)
-    s *= pz.h
-    s -= pz.d / pz.eps
-    np.subtract(1.0 / cell.c_over_s, s, out=s)
-    return s.reshape(omega.shape)
+
+    def denominator(w):
+        M3 = _coupling(pz, *_phase_sinc(pz.rho, pz.cD, pz.d, w))[2]
+        return (np.subtract(1.0 / cell.c_over_s, M3, out=M3),)
+
+    return _entries(denominator, omega)[0]
 
 
 def m_elastic_entries(cell: ShuntedCell, omega):

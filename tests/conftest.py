@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from piezoband.band_structure import half_trace_values
 from piezoband.materials import ElasticLayer, PiezoLayer, ShuntedCell, calibrated_cell, default_cell
 
 
@@ -48,3 +49,10 @@ def random_cell(rng: np.random.Generator, *, allow_zero_e: bool = True) -> Shunt
     else:
         gamma = logu(1e-7, 1e-4) * rng.choice([-1.0, 1.0])
     return ShuntedCell(el, pz, gamma)
+
+
+def central_group_velocity(cell: ShuntedCell, k, omega) -> np.ndarray:
+    """v_g = -T*sin(KT)/h'(omega), h' from central differences of the half-trace."""
+    step = 1e-6 * np.maximum(omega, 1.0)
+    dh = (half_trace_values(cell, omega + step) - half_trace_values(cell, omega - step)) / (2 * step)
+    return -cell.period * np.sin(k * cell.period) / dh

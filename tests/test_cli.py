@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from piezoband.band_structure import _group_velocities, trace_branches
+from piezoband.band_structure import group_velocity, trace_branches
 from piezoband.cli import DEFAULT_SWEEP_UF, _bands_csv, main
 from piezoband.materials import default_cell, serialize_material_file
 from piezoband.quasistatic import special_capacitances
@@ -118,16 +118,24 @@ class TestBands:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_short_top_branch_gets_nan_group_velocity(self, tmp_path):
+    def test_short_top_branch_gets_finite_group_velocity(self, tmp_path):
         # An omega_max that clips the top branch to fewer than 5 samples
-        # leaves its group-velocity column as nan instead of failing.
+        # still gives each of its samples a finite group velocity.
         out = tmp_path / "bands.csv"
         assert main(["bands", "--k-points", "40", "--omega-max=2.5586e7 rad/s",
                      "--out", str(out)]) == 0
         rows = [l.split(",") for l in out.read_text(encoding="utf-8").splitlines()[1:]]
         top = [r for r in rows if r[0] == max(r2[0] for r2 in rows)]
         assert 0 < len(top) < 5
-        assert all(r[4] == "nan" for r in top)
+        assert all(math.isfinite(float(r[4])) for r in rows)
+
+    def test_origin_row_is_infinite_at_the_pole_capacitance(self, tmp_path):
+        c_inf, _ = special_capacitances(default_cell())
+        out = tmp_path / "bands.csv"
+        assert main(["bands", f"--c-over-s={c_inf!r}", "--out", str(out)]) == 0
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        assert rows[0].startswith("1,0,0,") and rows[0].endswith(",inf")
+        assert not any("inf" in r or "nan" in r for r in rows[1:])
 
     def test_material_file_and_unit_flags(self, material_file, tmp_path):
         out = tmp_path / "bands.csv"
@@ -145,15 +153,16 @@ def reference_bands_csv(cell, branches):
     lines = ["branch_index,K*T/pi [-],omega [rad/s],f [Hz],group_velocity [m/s]"]
     for branch in branches:
         w = branch.omega
-        columns = (branch.k * cell.period / math.pi, w, w / (2.0 * math.pi), _group_velocities(branch))
+        v_g = group_velocity(cell, branch.k, w)
+        columns = (branch.k * cell.period / math.pi, w, w / (2.0 * math.pi), v_g)
         rows = zip(*(c.tolist() for c in columns))
         lines += ["%d,%.17g,%.17g,%.17g,%.17g" % (branch.index, *row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def test_bands_csv_matches_row_by_row_writer():
-    # The sweep's 10 panels, a top branch of fewer than 5 samples (nan
-    # group velocity) and an empty branch list.
+    # The sweep's 10 panels, a top branch of fewer than 5 samples and an
+    # empty branch list.
     cell = default_cell()
     for gamma in [uf * 1e-6 for uf in DEFAULT_SWEEP_UF] + [0.0]:
         panel = cell.with_c_over_s(gamma)
@@ -162,7 +171,7 @@ def test_bands_csv_matches_row_by_row_writer():
     branches = trace_branches(cell, 40, 2.5586e7)
     assert 0 < len(branches[-1]) < 5
     assert _bands_csv(cell, branches) == reference_bands_csv(cell, branches)
-    assert "nan" in _bands_csv(cell, branches)
+    assert "nan" not in _bands_csv(cell, branches)
     assert _bands_csv(cell, []) == reference_bands_csv(cell, [])
 
 

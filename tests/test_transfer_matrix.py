@@ -414,6 +414,36 @@ class TestKernelBitsMatchPlainFormulas:
                 assert coupling(cell, omega) == floats(plain_shunt_terms(cell, omega))
 
 
+def inline_shunt_denominator(cell, omega):
+    """The earlier shunt_denominator: M3 = h*((h*(d/cD))*s) - d/eps built in place on s."""
+    pz = cell.piezo
+    omega = np.asarray(omega, dtype=float)
+    _, s = transfer_matrix._phase_sinc(pz.rho, pz.cD, pz.d, omega.reshape(-1))
+    s *= pz.h * (pz.d / pz.cD)
+    s *= pz.h
+    s -= pz.d / pz.eps
+    np.subtract(1.0 / cell.c_over_s, s, out=s)
+    return s.reshape(omega.shape)
+
+
+def test_shunt_denominator_keeps_the_inline_bits():
+    # S/C - M3 with M3 from _coupling: the two orders differ only by exact
+    # commutations of one product. 300 random cells on 3x their window and
+    # the shipped cell, shunted, on the 50x window.
+    rng = np.random.default_rng(8)
+    draws = np.random.default_rng(0)
+    base = default_cell()
+    window = 4.0 * math.pi / (base.elastic.d * base.elastic.slowness + base.piezo.d * base.piezo.slowness)
+    cases = [(base.with_c_over_s(g * 1e-6), np.linspace(0.0, 50.0 * window, 100_001))
+             for g in (-11.0, -16.7, -40.0)]
+    for cell in (random_cell(draws) for _ in range(300)):
+        if has_shunt_correction(cell):
+            cases.append((cell, TestKernelBitsMatchPlainFormulas.frequencies(cell, rng, 1000)))
+    assert len(cases) >= 200
+    for cell, omega in cases:
+        assert shunt_denominator(cell, omega).tobytes() == inline_shunt_denominator(cell, omega).tobytes()
+
+
 def test_block_size_moves_no_bit(monkeypatch):
     # 40 000 frequencies on the 50x window, the size of a wide bisection
     # pass, through blocks of 4096 and of 8192.
@@ -463,6 +493,15 @@ class TestCellParts:
                 kappa = np.maximum(1.0, abs(1.0 / gamma) / np.abs(denom))
             error = np.abs(h0 + gamma * r / (1.0 - gamma * M3) - h) / ((1.0 + np.abs(h)) * kappa)
             assert np.max(error[keep]) <= 2e-14
+
+    def test_complex_frequency_stays_complex(self):
+        # The complex step of group_velocity: real parts as on the real axis.
+        cell = default_cell(-11e-6)
+        omega = np.linspace(0.0, 3e7, 301)
+        real = transfer_matrix._cell_parts(cell, omega)
+        stepped = transfer_matrix._cell_parts(cell, omega + 1e-20j * np.maximum(omega, 1.0))
+        for x, z in zip(real, stepped):
+            assert z.dtype == complex and np.abs(z.real - x).max() <= 1e-15 * np.abs(x).max()
 
     def test_pole_intervals_hold_no_pass_band_root(self):
         # At the poles of the default panels and of 300 random cells inside
