@@ -212,10 +212,14 @@ def _cmd_sweep(args) -> int:
         files[name] = _bands_csv(panel_cell, branches)
         panels.append({"file": name, "c_over_s": gamma, "flat_branch_indices": flat})
 
-    reference_cell = cell.with_c_over_s(0.0)
     reference_name = "reference_c0.csv"
-    reference_branches = trace_branches(reference_cell, args.k_points, omega_max)
-    files[reference_name] = _bands_csv(reference_cell, reference_branches)
+    if 0.0 in values:
+        # A panel at C/S = 0 is the reference cell, traced already.
+        files[reference_name] = files[f"bands_{values.index(0.0):02d}.csv"]
+    else:
+        reference_cell = cell.with_c_over_s(0.0)
+        reference_branches = trace_branches(reference_cell, args.k_points, omega_max)
+        files[reference_name] = _bands_csv(reference_cell, reference_branches)
 
     manifest = {
         "tool": "piezoband",

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from piezoband import cli
 from piezoband.band_structure import group_velocity, trace_branches
 from piezoband.cli import DEFAULT_SWEEP_UF, _bands_csv, main
 from piezoband.materials import default_cell, serialize_material_file
@@ -216,6 +217,24 @@ class TestSweep:
         assert manifest["panels"][0]["c_over_s"] == 0.0
         assert manifest["settings"]["k_points"] == 40
         assert manifest["reference"]["file"] == "reference_c0.csv"
+
+    @pytest.mark.parametrize("values, traces", [(None, 9), ("-11uF/m2,-12uF/m2", 3)])
+    def test_open_circuit_is_traced_once(self, tmp_path, monkeypatch, values, traces):
+        # The default sweep's first panel, C/S = 0, is the reference cell: its
+        # CSV is written twice from one trace. Without such a panel the
+        # reference is traced on its own.
+        calls = []
+        monkeypatch.setattr(cli, "trace_branches", lambda *a: calls.append(a) or trace_branches(*a))
+        out_dir = tmp_path / "sweep"
+        args = ["sweep", "--k-points", "40", "--out", str(out_dir)]
+        assert main(args + ([f"--values={values}"] if values else [])) == 0
+        assert len(calls) == traces
+        reference = (out_dir / "reference_c0.csv").read_bytes()
+        assert (reference == (out_dir / "bands_00.csv").read_bytes()) == (values is None)
+        if values:
+            reference_cell = default_cell(0.0)
+            expected = _bands_csv(reference_cell, trace_branches(reference_cell, 40))
+            assert reference.decode("utf-8") == expected
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ["sweep", "--values", "0,-11uF/m2", "--k-points", "40"]

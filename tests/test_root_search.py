@@ -7,7 +7,9 @@ kept below as references. The group velocity of whole branches is held to
 central differences of the half-trace. In a scan interval that holds a pole the references
 bracket and bisect the pole-free numerator g_t = (S/C - M3)*(h - t). The
 batched root search evaluates each distinct mid of a pass once while
-enough of them repeat.
+enough of them repeat. Small bracket sets evaluate several predicted
+passes a call; their roots are held to the plain loop bit for bit too,
+at every rtol and whether the predictions hold or not.
 """
 
 import math
@@ -204,24 +206,46 @@ def test_bracket_test_is_the_strict_product_test():
     assert brackets == {(1, 0, -1e-200), (1, 1, -0.25), (1, 2, -0.25)}
 
 
-def assert_bisection_matches_plain_loop(func, lo, hi, f_lo, **kwargs):
-    """_bisect on func(x, live) equals the plain loop bit for bit, and each
-    bracket is evaluated in exactly the passes the plain loop takes for it."""
-    calls = []
-    evaluated = np.zeros(len(lo), dtype=int)
+def assert_bisection_matches_plain_loop(
+    func, lo, hi, f_lo, f_hi=None, check_mids=True, **kwargs
+):
+    """_bisect on func(x, live) equals the plain loop bit for bit.
+
+    A one-level bisection evaluates each bracket in exactly the passes the
+    plain loop takes for it. A speculative one evaluates every mid of the
+    plain loop (unless not check_mids), in no more calls than the plain loop
+    makes passes. f_hi defaults to func at hi. Returns the levels per call.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    everywhere = np.arange(lo.size)
+    if f_hi is None:
+        f_hi = func(hi, everywhere)
+    calls, evaluated = [], []
 
     def live_func(x, live):
         calls.append(x.size)
-        np.add.at(evaluated, live, 1)
+        evaluated.append(live + 1j * x)  # (bracket, point) keys
         return func(x, live)
 
-    roots = bs._bisect(live_func, lo, hi, f_lo, **kwargs)
-    everywhere = np.arange(len(lo))
-    expected, took = reference_bisect(lambda x: func(x, everywhere), lo, hi, f_lo, **kwargs)
+    roots = bs._bisect(live_func, lo, hi, f_lo, f_hi, **kwargs)
+    mids = []
+
+    def plain(x):
+        mids.append(x)
+        return func(x, everywhere)
+
+    expected, took = reference_bisect(plain, lo, hi, f_lo, **kwargs)
     assert roots.tobytes() == expected.tobytes()
-    assert evaluated.tolist() == took.tolist()
-    if len(lo):
-        assert len(calls) == took.max()
+    keys = np.concatenate([np.empty(0, dtype=complex)] + evaluated)
+    levels = bs._MAX_LEVELS if lo.size <= bs._SPECULATION_BRACKETS else 1
+    if levels == 1:
+        assert np.bincount(keys.real.astype(int), minlength=lo.size).tolist() == took.tolist()
+        assert len(calls) == took.max(initial=0)
+    else:
+        plain_mids = [everywhere[took > n] + 1j * x[took > n] for n, x in enumerate(mids)]
+        assert not check_mids or np.isin(np.concatenate(plain_mids), keys).all()
+        assert len(calls) <= took.max(initial=0)
+    return levels
 
 
 def plain_brackets(scan, targets):
@@ -275,15 +299,27 @@ def shared_points(passes):
 
 
 def counted(monkeypatch, name):
-    """Patch the band_structure kernel ``name`` to log its point counts."""
+    """Patch the band_structure kernel ``name`` to log the points of each call."""
     points, kernel = [], getattr(bs, name)
 
     def count(cell, x):
-        points.append(np.size(x))
+        points.append(np.array(x, dtype=float).ravel())
         return kernel(cell, x)
 
     monkeypatch.setattr(bs, name, count)
     return points
+
+
+def plain_mids(func, lo, hi, f_lo, **kwargs):
+    """The distinct mids of the plain loop, over the brackets still open in each pass."""
+    mids = []
+
+    def record(x):
+        mids.append(x)
+        return func(x)
+
+    _, took = reference_bisect(record, lo, hi, f_lo, **kwargs)
+    return np.unique(np.concatenate([x[took > npass] for npass, x in enumerate(mids)]))
 
 
 def assert_roots_match_reference(scan, targets, expected):
@@ -304,7 +340,7 @@ def wide_scan():
 def test_shared_mids_are_evaluated_once(wide_scan, monkeypatch):
     # Brackets of one scan interval share their first mids; each pass
     # evaluates the half-trace once per distinct mid while at least a
-    # quarter of its mids repeat.
+    # quarter of its mids repeat. About 40 000 brackets run one level a call.
     scan, targets, expected = wide_scan
     func, lo, hi, f_lo = plain_brackets(scan, targets)
     plain = lambda x: func(x, np.arange(lo.size))
@@ -312,7 +348,30 @@ def test_shared_mids_are_evaluated_once(wide_scan, monkeypatch):
     passes = mids_per_pass(plain, lo, hi, f_lo, **kwargs)
     points = counted(monkeypatch, "half_trace_values")
     assert_roots_match_reference(scan, targets, expected)
-    assert sum(points) == shared_points(passes) < 0.9 * sum(size for size, _ in passes)
+    total = sum(x.size for x in points)
+    assert total == shared_points(passes) < 0.9 * sum(size for size, _ in passes)
+
+
+def test_speculative_levels_evaluate_every_plain_mid(monkeypatch):
+    # 799 brackets take 6 levels a call: the calls hold every mid of the
+    # plain loop, and the levels that went against their prediction cost
+    # under a tenth more points than the plain loop evaluates.
+    cell = default_cell(-11e-6)
+    scan = bs.scan_frequencies(cell)
+    targets = np.cos(np.linspace(0.0, math.pi, bs.DEFAULT_K_POINTS))
+    func, lo, hi, f_lo = plain_brackets(scan, targets)
+    assert lo.size == 799
+    plain = lambda x: func(x, np.arange(lo.size))
+    kwargs = dict(rtol=bs.ROOT_RTOL, residual_tol=bs.RESIDUAL_TOL)
+    distinct = plain_mids(plain, lo, hi, f_lo, **kwargs)
+    plain_points = sum(size for size, _ in mids_per_pass(plain, lo, hi, f_lo, **kwargs))
+    expected = reference_roots(scan, targets)
+    points = counted(monkeypatch, "half_trace_values")
+    assert_roots_match_reference(scan, targets, expected)
+    evaluated = np.concatenate(points)
+    assert np.isin(distinct, evaluated).all()
+    assert evaluated.size < 1.1 * plain_points
+    assert len(points) < 10
 
 
 def test_shared_mids_in_shuffled_bracket_order(wide_scan, monkeypatch):
@@ -334,7 +393,9 @@ def test_shared_mids_in_shuffled_bracket_order(wide_scan, monkeypatch):
 
 def test_flat_band_bisection_evaluates_each_mid_once(monkeypatch):
     # At C* every target converges on the flat band omega*, so the 200
-    # brackets of the blocked interval share every mid.
+    # brackets of the blocked interval share every mid, and their
+    # predictions agree: each distinct mid is evaluated once, and the levels
+    # past each bracket's last cost at most as many points again.
     cell = default_cell(-1.631192105104345e-05)
     scan = bs.scan_frequencies(cell)
     targets = np.cos(np.linspace(0.0, math.pi, bs.DEFAULT_K_POINTS))
@@ -348,15 +409,119 @@ def test_flat_band_bisection_evaluates_each_mid_once(monkeypatch):
 
     lo, hi = scan.nodes[interval[pole]], scan.nodes[interval[pole] + 1]
     passes = mids_per_pass(numerator, lo, hi, f_lo[pole], rtol=bs.ROOT_RTOL)
+    distinct = plain_mids(numerator, lo, hi, f_lo[pole], rtol=bs.ROOT_RTOL)
     expected = reference_roots(scan, targets)
     points = counted(monkeypatch, "_cell_parts")
     assert_roots_match_reference(scan, targets, expected)
-    assert sum(points) == shared_points(passes) == len(passes) < 30
+    evaluated = np.concatenate(points)
+    assert distinct.size == shared_points(passes) == len(passes) < 30
+    assert [np.count_nonzero(evaluated == x) for x in distinct] == [1] * distinct.size
+    assert evaluated.size <= 2 * len(passes)
+    assert len(points) < len(passes) / 3
+
+
+def recorded_bisections(solve):
+    """(func, lo, hi, f_lo, f_hi, residual_tol) of every _bisect call of solve()."""
+    calls, bisect = [], bs._bisect
+
+    def record(func, lo, hi, f_lo, f_hi, **kwargs):
+        calls.append((func, lo, hi, f_lo, f_hi, kwargs.get("residual_tol")))
+        return bisect(func, lo, hi, f_lo, f_hi, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bs, "_bisect", record)
+        solve()
+    return calls
+
+
+SPECULATION_RTOLS = [bs.ROOT_RTOL, 1e-14, 1e-17, 0.0]
+
+
+@pytest.fixture(scope="module")
+def random_cell_bisections():
+    """The _bisect calls of 300 random cells, by rtol they are checked at.
+
+    Each cell is scanned on the default or the 10x window, its roots of
+    awkward targets searched (h - t in free intervals, g_t in blocked ones,
+    with _locate's sign-verified pairs at the poles) and the roots of r
+    located (_locate's pairs again). Cell i goes to rtol i % 4, and each
+    group of four cells alternates the window.
+    """
+    draws, rng = np.random.default_rng(17), np.random.default_rng(18)
+    calls = {rtol: [] for rtol in SPECULATION_RTOLS}
+    for i in range(300):
+        cell = shunted_cell(draws)
+        omega_max = (10.0 if i // 4 % 2 else 1.0) * bs.default_omega_max(cell)
+
+        def solve():
+            scan = bs.scan_frequencies(cell, omega_max, base_points=400)
+            targets = awkward_targets(scan, rng)
+            bs._scan_roots_batch(scan, targets[: rng.integers(8, targets.size + 1)])
+            bs._flat_band_candidates(cell, omega_max)
+
+        calls[SPECULATION_RTOLS[i % 4]] += recorded_bisections(solve)
+    return calls
+
+
+@pytest.mark.parametrize("rtol", SPECULATION_RTOLS)
+def test_speculative_bisection_matches_plain_loop_on_random_cells(
+    rtol, random_cell_bisections, monkeypatch
+):
+    # Every root bit matches the plain loop, whatever the predictions, on
+    # brackets of every kind, from 2 to 6 levels a call.
+    seen = dict.fromkeys(["h - t", "g_t", "locate"], 0)
+    monkeypatch.setattr(bs, "_SPECULATION_BRACKETS", math.inf)
+    for i, (func, lo, hi, f_lo, f_hi, residual_tol) in enumerate(random_cell_bisections[rtol]):
+        kind = "h - t" if residual_tol is not None else "locate"
+        seen["g_t" if func.__name__ == "numerator" else kind] += 1
+        monkeypatch.setattr(bs, "_MAX_LEVELS", 2 + i % 5)
+        assert_bisection_matches_plain_loop(
+            func, lo, hi, f_lo, f_hi, rtol=rtol, residual_tol=residual_tol, check_mids=False
+        )
+    assert min(seen.values()) >= 10
+
+
+@pytest.mark.parametrize("levels", [1, 6])
+@pytest.mark.parametrize("rtol", [bs.ROOT_RTOL, 1e-14])
+def test_convergence_reads_the_width_after_the_move(rtol, levels, monkeypatch):
+    # Each bracket is 1.5*rtol*|lo| wide: wider than rtol*|mid| before the
+    # first move and narrower after it, so the plain loop returns the first
+    # mid. A test of the width before the move would take a second level.
+    # (At rtol 1e-17 and 0 such a width is below one ulp.)
+    monkeypatch.setattr(bs, "_SPECULATION_BRACKETS", 0 if levels == 1 else 1000)
+    lo = np.array([1.0, -3.0, 7e5, 2e-3, -4e-7])
+    hi = lo + 1.5 * rtol * np.abs(lo)
+    assert np.all((hi - lo) > rtol * np.abs(0.5 * (lo + hi)))
+    root = lo + 0.3 * (hi - lo)
+    func = lambda x, live: x - root[live]
+    assert assert_bisection_matches_plain_loop(func, lo, hi, lo - root, rtol=rtol) == levels
+    roots = bs._bisect(func, lo, hi, lo - root, hi - root, rtol=rtol)
+    assert roots.tobytes() == (0.5 * (lo + hi)).tobytes()
+
+
+@pytest.mark.parametrize("rtol", SPECULATION_RTOLS)
+def test_prediction_failing_at_the_first_level(rtol):
+    # f = +-(exp(20*(x - 0.55)) - 1) on [0, 1]: regula falsi puts the root
+    # near 1e-4, so the first call predicts the path down from 0.5, while
+    # the root lies above it. The bracket then starts again from [0.5, 1].
+    sign = np.array([1.0, -1.0])
+    func = lambda x, live: sign[live] * np.expm1(20.0 * (x - 0.55))
+    lo, hi = np.zeros(2), np.ones(2)
+    calls = []
+
+    def logged(x, live):
+        calls.append(x.reshape(-1, 2)[:, 0])
+        return func(x, live)
+
+    bs._bisect(logged, lo, hi, func(lo, [0, 1]), func(hi, [0, 1]), rtol=rtol)
+    assert calls[0].tolist() == [0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625]
+    assert calls[1][0] == 0.75
+    assert_bisection_matches_plain_loop(func, lo, hi, func(lo, [0, 1]), rtol=rtol)
 
 
 @pytest.mark.parametrize("rtol", [bs.ROOT_RTOL, 1e-14, 0.0, 1e-17])
 @pytest.mark.parametrize("degenerate", [False, True])
-def test_bisection_passes_before_any_bracket_can_converge(rtol, degenerate):
+def test_bisection_passes_before_any_bracket_can_converge(rtol, degenerate, monkeypatch):
     # Brackets at least 0.5 wide with ends of at most 1000 leave 20 or more
     # passes in which none can converge or run out of floats. Exact zeros must still end a
     # bracket in those passes: at the first mid ([0, 2], [-8, -1]) and at
@@ -373,8 +538,14 @@ def test_bisection_passes_before_any_bracket_can_converge(rtol, degenerate):
     sign = np.where(np.arange(lo.size) % 2 == 0, 1.0, -1.0)
     func = lambda x, live: sign[live] * ((x - lo[live]) - offset[live])
     f_lo = -sign * offset
-    for residual_tol in (None, 1e-6):
-        assert_bisection_matches_plain_loop(func, lo, hi, f_lo, rtol=rtol, residual_tol=residual_tol)
+    # The same brackets one level a call and six.
+    for levels, speculate in ((1, 0), (6, 1000)):
+        monkeypatch.setattr(bs, "_SPECULATION_BRACKETS", speculate)
+        for residual_tol in (None, 1e-6):
+            got = assert_bisection_matches_plain_loop(
+                func, lo, hi, f_lo, rtol=rtol, residual_tol=residual_tol
+            )
+            assert got == levels
 
 
 def test_batched_roots_match_per_target_lists():
@@ -419,11 +590,16 @@ def test_interval_classification_matches_per_interval_loop():
 
 def test_bisection_out_of_passes_raises_instead_of_guessing():
     # Regression: on max_iter exhaustion _bisect used to return the
-    # unevaluated center of each open bracket.
+    # unevaluated center of each open bracket. One bracket runs speculative
+    # levels, 5000 one level a call; both stop after max_iter passes.
     func = lambda x, live: x - math.pi
-    with pytest.raises(bs.NumericalError, match="3 passes"):
-        bs._bisect(func, [0.0], [4.0], [-math.pi], rtol=1e-14, max_iter=3)
-    assert bs._bisect(func, [0.0], [4.0], [-math.pi], rtol=1e-14)[0] == pytest.approx(math.pi)
+    for brackets in (1, 5000):
+        lo, hi = np.zeros(brackets), np.full(brackets, 4.0)
+        f_lo, f_hi = func(lo, None), func(hi, None)
+        with pytest.raises(bs.NumericalError, match=f"{brackets} bracket.s. open after 3 passes"):
+            bs._bisect(func, lo, hi, f_lo, f_hi, rtol=1e-14, max_iter=3)
+        roots = bs._bisect(func, lo, hi, f_lo, f_hi, rtol=1e-14)
+        assert roots == pytest.approx(np.full(brackets, math.pi))
 
 
 class TestWholeBranchGroupVelocity:
