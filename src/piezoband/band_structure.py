@@ -20,7 +20,9 @@ The flat-band frequencies, where r changes sign, solve theta(omega) = k*pi
 for a rising phase theta: one in each (k*pi/T, (k + 2)*pi/T) (see
 ``_flat_band_candidates``). ``_locate`` finds poles and flat bands alike:
 Newton on the closed form, then a sign-verified bracket of the kernel's
-own function around it, bisected.
+own function around it, bisected only if it had to be widened past the
+pole tolerance. ``find_flat_capacitance`` judges each candidate on its
+first branch alone, bisecting only the lowest root of each K.
 
 Root search is array code throughout. The targets cos(K*T) of all K are
 sorted once; each pole-free scan interval finds its candidate targets by
@@ -409,7 +411,10 @@ def _locate(model, func, x, lo, hi, rising) -> np.ndarray:
     narrows, becomes its midpoint. Then func is called once per round at
     x*(1 -+ delta) in [lo, hi], from delta = ``_POLE_RTOL``/4 up 16x, until
     the two values differ in sign or one is 0 (``NumericalError`` if not
-    even at lo and hi). ``_bisect`` takes that pair to ``_POLE_RTOL``.
+    even at lo and hi). A pair whose two halves are both within
+    ``_POLE_RTOL``*|mid| gives its mid 0.5*(a + b): ``_bisect`` returns that
+    point at its first pass whatever the sign there, so only the pairs that
+    had to be widened are bisected, to ``_POLE_RTOL``.
     """
     a, b = lo, hi
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -434,7 +439,13 @@ def _locate(model, func, x, lo, hi, rising) -> np.ndarray:
         if np.any(~done & (pair[0] <= lo[todo]) & (pair[1] >= hi[todo])):
             raise NumericalError(f"no sign change next to the roots {x[todo][~done]!r}")
         todo, delta = todo[~done], 16.0 * delta
-    return _bisect(lambda x, live: func(x), a, b, f_a, f_b, rtol=_POLE_RTOL)
+    mid = 0.5 * (a + b)
+    wide = np.maximum(mid - a, b - mid) > _POLE_RTOL * np.abs(mid)
+    if wide.any():
+        mid[wide] = _bisect(
+            lambda x, live: func(x), a[wide], b[wide], f_a[wide], f_b[wide], rtol=_POLE_RTOL
+        )
+    return mid
 
 
 def scan_frequencies(
@@ -604,7 +615,7 @@ def _once_per_run(kernel):
 
 
 def _scan_roots_batch(
-    scan: FrequencyScan, targets: np.ndarray
+    scan: FrequencyScan, targets: np.ndarray, *, lowest: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roots of the half-trace h(omega) = t for every target t.
 
@@ -613,6 +624,10 @@ def _scan_roots_batch(
     except in blocked intervals, where h - t has a pole (0/0 at a flat
     band) and the bisection runs on g_t = (S/C - M3)*(h0 - t) + r to
     ``ROOT_RTOL`` alone. Exact zeros at scan nodes are roots as they are.
+    With ``lowest``, each target keeps only its lowest hit above omega = 0,
+    the node zero or bracket with the smallest node or interval index (a
+    zero at node i lies below the root of interval j exactly when i <= j),
+    and only those brackets are bisected.
 
     Brackets of one interval share mids until their targets part. The kernel
     is elementwise and runs once per run of equal adjacent mids; equal mids
@@ -626,6 +641,15 @@ def _scan_roots_batch(
     """
     cell, nodes = scan.cell, scan.nodes
     (interval, owner, f_lo), (node, zero_owner) = _target_hits(scan, targets)
+    if lowest:
+        node, zero_owner = node[node > 0], zero_owner[node > 0]
+        rank = np.concatenate([2 * node, 2 * interval + 1])
+        key = np.full(len(targets), np.iinfo(np.intp).max)
+        np.minimum.at(key, np.concatenate([zero_owner, owner]), rank)
+        first = key[owner] == 2 * interval + 1
+        interval, owner, f_lo = interval[first], owner[first], f_lo[first]
+        first = key[zero_owner] == 2 * node
+        node, zero_owner = node[first], zero_owner[first]
     # Brackets in blocked intervals come last, so both groups are views.
     split = interval.size - np.count_nonzero(scan.blocked[interval])
     free, pole = interval[:split], interval[split:]
@@ -687,6 +711,11 @@ def trace_branches(
     Raises:
         ValueError: If k_points < 2 or ``scan`` is not a scan of ``cell``.
     """
+    return _trace(cell, k_points, omega_max, scan)
+
+
+def _trace(cell, k_points, omega_max, scan, *, lowest=False) -> list[Branch]:
+    """``trace_branches``; with ``lowest``, branch 1 alone, from each K's lowest root."""
     if k_points < 2:
         raise ValueError("k_points must be at least 2")
     scan = _scan_of(cell, omega_max, scan)
@@ -694,8 +723,8 @@ def trace_branches(
     k_grid = np.linspace(0.0, math.pi / period, k_points)
     include_origin = effective_model(cell).regime in (Regime.POSITIVE, Regime.POLE)
 
-    roots, counts = _scan_roots_batch(scan, targets := np.cos(k_grid * period))
-    if targets[0] == 1.0 and targets[-1] == -1.0:  # the stopband edges, kept for stopbands
+    roots, counts = _scan_roots_batch(scan, targets := np.cos(k_grid * period), lowest=lowest)
+    if not lowest and targets[0] == 1.0 and targets[-1] == -1.0:  # kept for stopbands
         edges = np.concatenate([roots[: counts[0]], roots[roots.size - counts[-1] :]])
         object.__setattr__(scan, "_edges", (edges, counts[[0, -1]]))
     # At K = 0 the node omega = 0 is an exact root; it is kept, as the
@@ -712,10 +741,12 @@ def trace_branches(
     present = np.arange(n_branches) < counts[:, None]
     table = np.zeros((k_points, n_branches))
     table[present] = roots
-    return [
+    branches = [
         Branch(index=j + 1, k=k_grid[present[:, j]], omega=table[present[:, j], j])
         for j in range(n_branches)
     ]
+    # With the origin kept, K = 0 holds 0.0 and its lowest positive root.
+    return branches[:1] if lowest else branches
 
 
 def stopbands(
@@ -907,9 +938,11 @@ def find_flat_capacitance(
 
     The candidates C*/S = 1/M3(omega*) at the roots omega* of r (see
     ``_flat_band_candidates``) that lie in the bracket are tried in
-    ascending omega*; the first whose traced first branch has a relative
-    spread below flatness_tol is returned. At C* the pole at omega* cancels,
-    so that branch holds omega* at every K.
+    ascending omega*; the first whose first branch has a relative spread
+    below flatness_tol is returned. At C* the pole at omega* cancels, so
+    that branch holds omega* at every K. Each candidate is judged on its
+    first branch alone: one scan, and only the lowest root of each K
+    bisected, which are ``trace_branches(...)[0]`` bit for bit.
 
     Args:
         cell: Template cell (its own c_over_s is ignored).
@@ -924,6 +957,8 @@ def find_flat_capacitance(
             or holds no candidate C*/S = 1/M3(omega*) with r(omega*) = 0.
         NumericalError: If no candidate in the bracket gives a first branch
             flat to flatness_tol.
+        ValueError: If k_points < 2, or omega_max is not positive and finite
+            or spans more bands than the base scan resolves.
     """
     c_lo, c_hi = sorted(bracket)
     c_inf, c_zero = special_capacitances(cell)
@@ -941,7 +976,7 @@ def find_flat_capacitance(
             "r(omega*) = 0 lies in it"
         )
     for gamma in c_star.tolist():
-        branches = trace_branches(cell.with_c_over_s(gamma), k_points, omega_max)
+        branches = _trace(cell.with_c_over_s(gamma), k_points, omega_max, None, lowest=True)
         if branches and branch_flatness(branches[0]) < flatness_tol:
             return gamma
     raise NumericalError(

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -533,16 +534,44 @@ class TestFlatBands:
             assert flat.omega[0] in shared
 
     def test_find_flat_capacitance_runs_one_trace(self, cell, monkeypatch):
-        calls = []
-        trace = bs.trace_branches
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return trace(*args, **kwargs)
-
-        monkeypatch.setattr(bs, "trace_branches", counted)
+        # The one candidate is judged on its first branch alone: one scan and
+        # one root search, with no full trace.
+        calls = {name: 0 for name in ("trace_branches", "scan_frequencies", "_scan_roots_batch")}
+        for name in calls:
+            monkeypatch.setattr(bs, name, counted_calls(calls, name, getattr(bs, name)))
         assert bs.find_flat_capacitance(cell, (-16.5e-6, -16.2e-6)) == C_STAR
-        assert len(calls) == 1
+        assert calls == {"trace_branches": 0, "scan_frequencies": 1, "_scan_roots_batch": 1}
+
+    def test_first_branch_check_matches_the_full_trace(self):
+        # Every candidate C*/S inside the negative-stiffness interval is
+        # judged on the lowest root of each K; those roots must be branch 1
+        # of the full trace bit for bit, and so must the flatness verdict.
+        draws = np.random.default_rng(3)
+        cells = [default_cell()] + [random_cell(draws, allow_zero_e=False) for _ in range(300)]
+        checked = flat = 0
+        for cell, scale in itertools.product(cells, (1.0, 10.0)):
+            omega_max = scale * bs.default_omega_max(cell)
+            c_inf, c_zero = special_capacitances(cell)
+            _, c_star = bs._flat_band_candidates(cell, omega_max)
+            for gamma in c_star[(c_star > c_zero) & (c_star < c_inf)].tolist():
+                shunted = cell.with_c_over_s(gamma)
+                scan = bs.scan_frequencies(shunted, omega_max)
+                first = bs._trace(shunted, 40, None, scan, lowest=True)
+                branches = bs.trace_branches(shunted, 40, scan=scan)
+                assert len(first) == min(len(branches), 1)
+                if first:
+                    assert first[0].index == 1
+                    assert first[0].k.tobytes() == branches[0].k.tobytes()
+                    assert first[0].omega.tobytes() == branches[0].omega.tobytes()
+                    verdict = bs.branch_flatness(first[0]) < bs.DEFAULT_FLATNESS_TOL
+                    assert verdict == (bs.detect_flat_bands(branches[:1]) != [])
+                    flat += verdict
+                checked += 1
+        assert checked >= 300 and 0 < flat < checked
+
+    def test_find_flat_capacitance_rejects_bad_k_points(self, cell):
+        with pytest.raises(ValueError, match="k_points"):
+            bs.find_flat_capacitance(cell, (-16.5e-6, -16.2e-6), k_points=1)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_tolerance_must_be_positive_and_finite(self, tol):
@@ -556,6 +585,16 @@ class TestFlatBands:
     def test_bracket_outside_interval_raises(self, cell):
         with pytest.raises(bs.BracketError, match="interval"):
             bs.find_flat_capacitance(cell, (-15e-6, -14e-6), k_points=80)
+
+
+def counted_calls(calls, name, func):
+    """func, counting its calls in calls[name]."""
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return func(*args, **kwargs)
+
+    return counted
 
 
 def phase_levels(cell, omega_max):

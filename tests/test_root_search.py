@@ -444,8 +444,9 @@ def random_cell_bisections():
     Each cell is scanned on the default or the 10x window, its roots of
     awkward targets searched (h - t in free intervals, g_t in blocked ones,
     with _locate's sign-verified pairs at the poles) and the roots of r
-    located (_locate's pairs again). Cell i goes to rtol i % 4, and each
-    group of four cells alternates the window.
+    located (_locate's pairs again). Only the pairs that _locate had to
+    widen past _POLE_RTOL reach _bisect. Cell i goes to rtol i % 4, and
+    each group of four cells alternates the window.
     """
     draws, rng = np.random.default_rng(17), np.random.default_rng(18)
     calls = {rtol: [] for rtol in SPECULATION_RTOLS}
@@ -468,7 +469,9 @@ def test_speculative_bisection_matches_plain_loop_on_random_cells(
     rtol, random_cell_bisections, monkeypatch
 ):
     # Every root bit matches the plain loop, whatever the predictions, on
-    # brackets of every kind, from 2 to 6 levels a call.
+    # brackets of every kind, from 2 to 6 levels a call. _locate's pairs
+    # reach _bisect only when widened, too few to count on here; the pairs
+    # it does not bisect are held to an always-bisecting reference below.
     seen = dict.fromkeys(["h - t", "g_t", "locate"], 0)
     monkeypatch.setattr(bs, "_SPECULATION_BRACKETS", math.inf)
     for i, (func, lo, hi, f_lo, f_hi, residual_tol) in enumerate(random_cell_bisections[rtol]):
@@ -478,7 +481,108 @@ def test_speculative_bisection_matches_plain_loop_on_random_cells(
         assert_bisection_matches_plain_loop(
             func, lo, hi, f_lo, f_hi, rtol=rtol, residual_tol=residual_tol, check_mids=False
         )
-    assert min(seen.values()) >= 10
+    assert min(seen["h - t"], seen["g_t"]) >= 10
+
+
+def test_lowest_roots_are_the_first_of_the_full_search():
+    # With lowest, each target keeps its lowest root above omega = 0: the
+    # first positive root of the full search, bit for bit, on awkward
+    # targets (node zeros, roots next to poles) in every regime, and branch
+    # 1 of a trace, the origin kept where c_eff > 0, comes out the same.
+    draws, rng = np.random.default_rng(19), np.random.default_rng(20)
+    for i in range(100):
+        cell = shunted_cell(draws)
+        scan = bs.scan_frequencies(cell, (10.0 if i % 2 else 1.0) * bs.default_omega_max(cell))
+        targets = np.append(awkward_targets(scan, rng), 1.0)
+        roots, counts = bs._scan_roots_batch(scan, targets)
+        lowest, lowest_counts = bs._scan_roots_batch(scan, targets, lowest=True)
+        groups = np.split(roots, np.cumsum(counts)[:-1])
+        expected = [g[g > 0.0][:1] for g in groups]
+        assert lowest_counts.tolist() == [g.size for g in expected]
+        assert lowest.tobytes() == np.concatenate(expected).tobytes()
+        first = bs._trace(cell, 40, None, scan, lowest=True)
+        branches = bs.trace_branches(cell, 40, scan=scan)
+        assert [(b.index, b.k.tobytes(), b.omega.tobytes()) for b in first] == [
+            (b.index, b.k.tobytes(), b.omega.tobytes()) for b in branches[:1]
+        ]
+
+
+def reference_locate(model, func, x, lo, hi, rising):
+    """_locate's Newton run and sign-verified pairs, every pair then bisected.
+
+    The pairs are refined by the plain loop to _POLE_RTOL, whether or not
+    both halves are already within it.
+    """
+    a, b = lo, hi
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(60):
+            f, df = model(x)
+            below = (f < 0.0) == rising
+            a, b = np.where(below, x, a), np.where(below, b, x)
+            step = x - f / df
+            x, last = np.where(((step > a) & (step < b)) | (step == x), step, 0.5 * (a + b)), x
+            if np.all(np.abs(x - last) <= bs._POLE_RTOL / 4 * np.abs(last)):
+                break
+    a, b, f_a = (np.empty_like(x) for _ in range(3))
+    todo, delta = np.arange(x.size), bs._POLE_RTOL / 4
+    while todo.size:
+        pair = np.clip(np.outer([1.0 - delta, 1.0 + delta], x[todo]), lo[todo], hi[todo])
+        f = func(pair.ravel()).reshape(pair.shape)
+        zero = f == 0.0
+        a[todo] = np.where(zero[1] & ~zero[0], pair[1], pair[0])
+        b[todo], f_a[todo] = np.where(zero[0], pair[0], pair[1]), f[0]
+        done = np.sign(f[0]) * np.sign(f[1]) <= 0.0
+        todo, delta = todo[~done], 16.0 * delta
+    return reference_bisect(func, a, b, f_a, rtol=bs._POLE_RTOL)[0]
+
+
+def test_located_roots_match_always_bisecting_reference(monkeypatch):
+    # The poles and flat-band candidates of the 300 cells and windows of
+    # random_cell_bisections, bit for bit, whether _locate bisected a pair
+    # or returned the mid of one already within _POLE_RTOL.
+    draws, bisect = np.random.default_rng(17), bs._bisect
+    located = widened = 0
+
+    def counted(func, lo, hi, f_lo, f_hi, **kwargs):
+        nonlocal widened
+        widened += lo.size
+        return bisect(func, lo, hi, f_lo, f_hi, **kwargs)
+
+    for i in range(300):
+        cell = shunted_cell(draws)
+        omega_max = (10.0 if i // 4 % 2 else 1.0) * bs.default_omega_max(cell)
+        with monkeypatch.context() as patch:
+            patch.setattr(bs, "_bisect", counted)
+            found = [bs._find_poles(cell, omega_max), *bs._flat_band_candidates(cell, omega_max)]
+        with monkeypatch.context() as patch:
+            patch.setattr(bs, "_locate", reference_locate)
+            expected = [bs._find_poles(cell, omega_max), *bs._flat_band_candidates(cell, omega_max)]
+        assert [a.tobytes() for a in found] == [a.tobytes() for a in expected]
+        located += found[0].size + found[1].size
+    assert 0 < widened < located / 10
+
+
+@pytest.mark.parametrize("levels", [1, 6])
+@pytest.mark.parametrize("rtol", [bs.ROOT_RTOL, 1e-14])
+@pytest.mark.parametrize("f_mid", [1.0, -1.0, 0.0])
+def test_bracket_within_rtol_returns_its_mid(f_mid, rtol, levels, monkeypatch):
+    # Both halves within rtol*|mid| and no residual test: the first pass
+    # converges whichever way f(mid) moves the bracket, or hits a zero, so
+    # _bisect returns 0.5*(lo + hi) from one func call. _locate relies on it.
+    monkeypatch.setattr(bs, "_SPECULATION_BRACKETS", 0 if levels == 1 else 1000)
+    lo = np.array([1.0, -3.0, 7e5, 2e-3, -4e-7, 5.0, 1e300])
+    hi = lo + np.array([1.99, 1.5, 1.0, 0.5, 0.01, 0.0, 1.99]) * rtol * np.abs(lo)
+    mid = 0.5 * (lo + hi)
+    assert np.all(np.maximum(mid - lo, hi - mid) <= rtol * np.abs(mid))
+    calls = []
+
+    def func(x, live):
+        calls.append(x.size)
+        return np.full(x.size, f_mid)
+
+    roots = bs._bisect(func, lo, hi, np.ones(lo.size), -np.ones(lo.size), rtol=rtol)
+    assert roots.tobytes() == mid.tobytes()
+    assert calls == [lo.size * levels]
 
 
 @pytest.mark.parametrize("levels", [1, 6])
