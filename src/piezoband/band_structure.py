@@ -88,12 +88,13 @@ DEFAULT_FLATNESS_TOL = 1e-3
 _POLE_RTOL = 1e-14
 # Speculative bisection (``_bisect_ahead``) evaluates _MAX_LEVELS passes a
 # kernel call, up to _SPECULATION_BRACKETS brackets. A half-trace call costs
-# a fixed 75-85 us of numpy calls plus about 100 ns a point (80 us at 100
-# points, 490 us at 4096), and the replay about as much again a point and
-# level: the saved calls pay for it up to about a thousand brackets. Root
-# searches of the shipped cell with 6 levels against 1: 3.0 against 4.7 ms
-# at 399 brackets, 5.0 against 5.7 ms at 799, 10.2 against 7.9 ms at 1599,
-# 40 against 29 ms at 7993 (in process, shared 2-core Xeon).
+# a fixed 25-30 us of numpy calls plus about 110 ns a point (33 us at 100
+# points, 465 us at 4096; process time, best of 5), and the replay about as
+# much again a point and level: the saved calls pay for it up to about a
+# thousand brackets. Root searches of the shipped cell with 6 levels against
+# 1, on the four-entry kernel: 3.0 against 4.7 ms at 399 brackets, 5.0
+# against 5.7 ms at 799, 10.2 against 7.9 ms at 1599, 40 against 29 ms at
+# 7993 (in process, shared 2-core Xeon).
 _SPECULATION_BRACKETS = 1000
 _MAX_LEVELS = 6
 
@@ -156,9 +157,12 @@ def default_omega_max(cell: ShuntedCell) -> float:
 
 
 def half_trace_values(cell: ShuntedCell, omega) -> np.ndarray:
-    """Half-trace of the cell matrix, elementwise over omega (unchecked)."""
-    t11, _, _, t22 = monodromy_entries(cell, omega)
-    return 0.5 * (t11 + t22)
+    """Half-trace of the cell matrix, elementwise over omega (unchecked).
+
+    One half-trace-only kernel call: 0.5*(t11 + t22) of ``monodromy_entries``
+    bit for bit, with no t12 or t21 formed.
+    """
+    return monodromy_entries(cell, omega, half_trace=True)
 
 
 def bloch_wavenumber(cell: ShuntedCell, omega: float) -> tuple[float, float]:
@@ -884,9 +888,14 @@ def detect_flat_bands(
     Raises:
         ValueError: If flatness_tol is not positive and finite.
     """
+    _check_flatness_tol(flatness_tol)
+    return [b for b in branches if branch_flatness(b) < flatness_tol]
+
+
+def _check_flatness_tol(flatness_tol: float) -> None:
+    """Raise ValueError unless flatness_tol is positive and finite."""
     if not (math.isfinite(flatness_tol) and flatness_tol > 0.0):
         raise ValueError(f"flatness_tol must be positive and finite, got {flatness_tol!r}")
-    return [b for b in branches if branch_flatness(b) < flatness_tol]
 
 
 def _flat_band_candidates(cell: ShuntedCell, omega_max: float) -> tuple[np.ndarray, np.ndarray]:
@@ -957,9 +966,12 @@ def find_flat_capacitance(
             or holds no candidate C*/S = 1/M3(omega*) with r(omega*) = 0.
         NumericalError: If no candidate in the bracket gives a first branch
             flat to flatness_tol.
-        ValueError: If k_points < 2, or omega_max is not positive and finite
-            or spans more bands than the base scan resolves.
+        ValueError: If flatness_tol is not positive and finite (checked
+            before any scan), if k_points < 2, or if omega_max is not
+            positive and finite or spans more bands than the base scan
+            resolves.
     """
+    _check_flatness_tol(flatness_tol)
     c_lo, c_hi = sorted(bracket)
     c_inf, c_zero = special_capacitances(cell)
     if not (c_zero < c_lo < c_inf and c_zero < c_hi < c_inf):

@@ -18,8 +18,10 @@ One set of private per-layer helpers serves every array function:
 once, ``_layer`` adds the bare-layer entries, ``_coupling`` the shunt
 coefficients M1, M2, M3 (sharing the piezo sinc), and ``_piezo`` the
 shunted piezo entries. ``monodromy_entries`` is the fused cell kernel:
-it writes t11, t12, t21, t22 into one preallocated (4, n) array,
-``_BLOCK`` frequencies at a time, with in-place ufuncs. ``_cell_parts``
+it writes t11, t12, t21, t22 into one preallocated (4, n) array, or with
+``half_trace`` only 0.5*(t11 + t22), the one value the spectrum reads,
+into an n-array (no t12 or t21 formed), ``_BLOCK`` frequencies at a time,
+with in-place ufuncs. ``_cell_parts``
 splits the half-trace into the parts h0, r, M3 that do not depend on C/S;
 it serves flat bands, the pole-free root search next to poles and, at
 complex omega, the group velocity, and defines no root bit.
@@ -220,16 +222,28 @@ def _cell_parts(cell: ShuntedCell, omega):
 
 
 def _cell_block(cell: ShuntedCell, omega: np.ndarray, out: np.ndarray) -> None:
-    """Write t = b @ a for one block of 1-D omega into the rows of out.
+    """Write t = b @ a, or its half-trace, for one block of 1-D omega into out.
 
     t11 = b11*a11 + b12*a21, t12 = b11*a12 + b12*a22, t21 = b21*a11 + b22*a21
-    and t22 = b21*a12 + b22*a22.
+    and t22 = b21*a12 + b22*a22. A (4, n) out takes the four entries; a 1-D
+    out takes 0.5*(t11 + t22) alone, with no t12 or t21 formed.
     """
     el = cell.elastic
     _, _, a11, a12, a21 = _layer(el.rho, el.c, el.d, omega)
     b11, b12, b21, b22 = _piezo(cell, omega)
+    # t = b @ a, where a22 is a11. b11 and b22 are one array on an open
+    # circuit or with e == 0, so neither is written in place.
+    if out.ndim == 1:
+        np.multiply(b11, a11, out=out)
+        b12 *= a21
+        out += b12
+        b21 *= a12
+        a11 *= b22
+        b21 += a11
+        out += b21
+        out *= 0.5
+        return
     t11, t12, t21, t22 = out
-    # t = b @ a, where a22 is a11.
     np.multiply(b11, a11, out=t11)
     np.multiply(b11, a12, out=t12)
     np.multiply(b21, a11, out=t21)
@@ -244,18 +258,22 @@ def _cell_block(cell: ShuntedCell, omega: np.ndarray, out: np.ndarray) -> None:
     t22 += tmp
 
 
-def monodromy_entries(cell: ShuntedCell, omega):
+def monodromy_entries(cell: ShuntedCell, omega, *, half_trace: bool = False):
     """Entries (t11, t12, t21, t22) of m2 @ m1, elementwise over omega.
 
     Evaluated in blocks of ``_BLOCK`` frequencies into one (4, n) array.
-    Same unchecked-near-poles contract as ``m_piezo_shunted_entries``.
+    With ``half_trace`` only 0.5*(t11 + t22) is formed, into one array of
+    omega's shape, bit for bit the sum of the two entries. Same
+    unchecked-near-poles contract as ``m_piezo_shunted_entries``.
     """
     omega = np.asarray(omega, dtype=float)
     flat = omega.reshape(-1)
-    out = np.empty((4, flat.size))
+    out = np.empty(flat.size if half_trace else (4, flat.size))
     for start in range(0, flat.size, _BLOCK):
         stop = start + _BLOCK
-        _cell_block(cell, flat[start:stop], out[:, start:stop])
+        _cell_block(cell, flat[start:stop], out[..., start:stop])
+    if half_trace:
+        return out.reshape(omega.shape)
     return tuple(out.reshape((4,) + omega.shape))
 
 

@@ -390,7 +390,10 @@ class TestStopbands:
         calls = []
         kernel = bs.monodromy_entries
         with monkeypatch.context() as patch:
-            patch.setattr(bs, "monodromy_entries", lambda *args: calls.append(1) or kernel(*args))
+            patch.setattr(
+                bs, "monodromy_entries",
+                lambda *args, **kwargs: calls.append(1) or kernel(*args, **kwargs),
+            )
             reused = bs.stopbands(shunted, scan=scan)
         assert not calls
         assert reused == bs.stopbands(shunted, omega_max)
@@ -577,6 +580,19 @@ class TestFlatBands:
     def test_tolerance_must_be_positive_and_finite(self, tol):
         with pytest.raises(ValueError, match="flatness_tol"):
             bs.detect_flat_bands([], tol)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_find_flat_capacitance_rejects_bad_tolerance_before_scanning(
+        self, cell, monkeypatch, tol
+    ):
+        # The same ValueError as detect_flat_bands, raised before the search
+        # spends a scan or a kernel call on a verdict it cannot reach.
+        calls = {name: 0 for name in ("scan_frequencies", "monodromy_entries", "_cell_parts")}
+        for name in calls:
+            monkeypatch.setattr(bs, name, counted_calls(calls, name, getattr(bs, name)))
+        with pytest.raises(ValueError, match="flatness_tol must be positive and finite"):
+            bs.find_flat_capacitance(cell, (-16.5e-6, -16.2e-6), flatness_tol=tol)
+        assert calls == {"scan_frequencies": 0, "monodromy_entries": 0, "_cell_parts": 0}
 
     def test_same_sign_bracket_raises(self, cell):
         with pytest.raises(bs.BracketError, match=r"no C\*/S = 1/M3\(omega\*\)"):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from piezoband import transfer_matrix
+from piezoband.band_structure import _find_poles, default_omega_max, half_trace_values
 from piezoband.materials import ElasticLayer, PiezoLayer, ShuntedCell, default_cell
 from piezoband.quasistatic import special_capacitances
 from piezoband.transfer_matrix import (
@@ -347,8 +348,14 @@ def bits(values):
     return [(np.shape(v), np.asarray(v, dtype=float).tobytes()) for v in values]
 
 
+def plain_half_trace(cell, omega):
+    t11, _, _, t22 = plain_monodromy_entries(cell, omega)
+    return 0.5 * (t11 + t22)
+
+
 def assert_kernels_match_plain(cell, omega):
     assert bits(monodromy_entries(cell, omega)) == bits(plain_monodromy_entries(cell, omega))
+    assert bits([half_trace_values(cell, omega)]) == bits([plain_half_trace(cell, omega)])
     assert bits(m_elastic_entries(cell, omega)) == bits(plain_elastic_entries(cell, omega))
     with np.errstate(divide="ignore", invalid="ignore"):
         got, expected = m_piezo_shunted_entries(cell, omega), plain_piezo_entries(cell, omega)
@@ -461,6 +468,59 @@ def test_block_size_moves_no_bit(monkeypatch):
             monkeypatch.setattr(transfer_matrix, "_BLOCK", block)
             got.append(bits(monodromy_entries(cell, omega)))
         assert got[0] == got[1]
+
+
+class TestHalfTraceKernel:
+    """half_trace=True gives 0.5*(t11 + t22) of the plain formulas, bit for bit."""
+
+    @staticmethod
+    def assert_half_trace_bits(cell, omega):
+        # Non-finite values, as at nan or inf omega, compare by their bits
+        # too.
+        with np.errstate(all="ignore"):
+            got = monodromy_entries(cell, omega, half_trace=True)
+            t11, _, _, t22 = monodromy_entries(cell, omega)
+            expected = plain_half_trace(cell, omega)
+        assert bits([got]) == bits([expected]) == bits([0.5 * (t11 + t22)])
+
+    def test_random_cells_on_wide_windows_and_at_poles(self):
+        # Each random draw as drawn and, with e != 0, shunted inside its
+        # negative-stiffness interval, where it has poles; on the 1x, 10x
+        # and 50x windows, with every pole and its two float neighbours.
+        draws = np.random.default_rng(6)
+        cells = oracle_cells()[:5]
+        for _ in range(150):
+            cell = random_cell(draws)
+            cells.append(cell)
+            if cell.piezo.e != 0.0:
+                c_inf, c_zero = special_capacitances(cell)
+                cells.append(cell.with_c_over_s(c_zero + draws.uniform(0.05, 0.95) * (c_inf - c_zero)))
+        assert sum(not has_shunt_correction(c) for c in cells) >= 30
+        poles = 0
+        for cell, factor in ((c, f) for c in cells for f in (1.0, 10.0, 50.0)):
+            omega_max = factor * default_omega_max(cell)
+            at = _find_poles(cell, omega_max)
+            near = [at, np.nextafter(at, 0.0), np.nextafter(at, math.inf)]
+            omega = np.concatenate([np.linspace(0.0, omega_max, 4001)] + near)
+            self.assert_half_trace_bits(cell, omega)
+            poles += at.size
+        assert poles >= 400
+
+    def test_open_circuit_zero_coupling_and_non_finite_frequencies(self):
+        # The shipped cell open (b11 and b22 are one array there) and
+        # shunted, and an e == 0 cell (one array too).
+        omega = np.concatenate([np.linspace(0.0, 3e7, 1001), [math.nan, math.inf, -math.inf, -2e6]])
+        for cell in oracle_cells()[:5]:
+            self.assert_half_trace_bits(cell, omega)
+
+    @pytest.mark.parametrize("block", [1, 7, 8192])
+    def test_block_size_moves_no_bit(self, monkeypatch, block):
+        rng = np.random.default_rng(7)
+        monkeypatch.setattr(transfer_matrix, "_BLOCK", block)
+        for cell in oracle_cells()[:5]:
+            omega = TestKernelBitsMatchPlainFormulas.frequencies(cell, rng, 300)
+            self.assert_half_trace_bits(cell, omega)
+            self.assert_half_trace_bits(cell, omega.reshape(4, 75))
 
 
 class TestCellParts:
