@@ -29,13 +29,18 @@ sorted once; each pole-free scan interval finds its candidate targets by
 binary search on its two end values and keeps those that pass the strict
 sign-change test, so the cost is O(nodes * log targets + brackets) with no
 targets x nodes temporary. Root refinement is bisection only, which never
-leaves its bracket; it drops finished brackets each pass and evaluates a
-mid shared by brackets once. Up to ``_SPECULATION_BRACKETS`` brackets,
-where a kernel call costs mostly its fixed part, one call evaluates the
-mids of several passes along the path a secant estimate predicts, and
-bisection is replayed on their signs: a bracket takes a pass only where
-the earlier ones went as predicted, so no root bit depends on the
-estimate. ``stopbands`` reuses a trace's h = +-1 roots.
+leaves its bracket, and evaluates a mid shared by brackets once. Up to
+``_SPECULATION_BRACKETS`` brackets, where a kernel call costs mostly its
+fixed part, one call evaluates the mids of several passes along the path
+a secant estimate predicts, and bisection is replayed on their signs: a
+bracket takes a pass only where the earlier ones went as predicted. A
+larger set interpolates each scan interval that holds brackets at 9
+Chebyshev points, all in one kernel call, and replays without the kernel
+every pass whose sign the proxy's root makes certain and whose tests
+cannot succeed yet; each round's one call checks that the ends so moved
+keep their signs and evaluates the next mid. So no root bit depends on a
+prediction: a wrong one costs points. ``stopbands`` reuses a trace's
+h = +-1 roots.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ import numpy as np
 from .materials import ShuntedCell
 from .quasistatic import Regime, effective_model, special_capacitances
 from .transfer_matrix import (
+    _BLOCK,
     _cell_parts,
     has_shunt_correction,
     monodromy,
@@ -91,12 +97,37 @@ _POLE_RTOL = 1e-14
 # a fixed 25-30 us of numpy calls plus about 110 ns a point (33 us at 100
 # points, 465 us at 4096; process time, best of 5), and the replay about as
 # much again a point and level: the saved calls pay for it up to about a
-# thousand brackets. Root searches of the shipped cell with 6 levels against
-# 1, on the four-entry kernel: 3.0 against 4.7 ms at 399 brackets, 5.0
-# against 5.7 ms at 799, 10.2 against 7.9 ms at 1599, 40 against 29 ms at
-# 7993 (in process, shared 2-core Xeon).
+# thousand brackets. Larger sets are steered by proxies. Steering the small
+# sets too took capacitance_study (20 searches of 200-400 brackets) from 40
+# to 27 ops/s: their sign replays and proxy Newton runs are some thousand
+# numpy calls a search, whatever its size (shared 2-core Xeon).
 _SPECULATION_BRACKETS = 1000
 _MAX_LEVELS = 6
+# Larger sets are steered by proxy roots (``_proxy_roots``): each scan
+# interval is interpolated at the 9 Chebyshev-Lobatto points s_j =
+# -cos(j*pi/8) of [-1, 1] (Boyd, SIAM J. Numer. Anal. 40(5), 2002), in powers
+# of s for Horner: coefficients a = _POWERS @ samples. The Chebyshev tail is
+# c_7 = a_7/64 and c_8 = a_8/128. A base interval of the 50x window spans a
+# tenth of a band, where c_7 and c_8 of the half-trace fall to about 1e-13,
+# so 8*(|c_7| + |c_8|) bounds the interpolation error with room to spare.
+# 1e-12 of the size of the terms, max|A| + |t|*max|D| over the samples of
+# f = A - t*D, covers the kernel's rounding: on the c08 cells, next to the
+# quasistatic pole, h of order 1 carries 1e-14 of it. The residual radius
+# takes RESIDUAL_TOL/|p'| 1/8 wider, for the curvature of p between the
+# proxy root and a mid.
+_LOBATTO = -np.cos(np.arange(9) * (math.pi / 8))
+# Column j holds the Lagrange basis polynomial of s_j, from its roots (no
+# BLAS or LAPACK call, which would start their thread buffers at import).
+_POWERS = np.array([
+    np.poly(np.delete(_LOBATTO, j))[::-1] / np.prod(_LOBATTO[j] - np.delete(_LOBATTO, j))
+    for j in range(9)
+]).T
+_ROUNDING, _RESIDUAL_MARGIN = 1e-12, 1.125
+# Newton evaluations of each proxy at most, from regula falsi between the
+# samples across its sign change: on the wide-window benchmark's cells two
+# or three bring |p| within its error bound for all but 126 of 143 524
+# brackets, and none takes more than five.
+_NEWTON_STEPS = 8
 
 
 class BracketError(ValueError):
@@ -218,75 +249,207 @@ class FrequencyScan:
     _edges: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 
-def _bisect(func, lo, hi, f_lo, f_hi, *, rtol, residual_tol=None, max_iter=200):
+def _bisect(func, lo, hi, f_lo, f_hi, *, rtol, residual_tol=None, max_iter=200, guess=None):
     """Vectorized bisection on 1-D arrays of brackets with f(lo)*f(hi) < 0.
 
     ``func(x, live)`` evaluates the residual at the points x of the
-    brackets whose input positions are ``live``. A bracket finishes when
-    its interval is relatively tight (and, if requested, the residual at
-    the returned point is small), when it hits an exact zero, or when the
-    floating-point grid is exhausted. Finished brackets leave the working
-    arrays in the pass they finish, so ``func`` sees only live brackets.
-    The ends are one (2, n) array; each pass scatters mid into row 0 where
-    f(mid) has the sign of f(lo), else into row 1 (slots row*n + arange(n)).
-    Before pass floor(log2(w/(rtol*m))) - 2 (w the narrowest bracket, m the
-    largest |end|, rtol >= 2^-50, m >= 2^-1000) every bracket is wider than
-    8*rtol*m - 2^-52*m, so none can converge or be stuck: those passes test
-    only for exact zeros, and each bracket ends in the pass it would anyway.
+    brackets whose input positions are ``live``. Each pass sets mid =
+    0.5*(lo + hi) and moves lo there where f(mid) has the sign of f(lo),
+    else hi. A bracket finishes at mid when the width after the move is
+    relatively tight (and, if requested, |f(mid)| is small), when f(mid) is
+    an exact zero, or when the floating-point grid is exhausted.
 
     Up to ``_SPECULATION_BRACKETS`` brackets, where one pass a call would
     pay the kernel's fixed cost each pass, ``_MAX_LEVELS`` passes share a
     func call (``_bisect_ahead``): the call takes the mids of the path that
     a secant estimate predicts (regula falsi through f(lo) and f(hi) at
     first), and bisection is replayed on their values. A bracket takes a
-    level only while its earlier levels went as predicted, so each move is
-    bisection's own, on the sign at its own mid, and each test the pass's
-    own: no bit of a root depends on the estimate, and a wrong prediction
-    costs points, never a bit. The bracket count at the call decides, so
-    the 8 000 to 40 000 brackets of a wide window run one pass a call.
+    level only while its earlier levels went as predicted.
 
-    The returned point is always one whose residual was actually
-    evaluated, never an unchecked interval center.
+    Larger sets go in rounds of one func call per block of ``_BLOCK``
+    brackets. A guess (root, radius, slope) per bracket, a proxy's root x
+    with its error radius and |slope| (``_proxy_roots``), lets ``_replay``
+    take passes without func: where mid lies outside x +- radius, f(mid)
+    has the sign of the side of x it lies on, and the pass goes ahead while
+    its tests cannot succeed: the width after the move is too large, or
+    mid lies outside x +- far, far = radius + 1.125*residual_tol/slope, so
+    |f(mid)| exceeds residual_tol. The round's call then takes the ends the
+    replay moved, which must keep the signs of the original ends (and |f|
+    > residual_tol outside x +- far), and the mid of the next pass, which
+    the kernel decides. A bracket whose ends fail restarts from its
+    original ends with no guess; with no guess a round is one plain pass.
+
+    Either way each move is bisection's own, on the kernel's sign at its
+    own mid or on one the proxy makes certain and the kernel checks, and
+    each test the pass's own: no bit of a root depends on a prediction,
+    and a wrong one costs points, never a bit. The returned point is
+    always one whose residual was actually evaluated.
 
     Raises:
         NumericalError: If a bracket is still open after max_iter passes.
     """
     ends = np.array([lo, hi], dtype=float)
-    scale = max(rtol, 2.0**-50) * max(np.abs(ends).max(initial=0.0), 2.0**-1000)
-    bound = np.min(ends[1] - ends[0], initial=np.inf) / scale
-    quiet = math.frexp(bound)[1] - 3 if 1.0 <= bound < math.inf else 0  # floor(log2) - 2
     if ends.shape[1] <= _SPECULATION_BRACKETS:
+        # Before pass floor(log2(w/(rtol*m))) - 2 (w the narrowest bracket, m
+        # the largest |end|, rtol >= 2^-50, m >= 2^-1000) every bracket is
+        # wider than 8*rtol*m - 2^-52*m, so none can converge or be stuck.
+        scale = max(rtol, 2.0**-50) * max(np.abs(ends).max(initial=0.0), 2.0**-1000)
+        bound = np.min(ends[1] - ends[0], initial=np.inf) / scale
+        quiet = math.frexp(bound)[1] - 3 if 1.0 <= bound < math.inf else 0  # floor(log2) - 2
         f_lo, f_hi = np.asarray(f_lo, dtype=float), np.asarray(f_hi, dtype=float)
         args = (quiet, rtol, residual_tol, max_iter)
         return _bisect_ahead(func, ends[0], ends[1], f_lo, f_hi, *args)
-    positive = np.asarray(f_lo, dtype=float) > 0.0  # moving lo keeps sign(f(lo))
-    result = np.empty(ends.shape[1])
-    live = index = np.arange(ends.shape[1])
-    for npass in range(max_iter):
-        if not live.size:
-            return result
-        lo, hi = ends
-        mid = 0.5 * (lo + hi)
-        stuck = npass >= quiet and (mid <= lo) | (mid >= hi)
-        f_mid = func(mid, live)
-        ends.reshape(-1)[((f_mid > 0.0) != positive) * live.size + index[: live.size]] = mid
-        finished = f_mid == 0.0
-        if npass >= quiet:
-            converged = (hi - lo) <= rtol * np.abs(mid)
+    lo, hi = ends[0].copy(), ends[1].copy()
+    positive, n = np.asarray(f_lo, dtype=float) > 0.0, ends.shape[1]
+    root, radius, slope = guess if guess is not None else (np.zeros(n), np.full(n, np.inf), np.ones(n))
+    live, passes, result = np.arange(n), np.zeros(n, dtype=np.int32), np.empty(n)
+    restarted = np.zeros(n, dtype=bool)
+    while live.size:
+        done, busy = np.zeros(live.size, dtype=bool), False
+        for start in range(0, live.size, _BLOCK):
+            b = slice(start, start + _BLOCK)
+            e, pos, at_root = ends[:, b], positive[b], root[b]
+            # A restarted bracket has no guess: no mid lies outside x +- inf.
+            reach = np.where(restarted[b], np.inf, radius[b])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                far = reach + _RESIDUAL_MARGIN * (residual_tol or 0.0) / slope[b]
+            mid, moved = _replay(e, at_root, reach, far, passes[b], rtol, residual_tol, max_iter)
+            side, at = np.nonzero(moved)
+            step = np.flatnonzero(passes[b] < max_iter)
+            busy |= bool(step.size or at.size)
+            x = np.concatenate([e[side, at], mid[step]])
+            f = func(x, live[b][np.concatenate([at, step])]) if x.size else x
+            f_end, f_mid = f[: at.size], f[at.size :]
+            # A moved lo keeps the sign of f(lo), a moved hi the other one.
+            kept = ((f_end > 0.0) == (pos[at] != side)) & ((f_end < 0.0) == (pos[at] == side))
+            if residual_tol is not None:
+                # An end where the residual test may have been skipped must fail it.
+                kept &= (np.abs(f_end) > residual_tol) | (np.abs(x[: at.size] - at_root[at]) <= far[at])
+            failed = np.zeros(mid.size, dtype=bool)
+            failed[at[~kept]] = True
+            # The pass at mid, as in a plain loop; a restarted bracket drops it.
+            x = mid[step]
+            stuck = (x <= e[0, step]) | (x >= e[1, step])
+            e[((f_mid > 0.0) != pos[step]).astype(np.intp), step] = x
+            passes[b][step] += 1
+            converged = (e[1, step] - e[0, step]) <= rtol * np.abs(x)
             if residual_tol is not None:
                 converged &= np.abs(f_mid) <= residual_tol
-            finished |= stuck | converged
-        if not finished.any():
-            continue
-        done, keep = np.flatnonzero(finished), np.flatnonzero(~finished)
-        result[live[done]] = mid[done]
-        ends, live, positive = ends.take(keep, axis=1), live.take(keep), positive.take(keep)
-    if live.size:
-        raise NumericalError(
-            f"bisection left {live.size} bracket(s) open after {max_iter} passes; "
-            f"first open bracket [{ends[0, 0]!r}, {ends[1, 0]!r}]"
-        )
+            finished = np.zeros(mid.size, dtype=bool)
+            finished[step] = converged | (f_mid == 0.0) | stuck
+            finished &= ~failed
+            result[live[b][finished]] = mid[finished]
+            done[b] = finished
+            if failed.any():
+                redo = np.flatnonzero(failed)
+                e[0, redo], e[1, redo] = lo[live[b][redo]], hi[live[b][redo]]
+                passes[b][redo], restarted[b][redo] = 0, True
+        if not busy:
+            raise NumericalError(
+                f"bisection left {live.size} bracket(s) open after {max_iter} passes; "
+                f"first open bracket [{ends[0, 0]!r}, {ends[1, 0]!r}]"
+            )
+        keep = np.flatnonzero(~done)
+        live, ends, passes = live[keep], ends[:, keep], passes[keep]
+        positive, restarted = positive[keep], restarted[keep]
+        root, radius, slope = root[keep], radius[keep], slope[keep]
     return result
+
+
+def _replay(ends, root, radius, far, passes, rtol, residual_tol, max_iter):
+    """Take the passes of each bracket that its guess decides, in place.
+
+    Returns (mid, moved): the mid of each bracket's next pass, for func,
+    and which ends moved. While a bracket is wider than 8*tol*m - 2^-52*m
+    (m = max(|lo|, |hi|), tol at least 2^-50), for the
+    floor(log2(w/(tol*m))) - 2 passes after width w, no test on tol can
+    succeed: with tol = rtol no test at all, so ``_sign_passes`` replays
+    the signs alone; with tol = 2^-50 no bracket is stuck, so it then
+    replays the passes whose residual test must fail alike. The passes
+    after those test every condition.
+    """
+    m = ends.shape[1]
+    top = np.maximum(np.abs(ends).max(axis=0), 2.0**-1000)
+    quiet = []
+    for tol in (rtol, 0.0):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = (ends[1] - ends[0]) / (max(tol, 2.0**-50) * top)
+        level = np.where((bound >= 1.0) & (bound < np.inf), np.frexp(bound)[1] - 3, 0)
+        quiet.append(np.minimum(level, max_iter - passes))
+    moved = np.zeros((2, m), dtype=bool)
+    act = np.flatnonzero((quiet[0] > 0) & (radius < np.inf))
+    for limit, reach in ((quiet[0], radius), (quiet[1] - quiet[0], far)):
+        if act.size:
+            lo, hi = ends[0, act], ends[1, act]
+            taken = _sign_passes(lo, hi, root[act], reach[act], limit[act])
+            moved[0, act] |= lo != ends[0, act]
+            moved[1, act] |= hi != ends[1, act]
+            ends[0, act], ends[1, act] = lo, hi
+            passes[act] += taken
+            act = act[taken == limit[act]]
+        if residual_tol is None:
+            break
+    mid, act = np.empty(m), np.arange(m)
+    while act.size:
+        lo, hi = ends[0, act], ends[1, act]
+        c = 0.5 * (lo + hi)
+        d = c - root[act]
+        below, off = d < 0.0, np.abs(d)
+        converged = np.where(below, hi - c, c - lo) <= rtol * np.abs(c)
+        if residual_tol is not None:
+            converged &= off <= far[act]
+        go = (off > radius[act]) & ~converged & (c > lo) & (c < hi) & (passes[act] < max_iter)
+        mid[act] = c
+        act, c, side = act[go], c[go], (~below[go]).astype(np.intp)
+        ends[side, act] = c
+        moved[side, act] = True
+        passes[act] += 1
+    return mid, moved
+
+
+def _sign_passes(lo, hi, root, radius, limit) -> np.ndarray:
+    """Bisect lo, hi in place toward root while mids lie outside root +- radius.
+
+    A bracket takes ``limit`` passes at most; returns the passes taken. The
+    moves are exact bit selects into int64 views, in preallocated buffers:
+    a random select mask makes ``np.where`` branch-bound. Brackets that
+    stop leave the working set once half have.
+    """
+    taken, order = np.zeros(lo.size, dtype=np.intp), np.arange(lo.size)
+    work = [np.stack([lo, hi]), root, radius, limit, taken.copy()]
+    while True:
+        ends, root_w, radius_w, limit_w, taken_w = work
+        n = order.size
+        c, d, off = np.empty(n), np.empty(n), np.empty(n)
+        go, below, move = np.empty(n, dtype=bool), np.empty(n, dtype=bool), np.empty((2, n), dtype=bool)
+        mask, diff = np.empty((2, n), dtype=np.int64), np.empty((2, n), dtype=np.int64)
+        bits = ends.view(np.int64)
+        while True:
+            np.add(ends[0], ends[1], out=c)
+            c *= 0.5
+            np.subtract(c, root_w, out=d)
+            np.abs(d, out=off)
+            np.greater(off, radius_w, out=go)
+            np.less(taken_w, limit_w, out=below)
+            go &= below
+            count = np.count_nonzero(go)
+            if 2 * count < n:
+                break
+            np.less(d, 0.0, out=below)
+            np.logical_and(below, go, out=move[0])
+            np.not_equal(go, move[0], out=move[1])
+            # ends ^= (ends ^ c) & -move: c where move, ends elsewhere.
+            np.copyto(mask, move, casting="unsafe")
+            np.negative(mask, out=mask)
+            np.bitwise_xor(bits, c.view(np.int64), out=diff)
+            diff &= mask
+            bits ^= diff
+            taken_w += go
+        lo[order], hi[order], taken[order] = ends[0], ends[1], taken_w
+        if not count:
+            return taken
+        keep = np.flatnonzero(go)
+        order, work = order[keep], [w[..., keep] for w in work]
 
 
 def _bisect_ahead(func, lo, hi, f_lo, f_hi, quiet, rtol, residual_tol, max_iter):
@@ -618,6 +781,107 @@ def _once_per_run(kernel):
     return shared
 
 
+def _proxy_roots(nodes, interval, target, positive, sample, values=None):
+    """A guess (root, radius, slope) for each bracket, as ``_bisect`` takes it.
+
+    Each scan interval that holds brackets is sampled at the 9
+    Chebyshev-Lobatto points (the ends from ``values`` where given), all in
+    one ``sample(x)`` call, which returns (A, D) with f = A - t*D, D = None
+    for 1. A bracket's proxy p is the interpolant of its 9 values of f;
+    Newton from regula falsi between the two samples across its one sign
+    change, kept inside them, gives its root x, and radius = (8*(|c_7| +
+    |c_8|) + 1e-12*(max|A| + |t|*max|D|) + |p(x)|)/|p'(x)| bounds |f's
+    root - x|, c_k the Chebyshev coefficients of A and t*D added in
+    magnitude. A bracket whose samples change sign more than once, or not
+    from the sign of f(lo), or whose Newton run does not bring |p(x)|
+    within that bound, gets no guess (radius inf). Brackets go in blocks of
+    ``_BLOCK``, so the (9, n) temporaries stay small.
+    """
+    held = np.zeros(nodes.size, dtype=bool)
+    held[interval] = True
+    iv = np.flatnonzero(held)
+    inverse = (np.cumsum(held, dtype=np.int32) - 1)[interval]
+    a, b = nodes[iv], nodes[iv + 1]
+    s = _LOBATTO if values is None else _LOBATTO[1:-1]
+    A, D = sample(a + (b - a) * (0.5 + 0.5 * s[:, None]))
+    if values is not None:
+        A = np.concatenate([values[iv][None], A, values[iv + 1][None]])
+    # einsum, not matmul: a BLAS call on these (9, 9) @ (9, n) can cost milliseconds.
+    power = [None if v is None else np.einsum("kj,jn->kn", _POWERS, v) for v in (A, D)]
+    error = [_ROUNDING if v is None else np.abs(p[7]) / 8.0 + np.abs(p[8]) / 16.0
+             + _ROUNDING * np.abs(v).max(axis=0) for p, v in zip(power, (A, D))]
+    root, radius, slope = np.empty(target.size), np.empty(target.size), np.empty(target.size)
+    for start in range(0, target.size, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        k, t, pos = inverse[block], target[block], positive[block]
+        if D is None:
+            f, coef = A[:, k] - t, power[0][:, k]
+            coef[0] -= t
+            bound = error[0][k] + np.abs(t) * error[1]
+        else:
+            f, coef = A[:, k] - t * D[:, k], power[0][:, k] - t * power[1][:, k]
+            bound = error[0][k] + np.abs(t) * error[1][k]
+        above = f > 0.0
+        change = above[1:] != above[:-1]
+        j = change.argmax(axis=0)
+        lone = (np.count_nonzero(change, axis=0) == 1) & (above[0] == pos)
+        col = np.arange(t.size)
+        lo_s, hi_s, f_lo, f_hi = _LOBATTO[j], _LOBATTO[j + 1], f[j, col], f[j + 1, col]
+        del f, above, change
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = lo_s - f_lo * (hi_s - lo_s) / (f_hi - f_lo)
+            p, dp = _newton(coef, u, lo_s, hi_s, pos, bound)
+            half = 0.5 * (b - a)[k]
+            slope[block] = np.abs(dp) / half
+            # An unconverged Newton run (nan p) gives no guess.
+            radius[block] = np.where(lone & (np.abs(p) <= bound), (bound + np.abs(p)) / slope[block], np.inf)
+        root[block] = a[k] + half * (1.0 + u)
+    return root, radius, slope
+
+
+def _newton(coef, u, lo, hi, rising, error):
+    """Newton on each proxy sum coef[k]*s^k from u, in place, kept inside (lo, hi).
+
+    Iterates, ``_NEWTON_STEPS`` times at most, on the proxies whose |p(u)|
+    still exceeds their error; a step out of the bracket, which each
+    iterate's sign narrows, becomes its midpoint, and a step onto u itself
+    is taken (as in ``_locate``). Returns p(u) and p'(u), with nan p where
+    the run did not converge.
+    """
+    p, dp = np.full(u.size, np.nan), np.empty(u.size)
+    todo = np.arange(u.size)
+    for _ in range(_NEWTON_STEPS):
+        x = u[todo]
+        p_x, dp_x = _horner(coef if todo.size == u.size else coef[:, todo], x)
+        done = np.abs(p_x) <= error[todo]
+        p[todo[done]], dp[todo[done]] = p_x[done], dp_x[done]
+        keep = np.flatnonzero(~done)
+        todo, x, p_x, dp_x = todo[keep], x[keep], p_x[keep], dp_x[keep]
+        if not todo.size:
+            break
+        # Branch-free selects (the masks are random): lo, hi = x on the side of x.
+        below = ((p_x > 0.0) == rising[todo]).astype(float)
+        a, b = lo[todo], hi[todo]
+        a += below * (x - a)
+        b += (1.0 - below) * (x - b)
+        lo[todo], hi[todo] = a, b
+        step = x - p_x / dp_x
+        inside = (((step > a) & (step < b)) | (step == x)).astype(float)
+        u[todo] = 0.5 * (a + b) + inside * (step - 0.5 * (a + b))
+    return p, dp
+
+
+def _horner(coef, s):
+    """The polynomial sum coef[k]*s^k and its derivative, by Horner's rule."""
+    p, dp = coef[-1].copy(), np.zeros_like(s)
+    for row in coef[-2::-1]:
+        dp *= s
+        dp += p
+        p *= s
+        p += row
+    return p, dp
+
+
 def _scan_roots_batch(
     scan: FrequencyScan, targets: np.ndarray, *, lowest: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -638,6 +902,9 @@ def _scan_roots_batch(
     are adjacent, as brackets come by interval, then target, one h(mid) splits
     an interval's targets at a threshold, and compaction keeps order. Runs only
     split; under a quarter repeating, the search costs what it saves, and stops.
+    A group of more than ``_SPECULATION_BRACKETS`` brackets is steered by
+    Chebyshev proxies (``_proxy_roots``) of h, or of the parts A = (S/C -
+    M3)*h0 + r and D = S/C - M3 of g_t = A - t*D, one kernel call each.
 
     Returns:
         (roots, counts): the roots grouped by target in target order and
@@ -656,25 +923,32 @@ def _scan_roots_batch(
         node, zero_owner = node[first], zero_owner[first]
     # Brackets in blocked intervals come last, so both groups are views.
     split = interval.size - np.count_nonzero(scan.blocked[interval])
-    free, pole = interval[:split], interval[split:]
     target, trace = targets[owner], _once_per_run(lambda x: (half_trace_values(cell, x),))
-    # f(hi) only steers the speculative levels: sign-scaled values do for g_t.
-    f_hi = np.copysign(scan.values[interval + 1] - target, -f_lo)
-    func = lambda x, live: trace(x)[0] - target[live]
-    refined = _bisect(
-        func, nodes[free], nodes[free + 1], f_lo[:split], f_hi[:split],
-        rtol=ROOT_RTOL, residual_tol=RESIDUAL_TOL,
+
+    def refine(group, func, sample, values=None, **kwargs):
+        iv, t, f = interval[group], target[group], f_lo[group]
+        guess = None
+        if iv.size > _SPECULATION_BRACKETS:
+            guess = _proxy_roots(nodes, iv, t, f > 0.0, sample, values)
+        # f(hi) only steers the speculative levels: sign-scaled values do for g_t.
+        f_hi = None if guess else np.copysign(scan.values[iv + 1] - t, -f)
+        return _bisect(func, nodes[iv], nodes[iv + 1], f, f_hi, rtol=ROOT_RTOL, guess=guess, **kwargs)
+
+    refined = refine(
+        slice(None, split), lambda x, live: trace(x)[0] - target[live],
+        lambda x: (half_trace_values(cell, x), None), scan.values, residual_tol=RESIDUAL_TOL,
     )
-    if pole.size:
+    if split < interval.size:
         parts, pole_target = _once_per_run(lambda x: _cell_parts(cell, x)), target[split:]
         def numerator(x, live):
             h0, r, M3 = parts(x)
             return (1.0 / cell.c_over_s - M3) * (h0 - pole_target[live]) + r
 
-        at_poles = _bisect(
-            numerator, nodes[pole], nodes[pole + 1], f_lo[split:], f_hi[split:], rtol=ROOT_RTOL
-        )
-        refined = np.concatenate([refined, at_poles])
+        def sample(x):
+            h0, r, M3 = _cell_parts(cell, x)
+            return (1.0 / cell.c_over_s - M3) * h0 + r, 1.0 / cell.c_over_s - M3
+
+        refined = np.concatenate([refined, refine(slice(split, None), numerator, sample)])
     roots = np.concatenate([nodes[node], refined])
     owners = np.concatenate([zero_owner, owner])
     order = np.lexsort((roots, owners))

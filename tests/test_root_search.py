@@ -8,8 +8,9 @@ central differences of the half-trace. In a scan interval that holds a pole the 
 bracket and bisect the pole-free numerator g_t = (S/C - M3)*(h - t). The
 batched root search evaluates each distinct mid of a pass once while
 enough of them repeat. Small bracket sets evaluate several predicted
-passes a call; their roots are held to the plain loop bit for bit too,
-at every rtol and whether the predictions hold or not.
+passes a call, and larger ones replay the passes that Chebyshev proxies
+decide; their roots are held to the plain loop bit for bit too, at every
+rtol and whether the predictions hold or not.
 """
 
 import math
@@ -207,14 +208,15 @@ def test_bracket_test_is_the_strict_product_test():
 
 
 def assert_bisection_matches_plain_loop(
-    func, lo, hi, f_lo, f_hi=None, check_mids=True, **kwargs
+    func, lo, hi, f_lo, f_hi=None, check_mids=True, guess=None, **kwargs
 ):
     """_bisect on func(x, live) equals the plain loop bit for bit.
 
-    A one-level bisection evaluates each bracket in exactly the passes the
-    plain loop takes for it. A speculative one evaluates every mid of the
-    plain loop (unless not check_mids), in no more calls than the plain loop
-    makes passes. f_hi defaults to func at hi. Returns the levels per call.
+    A one-level bisection with no guess evaluates each bracket in exactly
+    the passes the plain loop takes for it, one call a pass and block of
+    _BLOCK brackets. A speculative one evaluates every mid of the plain loop
+    (unless not check_mids), in no more calls than the plain loop makes
+    passes. f_hi defaults to func at hi. Returns the levels per call.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     everywhere = np.arange(lo.size)
@@ -227,7 +229,7 @@ def assert_bisection_matches_plain_loop(
         evaluated.append(live + 1j * x)  # (bracket, point) keys
         return func(x, live)
 
-    roots = bs._bisect(live_func, lo, hi, f_lo, f_hi, **kwargs)
+    roots = bs._bisect(live_func, lo, hi, f_lo, f_hi, guess=guess, **kwargs)
     mids = []
 
     def plain(x):
@@ -239,8 +241,9 @@ def assert_bisection_matches_plain_loop(
     keys = np.concatenate([np.empty(0, dtype=complex)] + evaluated)
     levels = bs._MAX_LEVELS if lo.size <= bs._SPECULATION_BRACKETS else 1
     if levels == 1:
-        assert np.bincount(keys.real.astype(int), minlength=lo.size).tolist() == took.tolist()
-        assert len(calls) == took.max(initial=0)
+        if guess is None:
+            assert np.bincount(keys.real.astype(int), minlength=lo.size).tolist() == took.tolist()
+            assert len(calls) <= took.max(initial=0) * -(-lo.size // bs._BLOCK)
     else:
         plain_mids = [everywhere[took > n] + 1j * x[took > n] for n, x in enumerate(mids)]
         assert not check_mids or np.isin(np.concatenate(plain_mids), keys).all()
@@ -337,19 +340,48 @@ def wide_scan():
     return scan, targets, reference_roots(scan, targets)
 
 
-def test_shared_mids_are_evaluated_once(wide_scan, monkeypatch):
-    # Brackets of one scan interval share their first mids; each pass
-    # evaluates the half-trace once per distinct mid while at least a
-    # quarter of its mids repeat. About 40 000 brackets run one level a call.
+def test_steered_search_kernel_points(wide_scan, monkeypatch):
+    # The 39 947 brackets of the 50x trace, bit for bit the plain loop's
+    # roots, from at most 250 000 half-trace points (the plain loop takes
+    # 893 450 distinct mids, 22.4 a root): 7 proxy samples a scan interval
+    # with brackets, then the moved ends and the mids the proxies leave
+    # open, one kernel call a round and block of brackets.
     scan, targets, expected = wide_scan
-    func, lo, hi, f_lo = plain_brackets(scan, targets)
-    plain = lambda x: func(x, np.arange(lo.size))
-    kwargs = dict(rtol=bs.ROOT_RTOL, residual_tol=bs.RESIDUAL_TOL)
-    passes = mids_per_pass(plain, lo, hi, f_lo, **kwargs)
     points = counted(monkeypatch, "half_trace_values")
     assert_roots_match_reference(scan, targets, expected)
-    total = sum(x.size for x in points)
-    assert total == shared_points(passes) < 0.9 * sum(size for size, _ in passes)
+    assert sum(x.size for x in points) <= 250_000
+    assert len(points) <= 20
+
+
+def test_mispredicted_proxy_roots_keep_every_bit(monkeypatch):
+    # Proxy roots moved 1e-6 relative or to the far end of their bracket
+    # steer the replay wrong: the moved ends fail the sign check, those
+    # brackets restart from their scan ends with plain passes, and every
+    # root bit stays. A wrong prediction costs points, never a bit.
+    cell = default_cell(-13.3e-6)
+    scan = bs.scan_frequencies(cell, 10.0 * bs.default_omega_max(cell))
+    targets = np.cos(np.linspace(0.0, math.pi, bs.DEFAULT_K_POINTS))
+    expected = reference_roots(scan, targets)
+    proxy_roots, replay = bs._proxy_roots, bs._replay
+    for move in ("shift", "far end"):
+        restarted = []
+
+        def wrong(nodes, interval, target, positive, sample, values=None):
+            root, radius, slope = proxy_roots(nodes, interval, target, positive, sample, values)
+            if move == "shift":
+                return root * (1.0 + 1e-6), radius, slope
+            lo, hi = nodes[interval], nodes[interval + 1]
+            return np.where(root - lo < hi - root, hi, lo), radius, slope
+
+        def spy(ends, root, radius, *args):
+            restarted.append(np.count_nonzero(np.isinf(radius)))
+            return replay(ends, root, radius, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(bs, "_proxy_roots", wrong)
+            patch.setattr(bs, "_replay", spy)
+            assert_roots_match_reference(scan, targets, expected)
+        assert max(restarted) > restarted[0]
 
 
 def test_speculative_levels_evaluate_every_plain_mid(monkeypatch):
@@ -421,15 +453,17 @@ def test_flat_band_bisection_evaluates_each_mid_once(monkeypatch):
 
 
 def recorded_bisections(solve):
-    """(func, lo, hi, f_lo, f_hi, residual_tol) of every _bisect call of solve()."""
+    """(func, lo, hi, f_lo, f_hi, residual_tol, guess) of every _bisect call of
+    solve(), with every bracket set of a root search given a proxy guess."""
     calls, bisect = [], bs._bisect
 
     def record(func, lo, hi, f_lo, f_hi, **kwargs):
-        calls.append((func, lo, hi, f_lo, f_hi, kwargs.get("residual_tol")))
+        calls.append((func, lo, hi, f_lo, f_hi, kwargs.get("residual_tol"), kwargs.get("guess")))
         return bisect(func, lo, hi, f_lo, f_hi, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bs, "_bisect", record)
+        patch.setattr(bs, "_SPECULATION_BRACKETS", 0)
         solve()
     return calls
 
@@ -446,7 +480,9 @@ def random_cell_bisections():
     with _locate's sign-verified pairs at the poles) and the roots of r
     located (_locate's pairs again). Only the pairs that _locate had to
     widen past _POLE_RTOL reach _bisect. Cell i goes to rtol i % 4, and
-    each group of four cells alternates the window.
+    each group of four cells alternates the window. At ROOT_RTOL come also
+    the K targets of the shipped cell at -11, -13.3 and -16.7 uF/m^2 on the
+    10x and 50x windows, and at its four flat-band C* values.
     """
     draws, rng = np.random.default_rng(17), np.random.default_rng(18)
     calls = {rtol: [] for rtol in SPECULATION_RTOLS}
@@ -461,6 +497,14 @@ def random_cell_bisections():
             bs._flat_band_candidates(cell, omega_max)
 
         calls[SPECULATION_RTOLS[i % 4]] += recorded_bisections(solve)
+    targets = np.cos(np.linspace(0.0, math.pi, bs.DEFAULT_K_POINTS))
+    _, c_star = bs._flat_band_candidates(default_cell(), bs.default_omega_max(default_cell()))
+    assert np.round(c_star * 1e6, 3).tolist() == [-16.312, -12.65, -12.624, -13.18]
+    shipped = [(c * 1e-6, f) for c in (-11.0, -13.3, -16.7) for f in (10.0, 50.0)]
+    for c_over_s, factor in shipped + [(c, 1.0) for c in c_star.tolist()]:
+        cell = default_cell(c_over_s)
+        scan = bs.scan_frequencies(cell, factor * bs.default_omega_max(cell))
+        calls[bs.ROOT_RTOL] += recorded_bisections(lambda: bs._scan_roots_batch(scan, targets))
     return calls
 
 
@@ -469,19 +513,25 @@ def test_speculative_bisection_matches_plain_loop_on_random_cells(
     rtol, random_cell_bisections, monkeypatch
 ):
     # Every root bit matches the plain loop, whatever the predictions, on
-    # brackets of every kind, from 2 to 6 levels a call. _locate's pairs
-    # reach _bisect only when widened, too few to count on here; the pairs
-    # it does not bisect are held to an always-bisecting reference below.
-    seen = dict.fromkeys(["h - t", "g_t", "locate"], 0)
-    monkeypatch.setattr(bs, "_SPECULATION_BRACKETS", math.inf)
-    for i, (func, lo, hi, f_lo, f_hi, residual_tol) in enumerate(random_cell_bisections[rtol]):
+    # brackets of every kind: from 2 to 6 levels a call, and steered by
+    # the proxies of their root search (every set of 1000 brackets or
+    # fewer too). _locate's pairs reach _bisect only when widened, too few
+    # to count on here; the pairs it does not bisect are held to an
+    # always-bisecting reference below.
+    seen = dict.fromkeys(["h - t", "g_t", "locate", "steered"], 0)
+    for i, (func, lo, hi, f_lo, f_hi, residual_tol, guess) in enumerate(random_cell_bisections[rtol]):
         kind = "h - t" if residual_tol is not None else "locate"
         seen["g_t" if func.__name__ == "numerator" else kind] += 1
-        monkeypatch.setattr(bs, "_MAX_LEVELS", 2 + i % 5)
-        assert_bisection_matches_plain_loop(
-            func, lo, hi, f_lo, f_hi, rtol=rtol, residual_tol=residual_tol, check_mids=False
-        )
-    assert min(seen["h - t"], seen["g_t"]) >= 10
+        kwargs = dict(rtol=rtol, residual_tol=residual_tol, check_mids=False)
+        if lo.size <= 1000:
+            monkeypatch.setattr(bs, "_SPECULATION_BRACKETS", math.inf)
+            monkeypatch.setattr(bs, "_MAX_LEVELS", 2 + i % 5)
+            assert_bisection_matches_plain_loop(func, lo, hi, f_lo, f_hi, **kwargs)
+        if guess is not None:
+            seen["steered"] += 1
+            monkeypatch.setattr(bs, "_SPECULATION_BRACKETS", 0)
+            assert_bisection_matches_plain_loop(func, lo, hi, f_lo, f_hi, guess=guess, **kwargs)
+    assert min(seen["h - t"], seen["g_t"], seen["steered"]) >= 10
 
 
 def test_lowest_roots_are_the_first_of_the_full_search():
