@@ -28,19 +28,19 @@ Root search is array code throughout. The targets cos(K*T) of all K are
 sorted once; each pole-free scan interval finds its candidate targets by
 binary search on its two end values and keeps those that pass the strict
 sign-change test, so the cost is O(nodes * log targets + brackets) with no
-targets x nodes temporary. Root refinement is bisection only, which never
-leaves its bracket, and evaluates a mid shared by brackets once. Up to
-``_SPECULATION_BRACKETS`` brackets, where a kernel call costs mostly its
-fixed part, one call evaluates the mids of several passes along the path
-a secant estimate predicts, and bisection is replayed on their signs: a
-bracket takes a pass only where the earlier ones went as predicted. A
-larger set interpolates each scan interval that holds brackets at 9
-Chebyshev points, all in one kernel call, and replays without the kernel
-every pass whose sign the proxy's root makes certain and whose tests
-cannot succeed yet; each round's one call checks that the ends so moved
-keep their signs and evaluates the next mid. So no root bit depends on a
-prediction: a wrong one costs points. ``stopbands`` reuses a trace's
-h = +-1 roots.
+targets x nodes temporary. The refiner is chosen per scan. A scan up to
+``_LOCATOR_WINDOWS`` default windows wide is refined by bisection, which
+never leaves its bracket and evaluates a mid shared by brackets once; up
+to ``_SPECULATION_BRACKETS`` brackets, where a kernel call costs mostly
+its fixed part, one call evaluates the mids of several passes along the
+path a secant estimate predicts, and bisection is replayed on their signs.
+A wider scan interpolates each scan interval that holds brackets at 9
+Chebyshev points, all in one kernel call, and takes each bracket's proxy
+root once the kernel has verified it: a pair of points around it must
+change sign, its end nearer the root meeting the residual test. The
+brackets a proxy does not serve are bisected. So a root never depends on
+the other targets of its search. ``stopbands`` reuses a trace's h = +-1
+roots.
 """
 
 from __future__ import annotations
@@ -92,29 +92,34 @@ RESIDUAL_TOL = 1e-9
 DEFAULT_FLATNESS_TOL = 1e-3
 # Relative width at which a pole (or a root of r) is located.
 _POLE_RTOL = 1e-14
-# Speculative bisection (``_bisect_ahead``) evaluates _MAX_LEVELS passes a
-# kernel call, up to _SPECULATION_BRACKETS brackets. A half-trace call costs
-# a fixed 25-30 us of numpy calls plus about 110 ns a point (33 us at 100
-# points, 465 us at 4096; process time, best of 5), and the replay about as
-# much again a point and level: the saved calls pay for it up to about a
-# thousand brackets. Larger sets are steered by proxies. Steering the small
-# sets too took capacitance_study (20 searches of 200-400 brackets) from 40
-# to 27 ops/s: their sign replays and proxy Newton runs are some thousand
-# numpy calls a search, whatever its size (shared 2-core Xeon).
+# Speculative bisection evaluates _MAX_LEVELS passes a kernel call, up to
+# _SPECULATION_BRACKETS brackets; larger sets take one pass a call. A
+# half-trace call costs a fixed 25-30 us of numpy calls plus about 110 ns a
+# point (33 us at 100 points, 465 us at 4096; process time, best of 5), and
+# the replay about as much again a point and level: the saved calls pay for
+# it up to about a thousand brackets (shared 2-core Xeon).
 _SPECULATION_BRACKETS = 1000
 _MAX_LEVELS = 6
-# Larger sets are steered by proxy roots (``_proxy_roots``): each scan
-# interval is interpolated at the 9 Chebyshev-Lobatto points s_j =
-# -cos(j*pi/8) of [-1, 1] (Boyd, SIAM J. Numer. Anal. 40(5), 2002), in powers
-# of s for Horner: coefficients a = _POWERS @ samples. The Chebyshev tail is
-# c_7 = a_7/64 and c_8 = a_8/128. A base interval of the 50x window spans a
-# tenth of a band, where c_7 and c_8 of the half-trace fall to about 1e-13,
-# so 8*(|c_7| + |c_8|) bounds the interpolation error with room to spare.
-# 1e-12 of the size of the terms, max|A| + |t|*max|D| over the samples of
-# f = A - t*D, covers the kernel's rounding: on the c08 cells, next to the
-# quasistatic pole, h of order 1 carries 1e-14 of it. The residual radius
-# takes RESIDUAL_TOL/|p'| 1/8 wider, for the curvature of p between the
-# proxy root and a mid.
+# Scans wider than _LOCATOR_WINDOWS default windows take verified proxy
+# roots (``_proxy_roots``, ``_checked_roots``). The locator breaks even
+# with bisection near a quarter window and wins above (200 K targets on the
+# shipped cell at 0, -11 and -16.7 uF/m^2: 1.0-2.0 against 1.7 ms there,
+# 2.8-3.0 against 3.4-4.3 ms at 1x, 2.5-3.8 against 9.0-10.8 ms at 2x;
+# process time, best of 15, shared 2-core Xeon), but the default window keeps
+# bisection, so its sweeps stay byte for byte. The rule is per scan, never
+# per bracket set, so a root does not depend on the other targets of its
+# search.
+_LOCATOR_WINDOWS = 1.0
+# Each scan interval with brackets is interpolated at the 9
+# Chebyshev-Lobatto points s_j = -cos(j*pi/8) of [-1, 1] (Boyd, SIAM J.
+# Numer. Anal. 40(5), 2002), in powers of s for Horner: coefficients a =
+# _POWERS @ samples. The Chebyshev tail is c_7 = a_7/64 and c_8 = a_8/128.
+# A base interval of the 50x window spans a tenth of a band, where c_7 and
+# c_8 of the half-trace fall to about 1e-13, so 8*(|c_7| + |c_8|) bounds the
+# interpolation error with room to spare. 1e-12 of the size of the terms,
+# max|A| + |t|*max|D| over the samples of f = A - t*D, covers the kernel's
+# rounding: on the c08 cells, next to the quasistatic pole, h of order 1
+# carries 1e-14 of it.
 _LOBATTO = -np.cos(np.arange(9) * (math.pi / 8))
 # Column j holds the Lagrange basis polynomial of s_j, from its roots (no
 # BLAS or LAPACK call, which would start their thread buffers at import).
@@ -122,7 +127,7 @@ _POWERS = np.array([
     np.poly(np.delete(_LOBATTO, j))[::-1] / np.prod(_LOBATTO[j] - np.delete(_LOBATTO, j))
     for j in range(9)
 ]).T
-_ROUNDING, _RESIDUAL_MARGIN = 1e-12, 1.125
+_ROUNDING = 1e-12
 # Newton evaluations of each proxy at most, from regula falsi between the
 # samples across its sign change: on the wide-window benchmark's cells two
 # or three bring |p| within its error bound for all but 126 of 143 524
@@ -249,7 +254,7 @@ class FrequencyScan:
     _edges: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 
-def _bisect(func, lo, hi, f_lo, f_hi, *, rtol, residual_tol=None, max_iter=200, guess=None):
+def _bisect(func, lo, hi, f_lo, f_hi, *, rtol, residual_tol=None, max_iter=200):
     """Vectorized bisection on 1-D arrays of brackets with f(lo)*f(hi) < 0.
 
     ``func(x, live)`` evaluates the residual at the points x of the
@@ -257,215 +262,40 @@ def _bisect(func, lo, hi, f_lo, f_hi, *, rtol, residual_tol=None, max_iter=200, 
     0.5*(lo + hi) and moves lo there where f(mid) has the sign of f(lo),
     else hi. A bracket finishes at mid when the width after the move is
     relatively tight (and, if requested, |f(mid)| is small), when f(mid) is
-    an exact zero, or when the floating-point grid is exhausted.
+    an exact zero, or when the floating-point grid is exhausted. It refines
+    every root search of a scan up to ``_LOCATOR_WINDOWS`` default windows
+    wide, the brackets whose proxy roots a wider scan could not verify, and
+    the pole pairs that ``_locate`` had to widen.
 
     Up to ``_SPECULATION_BRACKETS`` brackets, where one pass a call would
     pay the kernel's fixed cost each pass, ``_MAX_LEVELS`` passes share a
-    func call (``_bisect_ahead``): the call takes the mids of the path that
-    a secant estimate predicts (regula falsi through f(lo) and f(hi) at
-    first), and bisection is replayed on their values. A bracket takes a
-    level only while its earlier levels went as predicted.
+    func call; larger sets take one pass a call, the plain loop. A round
+    predicts each bracket's path from the secant g through its last two
+    evaluated points, at first its two ends (regula falsi): mid_k = 0.5*(lo_k
+    + hi_k) as in a pass, and lo moves where mid_k < g. The mids go to func
+    level by level, so brackets that share a mid keep it next to each other.
+    The replay takes level k where levels 0..k-1 went as predicted and did
+    not finish the bracket; the level that finishes it, or moves it against
+    the prediction, or the round's last, ends its round. Each test is the
+    pass's own, on the width after the move, so no bit of a root depends on
+    a prediction: a wrong one costs points. Passes are counted per bracket,
+    and no round takes one past max_iter. The returned point is always one
+    whose residual was actually evaluated.
 
-    Larger sets go in rounds of one func call per block of ``_BLOCK``
-    brackets. A guess (root, radius, slope) per bracket, a proxy's root x
-    with its error radius and |slope| (``_proxy_roots``), lets ``_replay``
-    take passes without func: where mid lies outside x +- radius, f(mid)
-    has the sign of the side of x it lies on, and the pass goes ahead while
-    its tests cannot succeed: the width after the move is too large, or
-    mid lies outside x +- far, far = radius + 1.125*residual_tol/slope, so
-    |f(mid)| exceeds residual_tol. The round's call then takes the ends the
-    replay moved, which must keep the signs of the original ends (and |f|
-    > residual_tol outside x +- far), and the mid of the next pass, which
-    the kernel decides. A bracket whose ends fail restarts from its
-    original ends with no guess; with no guess a round is one plain pass.
-
-    Either way each move is bisection's own, on the kernel's sign at its
-    own mid or on one the proxy makes certain and the kernel checks, and
-    each test the pass's own: no bit of a root depends on a prediction,
-    and a wrong one costs points, never a bit. The returned point is
-    always one whose residual was actually evaluated.
+    Before pass floor(log2(w/(rtol*m))) - 2 (w the narrowest bracket, m the
+    largest |end|, rtol >= 2^-50, m >= 2^-1000) every bracket is wider than
+    8*rtol*m - 2^-52*m, so none can converge or be stuck: those rounds test
+    only for exact zeros.
 
     Raises:
         NumericalError: If a bracket is still open after max_iter passes.
     """
-    ends = np.array([lo, hi], dtype=float)
-    if ends.shape[1] <= _SPECULATION_BRACKETS:
-        # Before pass floor(log2(w/(rtol*m))) - 2 (w the narrowest bracket, m
-        # the largest |end|, rtol >= 2^-50, m >= 2^-1000) every bracket is
-        # wider than 8*rtol*m - 2^-52*m, so none can converge or be stuck.
-        scale = max(rtol, 2.0**-50) * max(np.abs(ends).max(initial=0.0), 2.0**-1000)
-        bound = np.min(ends[1] - ends[0], initial=np.inf) / scale
-        quiet = math.frexp(bound)[1] - 3 if 1.0 <= bound < math.inf else 0  # floor(log2) - 2
-        f_lo, f_hi = np.asarray(f_lo, dtype=float), np.asarray(f_hi, dtype=float)
-        args = (quiet, rtol, residual_tol, max_iter)
-        return _bisect_ahead(func, ends[0], ends[1], f_lo, f_hi, *args)
-    lo, hi = ends[0].copy(), ends[1].copy()
-    positive, n = np.asarray(f_lo, dtype=float) > 0.0, ends.shape[1]
-    root, radius, slope = guess if guess is not None else (np.zeros(n), np.full(n, np.inf), np.ones(n))
-    live, passes, result = np.arange(n), np.zeros(n, dtype=np.int32), np.empty(n)
-    restarted = np.zeros(n, dtype=bool)
-    while live.size:
-        done, busy = np.zeros(live.size, dtype=bool), False
-        for start in range(0, live.size, _BLOCK):
-            b = slice(start, start + _BLOCK)
-            e, pos, at_root = ends[:, b], positive[b], root[b]
-            # A restarted bracket has no guess: no mid lies outside x +- inf.
-            reach = np.where(restarted[b], np.inf, radius[b])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                far = reach + _RESIDUAL_MARGIN * (residual_tol or 0.0) / slope[b]
-            mid, moved = _replay(e, at_root, reach, far, passes[b], rtol, residual_tol, max_iter)
-            side, at = np.nonzero(moved)
-            step = np.flatnonzero(passes[b] < max_iter)
-            busy |= bool(step.size or at.size)
-            x = np.concatenate([e[side, at], mid[step]])
-            f = func(x, live[b][np.concatenate([at, step])]) if x.size else x
-            f_end, f_mid = f[: at.size], f[at.size :]
-            # A moved lo keeps the sign of f(lo), a moved hi the other one.
-            kept = ((f_end > 0.0) == (pos[at] != side)) & ((f_end < 0.0) == (pos[at] == side))
-            if residual_tol is not None:
-                # An end where the residual test may have been skipped must fail it.
-                kept &= (np.abs(f_end) > residual_tol) | (np.abs(x[: at.size] - at_root[at]) <= far[at])
-            failed = np.zeros(mid.size, dtype=bool)
-            failed[at[~kept]] = True
-            # The pass at mid, as in a plain loop; a restarted bracket drops it.
-            x = mid[step]
-            stuck = (x <= e[0, step]) | (x >= e[1, step])
-            e[((f_mid > 0.0) != pos[step]).astype(np.intp), step] = x
-            passes[b][step] += 1
-            converged = (e[1, step] - e[0, step]) <= rtol * np.abs(x)
-            if residual_tol is not None:
-                converged &= np.abs(f_mid) <= residual_tol
-            finished = np.zeros(mid.size, dtype=bool)
-            finished[step] = converged | (f_mid == 0.0) | stuck
-            finished &= ~failed
-            result[live[b][finished]] = mid[finished]
-            done[b] = finished
-            if failed.any():
-                redo = np.flatnonzero(failed)
-                e[0, redo], e[1, redo] = lo[live[b][redo]], hi[live[b][redo]]
-                passes[b][redo], restarted[b][redo] = 0, True
-        if not busy:
-            raise NumericalError(
-                f"bisection left {live.size} bracket(s) open after {max_iter} passes; "
-                f"first open bracket [{ends[0, 0]!r}, {ends[1, 0]!r}]"
-            )
-        keep = np.flatnonzero(~done)
-        live, ends, passes = live[keep], ends[:, keep], passes[keep]
-        positive, restarted = positive[keep], restarted[keep]
-        root, radius, slope = root[keep], radius[keep], slope[keep]
-    return result
-
-
-def _replay(ends, root, radius, far, passes, rtol, residual_tol, max_iter):
-    """Take the passes of each bracket that its guess decides, in place.
-
-    Returns (mid, moved): the mid of each bracket's next pass, for func,
-    and which ends moved. While a bracket is wider than 8*tol*m - 2^-52*m
-    (m = max(|lo|, |hi|), tol at least 2^-50), for the
-    floor(log2(w/(tol*m))) - 2 passes after width w, no test on tol can
-    succeed: with tol = rtol no test at all, so ``_sign_passes`` replays
-    the signs alone; with tol = 2^-50 no bracket is stuck, so it then
-    replays the passes whose residual test must fail alike. The passes
-    after those test every condition.
-    """
-    m = ends.shape[1]
-    top = np.maximum(np.abs(ends).max(axis=0), 2.0**-1000)
-    quiet = []
-    for tol in (rtol, 0.0):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bound = (ends[1] - ends[0]) / (max(tol, 2.0**-50) * top)
-        level = np.where((bound >= 1.0) & (bound < np.inf), np.frexp(bound)[1] - 3, 0)
-        quiet.append(np.minimum(level, max_iter - passes))
-    moved = np.zeros((2, m), dtype=bool)
-    act = np.flatnonzero((quiet[0] > 0) & (radius < np.inf))
-    for limit, reach in ((quiet[0], radius), (quiet[1] - quiet[0], far)):
-        if act.size:
-            lo, hi = ends[0, act], ends[1, act]
-            taken = _sign_passes(lo, hi, root[act], reach[act], limit[act])
-            moved[0, act] |= lo != ends[0, act]
-            moved[1, act] |= hi != ends[1, act]
-            ends[0, act], ends[1, act] = lo, hi
-            passes[act] += taken
-            act = act[taken == limit[act]]
-        if residual_tol is None:
-            break
-    mid, act = np.empty(m), np.arange(m)
-    while act.size:
-        lo, hi = ends[0, act], ends[1, act]
-        c = 0.5 * (lo + hi)
-        d = c - root[act]
-        below, off = d < 0.0, np.abs(d)
-        converged = np.where(below, hi - c, c - lo) <= rtol * np.abs(c)
-        if residual_tol is not None:
-            converged &= off <= far[act]
-        go = (off > radius[act]) & ~converged & (c > lo) & (c < hi) & (passes[act] < max_iter)
-        mid[act] = c
-        act, c, side = act[go], c[go], (~below[go]).astype(np.intp)
-        ends[side, act] = c
-        moved[side, act] = True
-        passes[act] += 1
-    return mid, moved
-
-
-def _sign_passes(lo, hi, root, radius, limit) -> np.ndarray:
-    """Bisect lo, hi in place toward root while mids lie outside root +- radius.
-
-    A bracket takes ``limit`` passes at most; returns the passes taken. The
-    moves are exact bit selects into int64 views, in preallocated buffers:
-    a random select mask makes ``np.where`` branch-bound. Brackets that
-    stop leave the working set once half have.
-    """
-    taken, order = np.zeros(lo.size, dtype=np.intp), np.arange(lo.size)
-    work = [np.stack([lo, hi]), root, radius, limit, taken.copy()]
-    while True:
-        ends, root_w, radius_w, limit_w, taken_w = work
-        n = order.size
-        c, d, off = np.empty(n), np.empty(n), np.empty(n)
-        go, below, move = np.empty(n, dtype=bool), np.empty(n, dtype=bool), np.empty((2, n), dtype=bool)
-        mask, diff = np.empty((2, n), dtype=np.int64), np.empty((2, n), dtype=np.int64)
-        bits = ends.view(np.int64)
-        while True:
-            np.add(ends[0], ends[1], out=c)
-            c *= 0.5
-            np.subtract(c, root_w, out=d)
-            np.abs(d, out=off)
-            np.greater(off, radius_w, out=go)
-            np.less(taken_w, limit_w, out=below)
-            go &= below
-            count = np.count_nonzero(go)
-            if 2 * count < n:
-                break
-            np.less(d, 0.0, out=below)
-            np.logical_and(below, go, out=move[0])
-            np.not_equal(go, move[0], out=move[1])
-            # ends ^= (ends ^ c) & -move: c where move, ends elsewhere.
-            np.copyto(mask, move, casting="unsafe")
-            np.negative(mask, out=mask)
-            np.bitwise_xor(bits, c.view(np.int64), out=diff)
-            diff &= mask
-            bits ^= diff
-            taken_w += go
-        lo[order], hi[order], taken[order] = ends[0], ends[1], taken_w
-        if not count:
-            return taken
-        keep = np.flatnonzero(go)
-        order, work = order[keep], [w[..., keep] for w in work]
-
-
-def _bisect_ahead(func, lo, hi, f_lo, f_hi, quiet, rtol, residual_tol, max_iter):
-    """``_bisect`` in rounds of up to ``_MAX_LEVELS`` passes, one func call each.
-
-    A round predicts each bracket's path from the secant g through its last
-    two evaluated points, at first its two ends (regula falsi): mid_k =
-    0.5*(lo_k + hi_k) as in a pass, and lo moves where mid_k < g. The mids go
-    to func level by level, so brackets that share a mid keep it next to
-    each other. The replay takes level k where levels 0..k-1 went as
-    predicted and did not finish the bracket; the level that finishes it,
-    or moves it against the prediction, or the round's last, ends its round.
-    Each test is the pass's own, on the width after the move; rounds that
-    end before pass ``quiet`` test only for exact zeros. Passes are counted
-    per bracket, and no round takes one past max_iter.
-    """
+    lo, hi = np.array([lo, hi], dtype=float)
+    f_lo, f_hi = np.asarray(f_lo, dtype=float), np.asarray(f_hi, dtype=float)
+    scale = max(rtol, 2.0**-50) * max(np.abs([lo, hi]).max(initial=0.0), 2.0**-1000)
+    bound = np.min(hi - lo, initial=np.inf) / scale
+    quiet = math.frexp(bound)[1] - 3 if 1.0 <= bound < math.inf else 0  # floor(log2) - 2
+    levels = _MAX_LEVELS if lo.size <= _SPECULATION_BRACKETS else 1
     positive = f_lo > 0.0
     result = np.empty(lo.size)
     live = np.arange(lo.size)
@@ -473,7 +303,7 @@ def _bisect_ahead(func, lo, hi, f_lo, f_hi, quiet, rtol, residual_tol, max_iter)
     x, f_x, x_prev, f_prev = lo, f_lo, hi, f_hi
     while live.size:
         top = int(passes.max())
-        depth = min(_MAX_LEVELS, max_iter - top)
+        depth = min(levels, max_iter - top)
         if depth < 1:
             open_ = np.flatnonzero(passes >= max_iter)
             raise NumericalError(
@@ -782,20 +612,19 @@ def _once_per_run(kernel):
 
 
 def _proxy_roots(nodes, interval, target, positive, sample, values=None):
-    """A guess (root, radius, slope) for each bracket, as ``_bisect`` takes it.
+    """The proxy root (root, slope, ok) of each bracket, for ``_checked_roots``.
 
     Each scan interval that holds brackets is sampled at the 9
     Chebyshev-Lobatto points (the ends from ``values`` where given), all in
     one ``sample(x)`` call, which returns (A, D) with f = A - t*D, D = None
     for 1. A bracket's proxy p is the interpolant of its 9 values of f;
     Newton from regula falsi between the two samples across its one sign
-    change, kept inside them, gives its root x, and radius = (8*(|c_7| +
-    |c_8|) + 1e-12*(max|A| + |t|*max|D|) + |p(x)|)/|p'(x)| bounds |f's
-    root - x|, c_k the Chebyshev coefficients of A and t*D added in
-    magnitude. A bracket whose samples change sign more than once, or not
-    from the sign of f(lo), or whose Newton run does not bring |p(x)|
-    within that bound, gets no guess (radius inf). Brackets go in blocks of
-    ``_BLOCK``, so the (9, n) temporaries stay small.
+    change, kept inside them, gives its root x and slope |p'(x)| in omega.
+    A bracket is ok where its samples change sign once, from the sign of
+    f(lo), and its Newton run brought |p(x)| within 8*(|c_7| + |c_8|) +
+    1e-12*(max|A| + |t|*max|D|), c_k the Chebyshev coefficients of A and
+    t*D added in magnitude. Brackets go in blocks of ``_BLOCK``, so the
+    (9, n) temporaries stay small.
     """
     held = np.zeros(nodes.size, dtype=bool)
     held[interval] = True
@@ -810,7 +639,7 @@ def _proxy_roots(nodes, interval, target, positive, sample, values=None):
     power = [None if v is None else np.einsum("kj,jn->kn", _POWERS, v) for v in (A, D)]
     error = [_ROUNDING if v is None else np.abs(p[7]) / 8.0 + np.abs(p[8]) / 16.0
              + _ROUNDING * np.abs(v).max(axis=0) for p, v in zip(power, (A, D))]
-    root, radius, slope = np.empty(target.size), np.empty(target.size), np.empty(target.size)
+    root, slope, ok = np.empty(target.size), np.empty(target.size), np.empty(target.size, dtype=bool)
     for start in range(0, target.size, _BLOCK):
         block = slice(start, start + _BLOCK)
         k, t, pos = inverse[block], target[block], positive[block]
@@ -831,12 +660,40 @@ def _proxy_roots(nodes, interval, target, positive, sample, values=None):
         with np.errstate(divide="ignore", invalid="ignore"):
             u = lo_s - f_lo * (hi_s - lo_s) / (f_hi - f_lo)
             p, dp = _newton(coef, u, lo_s, hi_s, pos, bound)
-            half = 0.5 * (b - a)[k]
-            slope[block] = np.abs(dp) / half
-            # An unconverged Newton run (nan p) gives no guess.
-            radius[block] = np.where(lone & (np.abs(p) <= bound), (bound + np.abs(p)) / slope[block], np.inf)
+        half = 0.5 * (b - a)[k]
+        slope[block] = np.abs(dp) / half
+        # An unconverged Newton run (nan p) gives no root.
+        ok[block] = lone & (np.abs(p) <= bound)
         root[block] = a[k] + half * (1.0 + u)
-    return root, radius, slope
+    return root, slope, ok
+
+
+def _checked_roots(func, x, slope, ok, lo, hi, positive, residual_tol):
+    """(roots, found): the proxy roots x that the kernel's func verifies.
+
+    Each ok bracket gets a pair x -+ dx, clipped to [lo, hi], with dx =
+    min(``ROOT_RTOL``/4*x, residual_tol/(4*slope)); all pairs go to one
+    ``func(x, live)`` call, as ``_bisect`` makes it, which the kernel
+    evaluates in blocks of ``_BLOCK``. The pair must change sign the way f
+    does from lo to hi (an exact 0 counts as either sign), and its end with
+    the smaller |f| must meet residual_tol: then that end is the root,
+    within 2*dx <= ``ROOT_RTOL``/2*x of a root of f whatever the proxy's
+    error. No residual_tol (g_t in a blocked interval) keeps the
+    ``ROOT_RTOL`` term alone.
+    """
+    k = np.flatnonzero(ok)
+    with np.errstate(divide="ignore"):
+        dx = np.minimum(ROOT_RTOL / 4 * x[k], (residual_tol or math.inf) / (4.0 * slope[k]))
+    pair = np.clip(np.stack([x[k] - dx, x[k] + dx]), lo[k], hi[k])
+    f = func(pair.ravel(), np.concatenate([k, k])).reshape(pair.shape)
+    f *= np.where(positive[k], 1.0, -1.0)
+    near = np.abs(f[1]) < np.abs(f[0])
+    verified = (f[0] >= 0.0) & (f[1] <= 0.0)
+    if residual_tol is not None:
+        verified &= np.minimum(np.abs(f[0]), np.abs(f[1])) <= residual_tol
+    roots, found = np.empty(x.size), np.zeros(x.size, dtype=bool)
+    roots[k], found[k] = np.where(near, pair[1], pair[0]), verified
+    return roots, found
 
 
 def _newton(coef, u, lo, hi, rising, error):
@@ -887,24 +744,29 @@ def _scan_roots_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Roots of the half-trace h(omega) = t for every target t.
 
-    Brackets come from ``_target_hits`` and are refined by bisection, the
-    only refinement used: on h - t to ``ROOT_RTOL`` and ``RESIDUAL_TOL``,
-    except in blocked intervals, where h - t has a pole (0/0 at a flat
-    band) and the bisection runs on g_t = (S/C - M3)*(h0 - t) + r to
-    ``ROOT_RTOL`` alone. Exact zeros at scan nodes are roots as they are.
-    With ``lowest``, each target keeps only its lowest hit above omega = 0,
-    the node zero or bracket with the smallest node or interval index (a
-    zero at node i lies below the root of interval j exactly when i <= j),
-    and only those brackets are bisected.
+    Brackets come from ``_target_hits``. They are refined on h - t to
+    ``ROOT_RTOL`` and ``RESIDUAL_TOL``, except in blocked intervals, where
+    h - t has a pole (0/0 at a flat band) and the refinement runs on g_t =
+    (S/C - M3)*(h0 - t) + r to ``ROOT_RTOL`` alone. Exact zeros at scan
+    nodes are roots as they are. With ``lowest``, each target keeps only
+    its lowest hit above omega = 0, the node zero or bracket with the
+    smallest node or interval index (a zero at node i lies below the root
+    of interval j exactly when i <= j), and only those brackets are refined.
 
-    Brackets of one interval share mids until their targets part. The kernel
-    is elementwise and runs once per run of equal adjacent mids; equal mids
-    are adjacent, as brackets come by interval, then target, one h(mid) splits
-    an interval's targets at a threshold, and compaction keeps order. Runs only
-    split; under a quarter repeating, the search costs what it saves, and stops.
-    A group of more than ``_SPECULATION_BRACKETS`` brackets is steered by
-    Chebyshev proxies (``_proxy_roots``) of h, or of the parts A = (S/C -
-    M3)*h0 + r and D = S/C - M3 of g_t = A - t*D, one kernel call each.
+    A scan up to ``_LOCATOR_WINDOWS`` default windows wide is bisected.
+    Brackets of one interval share mids until their targets part: the
+    kernel is elementwise and runs once per run of equal adjacent mids;
+    equal mids are adjacent, as brackets come by interval, then target, one
+    h(mid) splits an interval's targets at a threshold, and compaction keeps
+    order. Runs only split; under a quarter repeating, the search costs what
+    it saves, and stops. A wider scan takes the proxy roots
+    (``_proxy_roots``) of h, or of the parts A = (S/C - M3)*h0 + r and D =
+    S/C - M3 of g_t = A - t*D, that the kernel verifies (``_checked_roots``):
+    one kernel call for the proxies and one for the verification pairs. The
+    brackets left over are bisected to ``ROOT_RTOL``/4, so every root of
+    such a scan lies within ``ROOT_RTOL``/2 of a root of f. Either way each
+    root depends on its own bracket alone, never on the other targets of
+    the search.
 
     Returns:
         (roots, counts): the roots grouped by target in target order and
@@ -924,15 +786,25 @@ def _scan_roots_batch(
     # Brackets in blocked intervals come last, so both groups are views.
     split = interval.size - np.count_nonzero(scan.blocked[interval])
     target, trace = targets[owner], _once_per_run(lambda x: (half_trace_values(cell, x),))
+    located = scan.omega_max > _LOCATOR_WINDOWS * default_omega_max(cell)
 
-    def refine(group, func, sample, values=None, **kwargs):
+    def refine(group, func, sample, values=None, residual_tol=None):
         iv, t, f = interval[group], target[group], f_lo[group]
-        guess = None
-        if iv.size > _SPECULATION_BRACKETS:
-            guess = _proxy_roots(nodes, iv, t, f > 0.0, sample, values)
-        # f(hi) only steers the speculative levels: sign-scaled values do for g_t.
-        f_hi = None if guess else np.copysign(scan.values[iv + 1] - t, -f)
-        return _bisect(func, nodes[iv], nodes[iv + 1], f, f_hi, rtol=ROOT_RTOL, guess=guess, **kwargs)
+
+        def bisect(func, iv, t, f, rtol):
+            # f(hi) only steers the speculative levels: sign-scaled values do for g_t.
+            f_hi = np.copysign(scan.values[iv + 1] - t, -f)
+            return _bisect(func, nodes[iv], nodes[iv + 1], f, f_hi, rtol=rtol, residual_tol=residual_tol)
+
+        if not (located and iv.size):
+            return bisect(func, iv, t, f, ROOT_RTOL)
+        positive = f > 0.0
+        x, slope, ok = _proxy_roots(nodes, iv, t, positive, sample, values)
+        roots, found = _checked_roots(func, x, slope, ok, nodes[iv], nodes[iv + 1], positive, residual_tol)
+        if (rest := np.flatnonzero(~found)).size:
+            # To ROOT_RTOL/4, so that these roots too lie within ROOT_RTOL/2.
+            roots[rest] = bisect(lambda x, live: func(x, rest[live]), iv[rest], t[rest], f[rest], ROOT_RTOL / 4)
+        return roots
 
     refined = refine(
         slice(None, split), lambda x, live: trace(x)[0] - target[live],
