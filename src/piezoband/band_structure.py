@@ -130,7 +130,7 @@ _POWERS = np.array([
 _ROUNDING = 1e-12
 # Newton evaluations of each proxy at most, from regula falsi between the
 # samples across its sign change: on the wide-window benchmark's cells two
-# or three bring |p| within its error bound for all but 126 of 143 524
+# or three bring |p| within its error bound for all but 124 of 143 524
 # brackets, and none takes more than five.
 _NEWTON_STEPS = 8
 
@@ -235,10 +235,11 @@ class FrequencyScan:
         nodes: Sorted sample frequencies; nodes[0] == 0.
         values: Half-trace at the nodes.
         poles: Shunt resonance frequencies in (0, omega_max), ascending:
-            zeros of S/C - M3, each bisected in its bracket between
-            consecutive extrema of the piezo sin(q)/q.
+            zeros of S/C - M3, each located by ``_locate`` in its bracket
+            between consecutive extrema of the piezo sin(q)/q, and
+            bisected only where its sign-verified pair had to be widened.
         blocked: Per-interval mask, True when (nodes[i], nodes[i+1])
-            contains a pole: its roots are bracketed and bisected on the
+            contains a pole: its roots are bracketed and refined on the
             pole-free numerator g_t, never on the half-trace.
 
     ``trace_branches`` keeps its roots of h = +-1 (K = 0 and pi/T) in a
@@ -623,13 +624,16 @@ def _proxy_roots(nodes, interval, target, positive, sample, values=None):
     A bracket is ok where its samples change sign once, from the sign of
     f(lo), and its Newton run brought |p(x)| within 8*(|c_7| + |c_8|) +
     1e-12*(max|A| + |t|*max|D|), c_k the Chebyshev coefficients of A and
-    t*D added in magnitude. Brackets go in blocks of ``_BLOCK``, so the
-    (9, n) temporaries stay small.
+    t*D added in magnitude. Where an interval's samples of f = A - t run
+    monotone, the number of them above t gives the segment of the sign
+    change; the other intervals' samples are scanned for every change.
+    Brackets go in blocks of ``_BLOCK``, so the (9, n) temporaries stay
+    small.
     """
     held = np.zeros(nodes.size, dtype=bool)
     held[interval] = True
     iv = np.flatnonzero(held)
-    inverse = (np.cumsum(held, dtype=np.int32) - 1)[interval]
+    inverse = (np.cumsum(held) - 1)[interval]
     a, b = nodes[iv], nodes[iv + 1]
     s = _LOBATTO if values is None else _LOBATTO[1:-1]
     A, D = sample(a + (b - a) * (0.5 + 0.5 * s[:, None]))
@@ -639,24 +643,40 @@ def _proxy_roots(nodes, interval, target, positive, sample, values=None):
     power = [None if v is None else np.einsum("kj,jn->kn", _POWERS, v) for v in (A, D)]
     error = [_ROUNDING if v is None else np.abs(p[7]) / 8.0 + np.abs(p[8]) / 16.0
              + _ROUNDING * np.abs(v).max(axis=0) for p, v in zip(power, (A, D))]
+    # The direction of f = A - t over each interval: 1 rising, -1 falling, 0 neither or both.
+    trend = np.zeros(iv.size, dtype=int)
+    if D is None:
+        step = np.diff(A, axis=0)
+        trend = (step >= 0.0).all(axis=0).astype(int) - (step <= 0.0).all(axis=0)
     root, slope, ok = np.empty(target.size), np.empty(target.size), np.empty(target.size, dtype=bool)
     for start in range(0, target.size, _BLOCK):
         block = slice(start, start + _BLOCK)
         k, t, pos = inverse[block], target[block], positive[block]
+        f, coef = A.take(k, axis=1), power[0].take(k, axis=1)
         if D is None:
-            f, coef = A[:, k] - t, power[0][:, k]
+            f -= t
             coef[0] -= t
             bound = error[0][k] + np.abs(t) * error[1]
         else:
-            f, coef = A[:, k] - t * D[:, k], power[0][:, k] - t * power[1][:, k]
+            f -= t * D.take(k, axis=1)
+            coef -= t * power[1].take(k, axis=1)
             bound = error[0][k] + np.abs(t) * error[1][k]
         above = f > 0.0
-        change = above[1:] != above[:-1]
-        j = change.argmax(axis=0)
-        lone = (np.count_nonzero(change, axis=0) == 1) & (above[0] == pos)
+        count = above.sum(axis=0, dtype=np.intp)
+        direction = trend[k]
+        # A monotone f changes sign once, after its 9 - count samples below
+        # t where it rises, after its count samples above t where it falls.
+        lone = (count > 0) & (count < 9)
+        j = np.where(direction > 0, 8 - count, count - 1) * lone
+        lone &= (direction < 0) == pos
+        if (mixed := np.flatnonzero(direction == 0)).size:
+            sub = above[:, mixed]
+            change = sub[1:] != sub[:-1]
+            j[mixed] = change.argmax(axis=0)
+            lone[mixed] = (np.count_nonzero(change, axis=0) == 1) & (sub[0] == pos[mixed])
         col = np.arange(t.size)
         lo_s, hi_s, f_lo, f_hi = _LOBATTO[j], _LOBATTO[j + 1], f[j, col], f[j + 1, col]
-        del f, above, change
+        del f, above
         with np.errstate(divide="ignore", invalid="ignore"):
             u = lo_s - f_lo * (hi_s - lo_s) / (f_hi - f_lo)
             p, dp = _newton(coef, u, lo_s, hi_s, pos, bound)
@@ -684,7 +704,11 @@ def _checked_roots(func, x, slope, ok, lo, hi, positive, residual_tol):
     k = np.flatnonzero(ok)
     with np.errstate(divide="ignore"):
         dx = np.minimum(ROOT_RTOL / 4 * x[k], (residual_tol or math.inf) / (4.0 * slope[k]))
-    pair = np.clip(np.stack([x[k] - dx, x[k] + dx]), lo[k], hi[k])
+    # Filled in place: two (2, n) temporaries fewer than np.clip(np.stack(...)).
+    pair = np.empty((2, k.size))
+    np.subtract(x[k], dx, out=pair[0])
+    np.add(x[k], dx, out=pair[1])
+    np.minimum(np.maximum(pair, lo[k], out=pair), hi[k], out=pair)
     f = func(pair.ravel(), np.concatenate([k, k])).reshape(pair.shape)
     f *= np.where(positive[k], 1.0, -1.0)
     near = np.abs(f[1]) < np.abs(f[0])
@@ -699,33 +723,28 @@ def _checked_roots(func, x, slope, ok, lo, hi, positive, residual_tol):
 def _newton(coef, u, lo, hi, rising, error):
     """Newton on each proxy sum coef[k]*s^k from u, in place, kept inside (lo, hi).
 
-    Iterates, ``_NEWTON_STEPS`` times at most, on the proxies whose |p(u)|
-    still exceeds their error; a step out of the bracket, which each
-    iterate's sign narrows, becomes its midpoint, and a step onto u itself
-    is taken (as in ``_locate``). Returns p(u) and p'(u), with nan p where
-    the run did not converge.
+    Iterates, ``_NEWTON_STEPS`` times at most, until every |p(u)| is within
+    its error; a step out of the bracket, which each iterate's sign
+    narrows, becomes its midpoint, and a step onto u itself is taken (as in
+    ``_locate``). Every proxy is evaluated each time, and a converged one
+    keeps its u, so it evaluates to the same p again: each element's
+    arithmetic is that of a loop on the open proxies alone. Returns p(u)
+    and p'(u), with nan p where the run did not converge.
     """
-    p, dp = np.full(u.size, np.nan), np.empty(u.size)
-    todo = np.arange(u.size)
     for _ in range(_NEWTON_STEPS):
-        x = u[todo]
-        p_x, dp_x = _horner(coef if todo.size == u.size else coef[:, todo], x)
-        done = np.abs(p_x) <= error[todo]
-        p[todo[done]], dp[todo[done]] = p_x[done], dp_x[done]
-        keep = np.flatnonzero(~done)
-        todo, x, p_x, dp_x = todo[keep], x[keep], p_x[keep], dp_x[keep]
-        if not todo.size:
+        p, dp = _horner(coef, u)
+        done = np.abs(p) <= error
+        if done.all():
             break
-        # Branch-free selects (the masks are random): lo, hi = x on the side of x.
-        below = ((p_x > 0.0) == rising[todo]).astype(float)
-        a, b = lo[todo], hi[todo]
-        a += below * (x - a)
-        b += (1.0 - below) * (x - b)
-        lo[todo], hi[todo] = a, b
-        step = x - p_x / dp_x
-        inside = (((step > a) & (step < b)) | (step == x)).astype(float)
-        u[todo] = 0.5 * (a + b) + inside * (step - 0.5 * (a + b))
-    return p, dp
+        # Branch-free selects (the masks are random): lo, hi = u on the side of u.
+        below = ((p > 0.0) == rising).astype(float)
+        lo += below * (u - lo)
+        hi += (1.0 - below) * (u - hi)
+        step = u - p / dp
+        inside = (((step > lo) & (step < hi)) | (step == u)).astype(float)
+        mid = 0.5 * (lo + hi)
+        np.copyto(u, mid + inside * (step - mid), where=~done)
+    return np.where(done, p, np.nan), dp
 
 
 def _horner(coef, s):
@@ -840,12 +859,13 @@ def trace_branches(
     """Trace all dispersion branches omega_n(K) on a uniform K grid.
 
     For each K in [0, pi/T] the roots of the half-trace h(omega) = cos(K*T) are
-    bracketed on the shared scan and refined by bisection; the n-th lowest
-    root at each K forms branch n. The trivial solution (K, omega) = (0, 0)
-    belongs to the first branch exactly when the quasistatic stiffness
-    c_eff is positive or infinite (at C/S = Cinf/S the branch leaves the
-    origin with infinite slope); in the negative-stiffness regime the
-    first branch detaches from the origin.
+    bracketed on the shared scan and refined, by bisection on a scan up to
+    the default window and from kernel-verified Chebyshev-proxy roots on a
+    wider one; the n-th lowest root at each K forms branch n. The trivial
+    solution (K, omega) = (0, 0) belongs to the first branch exactly when
+    the quasistatic stiffness c_eff is positive or infinite (at C/S =
+    Cinf/S the branch leaves the origin with infinite slope); in the
+    negative-stiffness regime the first branch detaches from the origin.
 
     Args:
         cell: Unit cell.
@@ -1097,7 +1117,7 @@ def find_flat_capacitance(
     below flatness_tol is returned. At C* the pole at omega* cancels, so
     that branch holds omega* at every K. Each candidate is judged on its
     first branch alone: one scan, and only the lowest root of each K
-    bisected, which are ``trace_branches(...)[0]`` bit for bit.
+    refined, which are ``trace_branches(...)[0]`` bit for bit.
 
     Args:
         cell: Template cell (its own c_over_s is ignored).

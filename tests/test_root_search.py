@@ -11,7 +11,8 @@ enough of them repeat, and small bracket sets evaluate several predicted
 passes a call; their roots are held to the plain loop bit for bit, at
 every rtol and whether the predictions hold or not. Scans wider than the
 default window take verified Chebyshev-proxy roots instead: those are held
-to roots bisected to 1e-15 on the plain formulas of the kernel tests.
+to roots bisected to 1e-15 on the plain formulas of the kernel tests, and
+every proxy root, bit for bit, to the former locator kept below.
 """
 
 import math
@@ -465,6 +466,148 @@ def test_located_search_kernel_points(monkeypatch):
     assert roots.size > 39_900
     assert sum(x.size for x in points) <= 115_000
     assert len(points) <= 10
+
+
+def reference_proxy_roots(nodes, interval, target, positive, sample, values=None, stats=None):
+    """_proxy_roots as it was: full sign tables, then a compacting Newton.
+
+    Every bracket's sign-change segment comes from argmax and count_nonzero
+    over the whole (9, n) sign table, and ``reference_newton`` gathers its
+    open proxies every step. ``stats``, where given, counts the brackets
+    whose samples of f are not monotone and those still open after two
+    Newton steps.
+    """
+    held = np.zeros(nodes.size, dtype=bool)
+    held[interval] = True
+    iv = np.flatnonzero(held)
+    inverse = (np.cumsum(held, dtype=np.int32) - 1)[interval]
+    a, b = nodes[iv], nodes[iv + 1]
+    s = bs._LOBATTO if values is None else bs._LOBATTO[1:-1]
+    A, D = sample(a + (b - a) * (0.5 + 0.5 * s[:, None]))
+    if values is not None:
+        A = np.concatenate([values[iv][None], A, values[iv + 1][None]])
+    power = [None if v is None else np.einsum("kj,jn->kn", bs._POWERS, v) for v in (A, D)]
+    error = [bs._ROUNDING if v is None else np.abs(p[7]) / 8.0 + np.abs(p[8]) / 16.0
+             + bs._ROUNDING * np.abs(v).max(axis=0) for p, v in zip(power, (A, D))]
+    root, slope, ok = np.empty(target.size), np.empty(target.size), np.empty(target.size, dtype=bool)
+    stats = {} if stats is None else stats
+    for start in range(0, target.size, bs._BLOCK):
+        block = slice(start, start + bs._BLOCK)
+        k, t, pos = inverse[block], target[block], positive[block]
+        if D is None:
+            f, coef = A[:, k] - t, power[0][:, k]
+            coef[0] -= t
+            bound = error[0][k] + np.abs(t) * error[1]
+        else:
+            f, coef = A[:, k] - t * D[:, k], power[0][:, k] - t * power[1][:, k]
+            bound = error[0][k] + np.abs(t) * error[1][k]
+        above = f > 0.0
+        change = above[1:] != above[:-1]
+        j = change.argmax(axis=0)
+        lone = (np.count_nonzero(change, axis=0) == 1) & (above[0] == pos)
+        col = np.arange(t.size)
+        lo_s, hi_s, f_lo, f_hi = bs._LOBATTO[j], bs._LOBATTO[j + 1], f[j, col], f[j + 1, col]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = lo_s - f_lo * (hi_s - lo_s) / (f_hi - f_lo)
+            open_counts = []
+            p, dp = reference_newton(coef, u, lo_s, hi_s, pos, bound, open_counts)
+        step = np.diff(f, axis=0)
+        monotone = (step >= 0.0).all(axis=0) | (step <= 0.0).all(axis=0)
+        stats["non-monotone"] = stats.get("non-monotone", 0) + int(np.count_nonzero(~monotone))
+        stats["late"] = stats.get("late", 0) + (open_counts[2] if len(open_counts) > 2 else 0)
+        half = 0.5 * (b - a)[k]
+        slope[block] = np.abs(dp) / half
+        ok[block] = lone & (np.abs(p) <= bound)
+        root[block] = a[k] + half * (1.0 + u)
+    return root, slope, ok
+
+
+def reference_newton(coef, u, lo, hi, rising, error, open_counts):
+    """_newton as it was: every step gathers the open proxies' columns and
+    scatters their iterates back. Appends the number of proxies each step
+    evaluates to ``open_counts``."""
+    p, dp = np.full(u.size, np.nan), np.empty(u.size)
+    todo = np.arange(u.size)
+    for _ in range(bs._NEWTON_STEPS):
+        open_counts.append(todo.size)
+        x = u[todo]
+        p_x, dp_x = reference_horner(coef if todo.size == u.size else coef[:, todo], x)
+        done = np.abs(p_x) <= error[todo]
+        p[todo[done]], dp[todo[done]] = p_x[done], dp_x[done]
+        keep = np.flatnonzero(~done)
+        todo, x, p_x, dp_x = todo[keep], x[keep], p_x[keep], dp_x[keep]
+        if not todo.size:
+            break
+        below = ((p_x > 0.0) == rising[todo]).astype(float)
+        a, b = lo[todo], hi[todo]
+        a += below * (x - a)
+        b += (1.0 - below) * (x - b)
+        lo[todo], hi[todo] = a, b
+        step = x - p_x / dp_x
+        inside = (((step > a) & (step < b)) | (step == x)).astype(float)
+        u[todo] = 0.5 * (a + b) + inside * (step - 0.5 * (a + b))
+    return p, dp
+
+
+def reference_horner(coef, s):
+    """The sum coef[k]*s^k over the rows of coef and its derivative, by Horner's rule."""
+    p, dp = coef[-1].copy(), np.zeros_like(s)
+    for row in coef[-2::-1]:
+        dp = dp * s + p
+        p = p * s + row
+    return p, dp
+
+
+def proxy_roots_against_reference(monkeypatch, searches):
+    """Run ``_scan_roots_batch`` on each (scan, targets) with every
+    ``_proxy_roots`` call held to ``reference_proxy_roots``: ok and root
+    bit for bit on every bracket, slope on every ok one (an unconverged
+    Newton run leaves its slope unset). Returns the reference's stats, with
+    the number of calls on g_t (no scan values) under "g_t"."""
+    proxy_roots, stats = bs._proxy_roots, {"g_t": 0}
+
+    def checked(nodes, interval, target, positive, sample, values=None):
+        root, slope, ok = proxy_roots(nodes, interval, target, positive, sample, values)
+        expected = reference_proxy_roots(nodes, interval, target, positive, sample, values, stats)
+        assert ok.tobytes() == expected[2].tobytes()
+        assert root.tobytes() == expected[0].tobytes()
+        assert slope[ok].tobytes() == expected[1][ok].tobytes()
+        stats["g_t"] += values is None
+        return root, slope, ok
+
+    monkeypatch.setattr(bs, "_proxy_roots", checked)
+    for scan, targets in searches:
+        bs._scan_roots_batch(scan, targets)
+    return stats
+
+
+@pytest.mark.parametrize("factor", [10.0, 50.0])
+def test_proxy_roots_match_reference_on_the_shipped_cell(factor, monkeypatch):
+    # The trace searches of the wide-window benchmark's cells and -13.3
+    # uF/m^2, and searches of targets across and beyond their poles, whose
+    # roots are found on g_t in blocked intervals: the monotone count and
+    # the in-place Newton keep every bit of the code they replaced.
+    rng, searches = np.random.default_rng(25), []
+    for c_over_s in (0.0, -11e-6, -13.3e-6, -16.7e-6):
+        cell = default_cell(c_over_s)
+        scan = bs.scan_frequencies(cell, factor * bs.default_omega_max(cell))
+        searches += [(scan, K_TARGETS), (scan, awkward_targets(scan, rng))]
+    stats = proxy_roots_against_reference(monkeypatch, searches)
+    assert stats["g_t"] >= 2 and stats["late"] > 0 and stats["non-monotone"] > 0
+
+
+def test_proxy_roots_match_reference_on_random_cells(monkeypatch):
+    # Coarse scans of random cells with awkward targets: intervals whose
+    # samples are not monotone take the full sign-change scan, and converged
+    # proxies sit in place while slower ones in their block step on.
+    draws, rng = np.random.default_rng(23), np.random.default_rng(24)
+    searches = []
+    for _ in range(30):
+        cell = shunted_cell(draws)
+        scan = bs.scan_frequencies(cell, 10.0 * bs.default_omega_max(cell), base_points=400)
+        searches.append((scan, awkward_targets(scan, rng)))
+    stats = proxy_roots_against_reference(monkeypatch, searches)
+    assert stats["non-monotone"] > 0 and stats["late"] > 0 and stats["g_t"] > 0
 
 
 @pytest.mark.parametrize("move", ["shift", "far end"])
