@@ -28,19 +28,17 @@ Root search is array code throughout. The targets cos(K*T) of all K are
 sorted once; each pole-free scan interval finds its candidate targets by
 binary search on its two end values and keeps those that pass the strict
 sign-change test, so the cost is O(nodes * log targets + brackets) with no
-targets x nodes temporary. The refiner is chosen per scan. A scan up to
-``_LOCATOR_WINDOWS`` default windows wide is refined by bisection, which
-never leaves its bracket and evaluates a mid shared by brackets once; up
-to ``_SPECULATION_BRACKETS`` brackets, where a kernel call costs mostly
-its fixed part, one call evaluates the mids of several passes along the
-path a secant estimate predicts, and bisection is replayed on their signs.
-A wider scan interpolates each scan interval that holds brackets at 9
-Chebyshev points, all in one kernel call, and takes each bracket's proxy
-root once the kernel has verified it: a pair of points around it must
-change sign, its end nearer the root meeting the residual test. The
-brackets a proxy does not serve are bisected. So a root never depends on
-the other targets of its search. ``stopbands`` reuses a trace's h = +-1
-roots.
+targets x nodes temporary. The refiner is chosen per scan (``_bisected``),
+so a root never depends on the other targets of its search. A scan of any
+window but the default interpolates each scan interval that holds
+brackets at 9 Chebyshev points, all in one kernel call, and takes each
+bracket's proxy root once the kernel has verified it: a pair of points
+around it must change sign, its end nearer the root meeting the residual
+test. The brackets a proxy does not serve are bisected. A scan of exactly
+the default window is bisected, which evaluates a mid shared by brackets
+once and, up to ``_SPECULATION_BRACKETS`` brackets, the mids of several
+passes a call along the path a secant estimate predicts. ``stopbands``
+reuses a trace's h = +-1 roots.
 """
 
 from __future__ import annotations
@@ -100,16 +98,6 @@ _POLE_RTOL = 1e-14
 # it up to about a thousand brackets (shared 2-core Xeon).
 _SPECULATION_BRACKETS = 1000
 _MAX_LEVELS = 6
-# Scans wider than _LOCATOR_WINDOWS default windows take verified proxy
-# roots (``_proxy_roots``, ``_checked_roots``). The locator breaks even
-# with bisection near a quarter window and wins above (200 K targets on the
-# shipped cell at 0, -11 and -16.7 uF/m^2: 1.0-2.0 against 1.7 ms there,
-# 2.8-3.0 against 3.4-4.3 ms at 1x, 2.5-3.8 against 9.0-10.8 ms at 2x;
-# process time, best of 15, shared 2-core Xeon), but the default window keeps
-# bisection, so its sweeps stay byte for byte. The rule is per scan, never
-# per bracket set, so a root does not depend on the other targets of its
-# search.
-_LOCATOR_WINDOWS = 1.0
 # Each scan interval with brackets is interpolated at the 9
 # Chebyshev-Lobatto points s_j = -cos(j*pi/8) of [-1, 1] (Boyd, SIAM J.
 # Numer. Anal. 40(5), 2002), in powers of s for Horner: coefficients a =
@@ -264,9 +252,9 @@ def _bisect(func, lo, hi, f_lo, f_hi, *, rtol, residual_tol=None, max_iter=200):
     else hi. A bracket finishes at mid when the width after the move is
     relatively tight (and, if requested, |f(mid)| is small), when f(mid) is
     an exact zero, or when the floating-point grid is exhausted. It refines
-    every root search of a scan up to ``_LOCATOR_WINDOWS`` default windows
-    wide, the brackets whose proxy roots a wider scan could not verify, and
-    the pole pairs that ``_locate`` had to widen.
+    every root search of a default-window scan (``_bisected``), the brackets
+    whose proxy roots any other scan could not verify, and the pole pairs
+    that ``_locate`` had to widen.
 
     Up to ``_SPECULATION_BRACKETS`` brackets, where one pass a call would
     pay the kernel's fixed cost each pass, ``_MAX_LEVELS`` passes share a
@@ -758,6 +746,17 @@ def _horner(coef, s):
     return p, dp
 
 
+def _bisected(scan: FrequencyScan) -> bool:
+    """Whether the root searches of scan bisect, rather than locate, their roots.
+
+    Only a scan of exactly the default window does: the default sweep's
+    bytes, and the benchmark's digests of them, pin its root bits until the
+    benchmark checks answers instead (ROADMAP item 9), which removes this
+    exception. The rule is per scan, never per bracket set.
+    """
+    return scan.omega_max == default_omega_max(scan.cell)
+
+
 def _scan_roots_batch(
     scan: FrequencyScan, targets: np.ndarray, *, lowest: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -772,13 +771,13 @@ def _scan_roots_batch(
     smallest node or interval index (a zero at node i lies below the root
     of interval j exactly when i <= j), and only those brackets are refined.
 
-    A scan up to ``_LOCATOR_WINDOWS`` default windows wide is bisected.
-    Brackets of one interval share mids until their targets part: the
-    kernel is elementwise and runs once per run of equal adjacent mids;
-    equal mids are adjacent, as brackets come by interval, then target, one
-    h(mid) splits an interval's targets at a threshold, and compaction keeps
-    order. Runs only split; under a quarter repeating, the search costs what
-    it saves, and stops. A wider scan takes the proxy roots
+    A scan of the default window (``_bisected``) is bisected. Brackets of
+    one interval share mids until their targets part: the kernel is
+    elementwise and runs once per run of equal adjacent mids; equal mids are
+    adjacent, as brackets come by interval, then target, one h(mid) splits
+    an interval's targets at a threshold, and compaction keeps order. Runs
+    only split; under a quarter repeating, the search costs what it saves,
+    and stops. Any other scan, narrower or wider, takes the proxy roots
     (``_proxy_roots``) of h, or of the parts A = (S/C - M3)*h0 + r and D =
     S/C - M3 of g_t = A - t*D, that the kernel verifies (``_checked_roots``):
     one kernel call for the proxies and one for the verification pairs. The
@@ -805,7 +804,7 @@ def _scan_roots_batch(
     # Brackets in blocked intervals come last, so both groups are views.
     split = interval.size - np.count_nonzero(scan.blocked[interval])
     target, trace = targets[owner], _once_per_run(lambda x: (half_trace_values(cell, x),))
-    located = scan.omega_max > _LOCATOR_WINDOWS * default_omega_max(cell)
+    bisected = _bisected(scan)
 
     def refine(group, func, sample, values=None, residual_tol=None):
         iv, t, f = interval[group], target[group], f_lo[group]
@@ -815,7 +814,7 @@ def _scan_roots_batch(
             f_hi = np.copysign(scan.values[iv + 1] - t, -f)
             return _bisect(func, nodes[iv], nodes[iv + 1], f, f_hi, rtol=rtol, residual_tol=residual_tol)
 
-        if not (located and iv.size):
+        if bisected or not iv.size:
             return bisect(func, iv, t, f, ROOT_RTOL)
         positive = f > 0.0
         x, slope, ok = _proxy_roots(nodes, iv, t, positive, sample, values)
@@ -859,9 +858,9 @@ def trace_branches(
     """Trace all dispersion branches omega_n(K) on a uniform K grid.
 
     For each K in [0, pi/T] the roots of the half-trace h(omega) = cos(K*T) are
-    bracketed on the shared scan and refined, by bisection on a scan up to
-    the default window and from kernel-verified Chebyshev-proxy roots on a
-    wider one; the n-th lowest root at each K forms branch n. The trivial
+    bracketed on the shared scan and refined, by bisection on a scan of
+    exactly the default window and from kernel-verified Chebyshev-proxy
+    roots on any other; the n-th lowest root at each K forms branch n. The trivial
     solution (K, omega) = (0, 0) belongs to the first branch exactly when
     the quasistatic stiffness c_eff is positive or infinite (at C/S =
     Cinf/S the branch leaves the origin with infinite slope); in the

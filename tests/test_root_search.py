@@ -5,13 +5,14 @@ classification must reproduce, bit for bit, the per-target bracket loop,
 the uncompacted bisection loop and the per-interval classification loop
 kept below as references. The group velocity of whole branches is held to
 central differences of the half-trace. In a scan interval that holds a pole the references
-bracket and bisect the pole-free numerator g_t = (S/C - M3)*(h - t). The
-batched root search evaluates each distinct mid of a pass once while
-enough of them repeat, and small bracket sets evaluate several predicted
-passes a call; their roots are held to the plain loop bit for bit, at
-every rtol and whether the predictions hold or not. Scans wider than the
-default window take verified Chebyshev-proxy roots instead: those are held
-to roots bisected to 1e-15 on the plain formulas of the kernel tests, and
+bracket and bisect the pole-free numerator g_t = (S/C - M3)*(h - t). A
+scan of exactly the default window is bisected: the batched root search
+evaluates each distinct mid of a pass once while enough of them repeat,
+and small bracket sets evaluate several predicted passes a call; their
+roots are held to the plain loop bit for bit, at every rtol and whether
+the predictions hold or not. Scans of every other window, narrower or
+wider, take verified Chebyshev-proxy roots instead: those are held to
+roots bisected to 1e-15 on the plain formulas of the kernel tests, and
 every proxy root, bit for bit, to the former locator kept below.
 """
 
@@ -454,6 +455,57 @@ def test_random_cell_roots_match_tight_reference():
     assert blocked >= 20 and on_g >= 20
 
 
+def test_random_cell_roots_match_tight_reference_on_narrow_windows():
+    # 60 random cells on the 0.25x and 0.5x windows, which take verified
+    # proxy roots like every window but the default, half of them shunted
+    # into their negative-stiffness interval, with awkward targets.
+    draws, rng = np.random.default_rng(26), np.random.default_rng(27)
+    blocked = on_g = 0
+    for i in range(60):
+        cell = shunted_cell(draws)
+        omega_max = (0.5 if i % 2 else 0.25) * bs.default_omega_max(cell)
+        scan = bs.scan_frequencies(cell, omega_max, base_points=400)
+        on_g += assert_roots_near_tight_reference(scan, awkward_targets(scan, rng))
+        blocked += bool(scan.blocked.any())
+    assert blocked >= 20 and on_g >= 20
+
+
+def test_c08_roots_match_tight_reference():
+    # The origin-slope series of acceptance c08: nine C/S just above Cinf/S
+    # on the quarter window, 400 K targets. The small-K roots next to the
+    # origin, where h is so flat that the proxy root Newton accepts can lie
+    # outside its verification pair, are bisected and held to the same answers.
+    cell = default_cell()
+    c_inf, _ = special_capacitances(cell)
+    targets = np.cos(np.linspace(0.0, math.pi, 400))
+    for delta in np.logspace(-4, -2, 9) * abs(c_inf):
+        scan = bs.scan_frequencies(cell.with_c_over_s(c_inf + float(delta)), bs.default_omega_max(cell) / 4.0)
+        assert_roots_near_tight_reference(scan, targets)
+
+
+@pytest.mark.parametrize("c_over_s", [-11e-6, -16.7e-6])
+def test_only_the_default_window_is_bisected(c_over_s, monkeypatch):
+    # The default sweep pins the default window's root bits: its search
+    # makes no _proxy_roots call and equals the plain bisection loop bit
+    # for bit. A narrower and a wider window take verified proxy roots.
+    calls, proxy_roots = [], bs._proxy_roots
+
+    def spy(*args):
+        calls.append(args)
+        return proxy_roots(*args)
+
+    monkeypatch.setattr(bs, "_proxy_roots", spy)
+    cell = default_cell(c_over_s)
+    scan = bs.scan_frequencies(cell)
+    assert scan.omega_max == bs.default_omega_max(cell)
+    assert_roots_match_reference(scan, K_TARGETS, reference_roots(scan, K_TARGETS))
+    assert calls == []
+    for factor in (0.25, 2.0):
+        bs._scan_roots_batch(bs.scan_frequencies(cell, factor * scan.omega_max), K_TARGETS)
+        assert calls
+        calls.clear()
+
+
 def test_located_search_kernel_points(monkeypatch):
     # The 39 947 brackets of the -11 uF/m^2 50x trace: 7 proxy samples a
     # scan interval with brackets in one call, both points of every
@@ -734,7 +786,7 @@ def recorded_bisections(solve):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bs, "_bisect", record)
-        patch.setattr(bs, "_LOCATOR_WINDOWS", math.inf)
+        patch.setattr(bs, "_bisected", lambda scan: True)
         solve()
     return calls
 
