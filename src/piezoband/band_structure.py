@@ -35,8 +35,7 @@ brackets at 9 Chebyshev points, all in one kernel call, and takes each
 bracket's proxy root once the kernel has verified it: a pair of points
 around it must change sign, its end nearer the root meeting the residual
 test. The brackets a proxy does not serve are bisected. A scan of exactly
-the default window is bisected, which evaluates a mid shared by brackets
-once and, up to ``_SPECULATION_BRACKETS`` brackets, the mids of several
+the default window is bisected, which evaluates the mids of several
 passes a call along the path a secant estimate predicts. ``stopbands``
 reuses a trace's h = +-1 roots.
 """
@@ -90,13 +89,7 @@ RESIDUAL_TOL = 1e-9
 DEFAULT_FLATNESS_TOL = 1e-3
 # Relative width at which a pole (or a root of r) is located.
 _POLE_RTOL = 1e-14
-# Speculative bisection evaluates _MAX_LEVELS passes a kernel call, up to
-# _SPECULATION_BRACKETS brackets; larger sets take one pass a call. A
-# half-trace call costs a fixed 25-30 us of numpy calls plus about 110 ns a
-# point (33 us at 100 points, 465 us at 4096; process time, best of 5), and
-# the replay about as much again a point and level: the saved calls pay for
-# it up to about a thousand brackets (shared 2-core Xeon).
-_SPECULATION_BRACKETS = 1000
+# Bisection passes a kernel call; one a call is 1.8x slower on the 9 default panels.
 _MAX_LEVELS = 6
 # Each scan interval with brackets is interpolated at the 9
 # Chebyshev-Lobatto points s_j = -cos(j*pi/8) of [-1, 1] (Boyd, SIAM J.
@@ -256,9 +249,8 @@ def _bisect(func, lo, hi, f_lo, f_hi, *, rtol, residual_tol=None, max_iter=200):
     whose proxy roots any other scan could not verify, and the pole pairs
     that ``_locate`` had to widen.
 
-    Up to ``_SPECULATION_BRACKETS`` brackets, where one pass a call would
-    pay the kernel's fixed cost each pass, ``_MAX_LEVELS`` passes share a
-    func call; larger sets take one pass a call, the plain loop. A round
+    ``_MAX_LEVELS`` passes share a func call, whatever the number of
+    brackets, so the kernel's fixed cost is paid once a round. A round
     predicts each bracket's path from the secant g through its last two
     evaluated points, at first its two ends (regula falsi): mid_k = 0.5*(lo_k
     + hi_k) as in a pass, and lo moves where mid_k < g. The mids go to func
@@ -284,7 +276,6 @@ def _bisect(func, lo, hi, f_lo, f_hi, *, rtol, residual_tol=None, max_iter=200):
     scale = max(rtol, 2.0**-50) * max(np.abs([lo, hi]).max(initial=0.0), 2.0**-1000)
     bound = np.min(hi - lo, initial=np.inf) / scale
     quiet = math.frexp(bound)[1] - 3 if 1.0 <= bound < math.inf else 0  # floor(log2) - 2
-    levels = _MAX_LEVELS if lo.size <= _SPECULATION_BRACKETS else 1
     positive = f_lo > 0.0
     result = np.empty(lo.size)
     live = np.arange(lo.size)
@@ -292,7 +283,7 @@ def _bisect(func, lo, hi, f_lo, f_hi, *, rtol, residual_tol=None, max_iter=200):
     x, f_x, x_prev, f_prev = lo, f_lo, hi, f_hi
     while live.size:
         top = int(passes.max())
-        depth = min(levels, max_iter - top)
+        depth = min(_MAX_LEVELS, max_iter - top)
         if depth < 1:
             open_ = np.flatnonzero(passes >= max_iter)
             raise NumericalError(
@@ -771,11 +762,12 @@ def _scan_roots_batch(
     smallest node or interval index (a zero at node i lies below the root
     of interval j exactly when i <= j), and only those brackets are refined.
 
-    A scan of the default window (``_bisected``) is bisected. Brackets of
-    one interval share mids until their targets part: the kernel is
-    elementwise and runs once per run of equal adjacent mids; equal mids are
-    adjacent, as brackets come by interval, then target, one h(mid) splits
-    an interval's targets at a threshold, and compaction keeps order. Runs
+    A scan of the default window (``_bisected``) is bisected. On g_t the
+    brackets of a blocked interval share mids until their targets part (at
+    a flat band all of them converge on omega*): the kernel is elementwise
+    and runs once per run of equal adjacent mids; equal mids are adjacent,
+    as brackets come by interval, then target, one g_t(mid) splits an
+    interval's targets at a threshold, and compaction keeps order. Runs
     only split; under a quarter repeating, the search costs what it saves,
     and stops. Any other scan, narrower or wider, takes the proxy roots
     (``_proxy_roots``) of h, or of the parts A = (S/C - M3)*h0 + r and D =
@@ -803,7 +795,7 @@ def _scan_roots_batch(
         node, zero_owner = node[first], zero_owner[first]
     # Brackets in blocked intervals come last, so both groups are views.
     split = interval.size - np.count_nonzero(scan.blocked[interval])
-    target, trace = targets[owner], _once_per_run(lambda x: (half_trace_values(cell, x),))
+    target = targets[owner]
     bisected = _bisected(scan)
 
     def refine(group, func, sample, values=None, residual_tol=None):
@@ -825,7 +817,7 @@ def _scan_roots_batch(
         return roots
 
     refined = refine(
-        slice(None, split), lambda x, live: trace(x)[0] - target[live],
+        slice(None, split), lambda x, live: half_trace_values(cell, x) - target[live],
         lambda x: (half_trace_values(cell, x), None), scan.values, residual_tol=RESIDUAL_TOL,
     )
     if split < interval.size:
@@ -1050,11 +1042,16 @@ def detect_flat_bands(
 ) -> list[Branch]:
     """The traced branches whose relative frequency spread is below flatness_tol.
 
+    Only a branch with a sample at every K of the trace, as many samples
+    as the longest branch, is judged: one that misses K samples, such as a
+    top branch cut by omega_max, can have a small spread without being flat.
+
     Raises:
         ValueError: If flatness_tol is not positive and finite.
     """
     _check_flatness_tol(flatness_tol)
-    return [b for b in branches if branch_flatness(b) < flatness_tol]
+    full = max(map(len, branches), default=0)
+    return [b for b in branches if len(b) == full and branch_flatness(b) < flatness_tol]
 
 
 def _check_flatness_tol(flatness_tol: float) -> None:

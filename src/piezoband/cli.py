@@ -21,6 +21,7 @@ from .band_structure import (
     BracketError,
     InsufficientSamplesError,
     NumericalError,
+    _check_flatness_tol,
     default_omega_max,
     detect_flat_bands,
     group_velocity,
@@ -193,6 +194,7 @@ def _cmd_stopbands(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_flatness_tol(args.flatness_tol)
     cell = _load_cell(args)
     omega_max = _resolve_omega_max(args, cell)
     if args.values is not None:

@@ -495,6 +495,20 @@ class TestFlatBands:
         for gamma in (0.0, -11e-6, -40e-6):
             assert bs.detect_flat_bands(bs.trace_branches(ShuntedCell(el, pz, gamma))) == []
 
+    def test_branch_missing_k_samples_is_not_flat(self):
+        # Regression: random_cell draw 166 of seed 0 traces branches of
+        # [200, 200, 199, 199, 1] samples, and the one sample of branch 5
+        # has spread 0, so it was reported flat. Only a branch with a
+        # sample at every K of the trace is judged.
+        draws = np.random.default_rng(0)
+        for _ in range(166):
+            random_cell(draws)
+        branches = bs.trace_branches(random_cell(draws))
+        assert [len(b) for b in branches] == [200, 200, 199, 199, 1]
+        assert bs.branch_flatness(branches[-1]) == 0.0
+        assert bs.detect_flat_bands(branches) == []
+        assert [b.index for b in bs.detect_flat_bands(branches[-1:])] == [5]
+
     def test_find_flat_capacitance_self_consistency(self, cell):
         c_star = bs.find_flat_capacitance(cell, (-16.5e-6, -16.2e-6), k_points=120)
         assert -16.5e-6 < c_star < -16.2e-6

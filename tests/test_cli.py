@@ -272,8 +272,12 @@ class TestSweep:
         + [pytest.param(["--k-points", "1"], "k_points", id="k-points-1")],
     )
     def test_bad_flatness_tol_exits_2_before_writing_a_panel(
-        self, bad_args, message, tmp_path, capsys
+        self, bad_args, message, tmp_path, monkeypatch, capsys
     ):
+        # A bad --flatness-tol is rejected before any panel is traced (it
+        # used to cost one full trace); a bad --k-points, by the trace.
+        traced = []
+        monkeypatch.setattr(cli, "trace_branches", lambda *a: traced.append(a) or trace_branches(*a))
         out_dir = tmp_path / "sweep"
         code = main(["sweep", "--values", "0", "--k-points", "40", *bad_args,
                      "--out", str(out_dir)])
@@ -281,6 +285,7 @@ class TestSweep:
         err = json.loads(capsys.readouterr().err)
         assert (err["error"], err["type"]) == ("input", "ValueError")
         assert message in err["message"]
+        assert len(traced) == (message == "k_points")
         assert not out_dir.exists()
 
 

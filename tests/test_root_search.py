@@ -6,14 +6,15 @@ the uncompacted bisection loop and the per-interval classification loop
 kept below as references. The group velocity of whole branches is held to
 central differences of the half-trace. In a scan interval that holds a pole the references
 bracket and bisect the pole-free numerator g_t = (S/C - M3)*(h - t). A
-scan of exactly the default window is bisected: the batched root search
-evaluates each distinct mid of a pass once while enough of them repeat,
-and small bracket sets evaluate several predicted passes a call; their
-roots are held to the plain loop bit for bit, at every rtol and whether
-the predictions hold or not. Scans of every other window, narrower or
-wider, take verified Chebyshev-proxy roots instead: those are held to
-roots bisected to 1e-15 on the plain formulas of the kernel tests, and
-every proxy root, bit for bit, to the former locator kept below.
+scan of exactly the default window is bisected: every bracket set
+evaluates several predicted passes a call, and on the pole-free
+numerator each distinct mid of a pass is evaluated once while enough of
+them repeat; the roots are held to the plain loop bit for bit, at every
+rtol and whether the predictions hold or not. Scans of every other
+window, narrower or wider, take verified Chebyshev-proxy roots instead:
+those are held to roots bisected to 1e-15 on the plain formulas of the
+kernel tests, and every proxy root, bit for bit, to the former locator
+kept below.
 """
 
 import math
@@ -219,11 +220,11 @@ def test_bracket_test_is_the_strict_product_test():
 def assert_bisection_matches_plain_loop(func, lo, hi, f_lo, f_hi=None, check_mids=True, **kwargs):
     """_bisect on func(x, live) equals the plain loop bit for bit.
 
-    A one-level bisection evaluates each bracket in exactly the passes the
-    plain loop takes for it, one call a pass. A speculative one evaluates
-    every mid of the plain loop (unless not check_mids), in no more calls
-    than the plain loop makes passes. f_hi defaults to func at hi. Returns
-    the levels per call.
+    With ``_MAX_LEVELS`` = 1 a bisection evaluates each bracket in exactly
+    the passes the plain loop takes for it, one call a pass. A speculative
+    one evaluates every mid of the plain loop (unless not check_mids), in
+    no more calls than the plain loop makes passes. f_hi defaults to func
+    at hi. Returns the number of func calls.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     everywhere = np.arange(lo.size)
@@ -246,15 +247,14 @@ def assert_bisection_matches_plain_loop(func, lo, hi, f_lo, f_hi=None, check_mid
     expected, took = reference_bisect(plain, lo, hi, f_lo, **kwargs)
     assert roots.tobytes() == expected.tobytes()
     keys = np.concatenate([np.empty(0, dtype=complex)] + evaluated)
-    levels = bs._MAX_LEVELS if lo.size <= bs._SPECULATION_BRACKETS else 1
-    if levels == 1:
+    if bs._MAX_LEVELS == 1:
         assert np.bincount(keys.real.astype(int), minlength=lo.size).tolist() == took.tolist()
         assert len(calls) == took.max(initial=0)
     else:
         plain_mids = [everywhere[took > n] + 1j * x[took > n] for n, x in enumerate(mids)]
         assert not check_mids or np.isin(np.concatenate(plain_mids), keys).all()
         assert len(calls) <= took.max(initial=0)
-    return levels
+    return len(calls)
 
 
 def plain_brackets(scan, targets):
@@ -275,13 +275,15 @@ def test_compacting_bisection_matches_plain_loop():
         scan = bs.scan_frequencies(shunted_cell(draws), base_points=400)
         brackets = plain_brackets(scan, awkward_targets(scan, rng))
         assert_bisection_matches_plain_loop(*brackets, **kwargs)
-    # Full size: every K target of a trace on the 50x window, about 40 000 brackets.
+    # Full size: every K target of a trace on the 50x window, about 40 000
+    # brackets, six passes a call like any other set: 8 calls, where one
+    # pass a call takes 38.
     cell = default_cell(-11e-6)
     scan = bs.scan_frequencies(cell, 50.0 * bs.default_omega_max(cell))
     targets = np.cos(np.linspace(0.0, math.pi, bs.DEFAULT_K_POINTS))
     func, lo, hi, f_lo = plain_brackets(scan, targets)
     assert lo.size > 35_000
-    assert_bisection_matches_plain_loop(func, lo, hi, f_lo, **kwargs)
+    assert assert_bisection_matches_plain_loop(func, lo, hi, f_lo, **kwargs) <= 10
 
 
 def mids_per_pass(func, lo, hi, f_lo, **kwargs):
@@ -727,23 +729,33 @@ def test_speculative_levels_evaluate_every_plain_mid(monkeypatch):
 
 
 def test_shared_mids_in_shuffled_bracket_order(monkeypatch):
-    # Equal mids that are not adjacent are evaluated apart, with the same
-    # roots: the 799 brackets of the -11 uF/m^2 trace on the default window.
-    cell = default_cell(-11e-6)
-    scan = bs.scan_frequencies(cell)
-    expected = reference_roots(scan, K_TARGETS)
+    # Only g_t shares mids: the 200 brackets of the blocked interval at the
+    # flat-band C* of branch 1, here in shuffled order. At C* every target
+    # converges on omega*, so all mids stay equal and each is evaluated
+    # once. At 1e-9 relative off C* the targets part after about ten
+    # passes, and equal mids that are not adjacent are evaluated apart.
+    # The roots are the plain loop's either way.
     target_hits, rng = bs._target_hits, np.random.default_rng(12)
 
     def shuffled(scan, targets):
         (interval, owner, f_lo), zeros = target_hits(scan, targets)
         at_pole = scan.blocked[interval]
-        order = np.concatenate([
-            rng.permutation(np.flatnonzero(~at_pole)), rng.permutation(np.flatnonzero(at_pole)),
-        ])
+        assert np.count_nonzero(at_pole) == targets.size
+        order = np.concatenate([np.flatnonzero(~at_pole), rng.permutation(np.flatnonzero(at_pole))])
         return (interval[order], owner[order], f_lo[order]), zeros
 
     monkeypatch.setattr(bs, "_target_hits", shuffled)
-    assert_roots_match_reference(scan, K_TARGETS, expected)
+    points = counted(monkeypatch, "_cell_parts")
+    for delta in (0.0, 1e-9):
+        scan = bs.scan_frequencies(default_cell(-1.631192105104345e-05 * (1.0 + delta)))
+        expected = reference_roots(scan, K_TARGETS)
+        points.clear()
+        assert_roots_match_reference(scan, K_TARGETS, expected)
+        evaluated = np.concatenate(points)
+        if delta == 0.0:
+            assert np.unique(evaluated).size == evaluated.size < 60
+        else:
+            assert evaluated.size > 2 * np.unique(evaluated).size
 
 
 def test_flat_band_bisection_evaluates_each_mid_once(monkeypatch):
@@ -834,7 +846,6 @@ def test_speculative_bisection_matches_plain_loop_on_random_cells(
     # reach _bisect only when widened, too few to count on here; the pairs
     # it does not bisect are held to an always-bisecting reference below.
     seen = dict.fromkeys(["h - t", "g_t", "locate"], 0)
-    monkeypatch.setattr(bs, "_SPECULATION_BRACKETS", math.inf)
     for i, (func, lo, hi, f_lo, f_hi, residual_tol) in enumerate(random_cell_bisections[rtol]):
         kind = "locate" if "_locate" in func.__qualname__ else "g_t"
         seen["h - t" if residual_tol is not None else kind] += 1
@@ -929,7 +940,7 @@ def test_bracket_within_rtol_returns_its_mid(f_mid, rtol, levels, monkeypatch):
     # Both halves within rtol*|mid| and no residual test: the first pass
     # converges whichever way f(mid) moves the bracket, or hits a zero, so
     # _bisect returns 0.5*(lo + hi) from one func call. _locate relies on it.
-    monkeypatch.setattr(bs, "_SPECULATION_BRACKETS", 0 if levels == 1 else 1000)
+    monkeypatch.setattr(bs, "_MAX_LEVELS", levels)
     lo = np.array([1.0, -3.0, 7e5, 2e-3, -4e-7, 5.0, 1e300])
     hi = lo + np.array([1.99, 1.5, 1.0, 0.5, 0.01, 0.0, 1.99]) * rtol * np.abs(lo)
     mid = 0.5 * (lo + hi)
@@ -952,13 +963,13 @@ def test_convergence_reads_the_width_after_the_move(rtol, levels, monkeypatch):
     # first move and narrower after it, so the plain loop returns the first
     # mid. A test of the width before the move would take a second level.
     # (At rtol 1e-17 and 0 such a width is below one ulp.)
-    monkeypatch.setattr(bs, "_SPECULATION_BRACKETS", 0 if levels == 1 else 1000)
+    monkeypatch.setattr(bs, "_MAX_LEVELS", levels)
     lo = np.array([1.0, -3.0, 7e5, 2e-3, -4e-7])
     hi = lo + 1.5 * rtol * np.abs(lo)
     assert np.all((hi - lo) > rtol * np.abs(0.5 * (lo + hi)))
     root = lo + 0.3 * (hi - lo)
     func = lambda x, live: x - root[live]
-    assert assert_bisection_matches_plain_loop(func, lo, hi, lo - root, rtol=rtol) == levels
+    assert assert_bisection_matches_plain_loop(func, lo, hi, lo - root, rtol=rtol) == 1
     roots = bs._bisect(func, lo, hi, lo - root, hi - root, rtol=rtol)
     assert roots.tobytes() == (0.5 * (lo + hi)).tobytes()
 
@@ -1002,14 +1013,15 @@ def test_bisection_passes_before_any_bracket_can_converge(rtol, degenerate, monk
     sign = np.where(np.arange(lo.size) % 2 == 0, 1.0, -1.0)
     func = lambda x, live: sign[live] * ((x - lo[live]) - offset[live])
     f_lo = -sign * offset
-    # The same brackets one level a call and six.
-    for levels, speculate in ((1, 0), (6, 1000)):
-        monkeypatch.setattr(bs, "_SPECULATION_BRACKETS", speculate)
-        for residual_tol in (None, 1e-6):
-            got = assert_bisection_matches_plain_loop(
+    # The same brackets one level a call and six: six take fewer calls.
+    for residual_tol in (None, 1e-6):
+        calls = []
+        for levels in (1, 6):
+            monkeypatch.setattr(bs, "_MAX_LEVELS", levels)
+            calls.append(assert_bisection_matches_plain_loop(
                 func, lo, hi, f_lo, rtol=rtol, residual_tol=residual_tol
-            )
-            assert got == levels
+            ))
+        assert calls[1] < calls[0]
 
 
 def test_batched_roots_match_per_target_lists():
@@ -1054,8 +1066,8 @@ def test_interval_classification_matches_per_interval_loop():
 
 def test_bisection_out_of_passes_raises_instead_of_guessing():
     # Regression: on max_iter exhaustion _bisect used to return the
-    # unevaluated center of each open bracket. One bracket runs speculative
-    # levels, 5000 one level a call; both stop after max_iter passes.
+    # unevaluated center of each open bracket. One bracket and 5000, both
+    # speculative, stop after max_iter passes: three levels in one call.
     func = lambda x, live: x - math.pi
     for brackets in (1, 5000):
         lo, hi = np.zeros(brackets), np.full(brackets, 4.0)
