@@ -263,19 +263,11 @@ def _bisect(func, lo, hi, f_lo, f_hi, *, rtol, residual_tol=None, max_iter=200):
     and no round takes one past max_iter. The returned point is always one
     whose residual was actually evaluated.
 
-    Before pass floor(log2(w/(rtol*m))) - 2 (w the narrowest bracket, m the
-    largest |end|, rtol >= 2^-50, m >= 2^-1000) every bracket is wider than
-    8*rtol*m - 2^-52*m, so none can converge or be stuck: those rounds test
-    only for exact zeros.
-
     Raises:
         NumericalError: If a bracket is still open after max_iter passes.
     """
     lo, hi = np.array([lo, hi], dtype=float)
     f_lo, f_hi = np.asarray(f_lo, dtype=float), np.asarray(f_hi, dtype=float)
-    scale = max(rtol, 2.0**-50) * max(np.abs([lo, hi]).max(initial=0.0), 2.0**-1000)
-    bound = np.min(hi - lo, initial=np.inf) / scale
-    quiet = math.frexp(bound)[1] - 3 if 1.0 <= bound < math.inf else 0  # floor(log2) - 2
     positive = f_lo > 0.0
     result = np.empty(lo.size)
     live = np.arange(lo.size)
@@ -305,13 +297,10 @@ def _bisect(func, lo, hi, f_lo, f_hi, *, rtol, residual_tol=None, max_iter=200):
         f = func(mids.reshape(-1), np.concatenate([live] * depth)).reshape(depth, m)
         lows, highs = np.array(lows), np.array(highs)
         moves_lo = (f > 0.0) == positive
-        finished = f == 0.0
-        if top + depth > quiet:
-            after = np.where(moves_lo, highs - mids, mids - lows)
-            converged = after <= rtol * np.abs(mids)
-            if residual_tol is not None:
-                converged &= np.abs(f) <= residual_tol
-            finished |= converged | (mids <= lows) | (mids >= highs)
+        converged = np.where(moves_lo, highs - mids, mids - lows) <= rtol * np.abs(mids)
+        if residual_tol is not None:
+            converged &= np.abs(f) <= residual_tol
+        finished = converged | (f == 0.0) | (mids <= lows) | (mids >= highs)
         stop = finished | (moves_lo != up)
         stop[-1] = True
         last = stop.argmax(axis=0)
@@ -574,23 +563,6 @@ def _target_hits(scan: FrequencyScan, targets: np.ndarray):
     return brackets, (node[exact], zero_owner[exact])
 
 
-def _once_per_run(kernel):
-    """kernel(x), a tuple of elementwise arrays, once per run of equal adjacent x."""
-    looking = True
-
-    def shared(x):
-        nonlocal looking
-        if looking:
-            new = np.append(True, x[1:] != x[:-1])
-            looking = 4 * np.count_nonzero(new) <= 3 * x.size
-        if not looking:
-            return kernel(x)
-        run = np.add.accumulate(new, dtype=np.intp) - 1
-        return tuple(v[run] for v in kernel(x[new]))
-
-    return shared
-
-
 def _proxy_roots(nodes, interval, target, positive, sample, values=None):
     """The proxy root (root, slope, ok) of each bracket, for ``_checked_roots``.
 
@@ -603,11 +575,8 @@ def _proxy_roots(nodes, interval, target, positive, sample, values=None):
     A bracket is ok where its samples change sign once, from the sign of
     f(lo), and its Newton run brought |p(x)| within 8*(|c_7| + |c_8|) +
     1e-12*(max|A| + |t|*max|D|), c_k the Chebyshev coefficients of A and
-    t*D added in magnitude. Where an interval's samples of f = A - t run
-    monotone, the number of them above t gives the segment of the sign
-    change; the other intervals' samples are scanned for every change.
-    Brackets go in blocks of ``_BLOCK``, so the (9, n) temporaries stay
-    small.
+    t*D added in magnitude. Brackets go in blocks of ``_BLOCK``, so the
+    (9, n) temporaries stay small.
     """
     held = np.zeros(nodes.size, dtype=bool)
     held[interval] = True
@@ -622,11 +591,6 @@ def _proxy_roots(nodes, interval, target, positive, sample, values=None):
     power = [None if v is None else np.einsum("kj,jn->kn", _POWERS, v) for v in (A, D)]
     error = [_ROUNDING if v is None else np.abs(p[7]) / 8.0 + np.abs(p[8]) / 16.0
              + _ROUNDING * np.abs(v).max(axis=0) for p, v in zip(power, (A, D))]
-    # The direction of f = A - t over each interval: 1 rising, -1 falling, 0 neither or both.
-    trend = np.zeros(iv.size, dtype=int)
-    if D is None:
-        step = np.diff(A, axis=0)
-        trend = (step >= 0.0).all(axis=0).astype(int) - (step <= 0.0).all(axis=0)
     root, slope, ok = np.empty(target.size), np.empty(target.size), np.empty(target.size, dtype=bool)
     for start in range(0, target.size, _BLOCK):
         block = slice(start, start + _BLOCK)
@@ -641,21 +605,12 @@ def _proxy_roots(nodes, interval, target, positive, sample, values=None):
             coef -= t * power[1].take(k, axis=1)
             bound = error[0][k] + np.abs(t) * error[1][k]
         above = f > 0.0
-        count = above.sum(axis=0, dtype=np.intp)
-        direction = trend[k]
-        # A monotone f changes sign once, after its 9 - count samples below
-        # t where it rises, after its count samples above t where it falls.
-        lone = (count > 0) & (count < 9)
-        j = np.where(direction > 0, 8 - count, count - 1) * lone
-        lone &= (direction < 0) == pos
-        if (mixed := np.flatnonzero(direction == 0)).size:
-            sub = above[:, mixed]
-            change = sub[1:] != sub[:-1]
-            j[mixed] = change.argmax(axis=0)
-            lone[mixed] = (np.count_nonzero(change, axis=0) == 1) & (sub[0] == pos[mixed])
+        change = above[1:] != above[:-1]
+        j = change.argmax(axis=0)
+        lone = (np.count_nonzero(change, axis=0) == 1) & (above[0] == pos)
         col = np.arange(t.size)
         lo_s, hi_s, f_lo, f_hi = _LOBATTO[j], _LOBATTO[j + 1], f[j, col], f[j + 1, col]
-        del f, above
+        del f, above, change
         with np.errstate(divide="ignore", invalid="ignore"):
             u = lo_s - f_lo * (hi_s - lo_s) / (f_hi - f_lo)
             p, dp = _newton(coef, u, lo_s, hi_s, pos, bound)
@@ -683,7 +638,6 @@ def _checked_roots(func, x, slope, ok, lo, hi, positive, residual_tol):
     k = np.flatnonzero(ok)
     with np.errstate(divide="ignore"):
         dx = np.minimum(ROOT_RTOL / 4 * x[k], (residual_tol or math.inf) / (4.0 * slope[k]))
-    # Filled in place: two (2, n) temporaries fewer than np.clip(np.stack(...)).
     pair = np.empty((2, k.size))
     np.subtract(x[k], dx, out=pair[0])
     np.add(x[k], dx, out=pair[1])
@@ -762,21 +716,14 @@ def _scan_roots_batch(
     smallest node or interval index (a zero at node i lies below the root
     of interval j exactly when i <= j), and only those brackets are refined.
 
-    A scan of the default window (``_bisected``) is bisected. On g_t the
-    brackets of a blocked interval share mids until their targets part (at
-    a flat band all of them converge on omega*): the kernel is elementwise
-    and runs once per run of equal adjacent mids; equal mids are adjacent,
-    as brackets come by interval, then target, one g_t(mid) splits an
-    interval's targets at a threshold, and compaction keeps order. Runs
-    only split; under a quarter repeating, the search costs what it saves,
-    and stops. Any other scan, narrower or wider, takes the proxy roots
-    (``_proxy_roots``) of h, or of the parts A = (S/C - M3)*h0 + r and D =
-    S/C - M3 of g_t = A - t*D, that the kernel verifies (``_checked_roots``):
-    one kernel call for the proxies and one for the verification pairs. The
-    brackets left over are bisected to ``ROOT_RTOL``/4, so every root of
-    such a scan lies within ``ROOT_RTOL``/2 of a root of f. Either way each
-    root depends on its own bracket alone, never on the other targets of
-    the search.
+    A scan of the default window (``_bisected``) is bisected. Any other
+    scan, narrower or wider, takes the proxy roots (``_proxy_roots``) of h,
+    or of the parts A = (S/C - M3)*h0 + r and D = S/C - M3 of g_t = A -
+    t*D, that the kernel verifies (``_checked_roots``): one kernel call for
+    the proxies and one for the verification pairs. The brackets left over
+    are bisected to ``ROOT_RTOL``/4, so every root of such a scan lies
+    within ``ROOT_RTOL``/2 of a root of f. Either way each root depends on
+    its own bracket alone, never on the other targets of the search.
 
     Returns:
         (roots, counts): the roots grouped by target in target order and
@@ -821,9 +768,10 @@ def _scan_roots_batch(
         lambda x: (half_trace_values(cell, x), None), scan.values, residual_tol=RESIDUAL_TOL,
     )
     if split < interval.size:
-        parts, pole_target = _once_per_run(lambda x: _cell_parts(cell, x)), target[split:]
+        pole_target = target[split:]
+
         def numerator(x, live):
-            h0, r, M3 = parts(x)
+            h0, r, M3 = _cell_parts(cell, x)
             return (1.0 / cell.c_over_s - M3) * (h0 - pole_target[live]) + r
 
         def sample(x):

@@ -49,8 +49,7 @@ _INPUT_ERRORS = (
     MaterialFileError,
     InvalidMaterialError,
     UnitError,
-    FileNotFoundError,
-    IsADirectoryError,
+    OSError,
     ValueError,
 )
 _NUMERICAL_ERRORS = (NumericalError, BracketError, ResonancePoleError, InsufficientSamplesError)

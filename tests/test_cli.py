@@ -334,6 +334,20 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "numerical", "message": "no sign change", "type": "BracketError"}
 
-    def test_missing_file_exit_2(self, capsys):
-        assert main(["effective", "--material", "/nonexistent.mat"]) == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "input"
+    @pytest.mark.parametrize("case, expected", [
+        ("missing material", "FileNotFoundError"),
+        ("bands out under a file", "NotADirectoryError"),
+        ("sweep out onto a file", "FileExistsError"),
+    ])
+    def test_missing_file_exit_2(self, case, expected, tmp_path, capsys):
+        # Any OSError of an input or output path is an input error, exit 2.
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        argv = {
+            "missing material": ["effective", "--material", str(tmp_path / "absent.mat")],
+            "bands out under a file": ["bands", "--k-points", "5", "--out", str(taken / "x.csv")],
+            "sweep out onto a file": ["sweep", "--values", "0", "--k-points", "5", "--out", str(taken)],
+        }[case]
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["type"]) == ("input", expected)

@@ -299,16 +299,6 @@ def mids_per_pass(func, lo, hi, f_lo, **kwargs):
             for npass, x in enumerate(mids)]
 
 
-def shared_points(passes):
-    """Kernel points when each pass evaluates its distinct mids once, until
-    the first pass in which under a quarter of its mids repeat."""
-    points, looking = 0, True
-    for size, distinct in passes:
-        looking = looking and 4 * distinct <= 3 * size
-        points += distinct if looking else size
-    return points
-
-
 def counted(monkeypatch, name):
     """Patch the band_structure kernel ``name`` to log the points of each call."""
     points, kernel = [], getattr(bs, name)
@@ -523,13 +513,13 @@ def test_located_search_kernel_points(monkeypatch):
 
 
 def reference_proxy_roots(nodes, interval, target, positive, sample, values=None, stats=None):
-    """_proxy_roots as it was: full sign tables, then a compacting Newton.
+    """_proxy_roots with a compacting Newton.
 
     Every bracket's sign-change segment comes from argmax and count_nonzero
-    over the whole (9, n) sign table, and ``reference_newton`` gathers its
-    open proxies every step. ``stats``, where given, counts the brackets
-    whose samples of f are not monotone and those still open after two
-    Newton steps.
+    over its (9, n) sign table, and ``reference_newton`` gathers its open
+    proxies every step. ``stats``, where given, counts the brackets whose
+    samples of f are not monotone and those still open after two Newton
+    steps.
     """
     held = np.zeros(nodes.size, dtype=bool)
     held[interval] = True
@@ -639,8 +629,8 @@ def proxy_roots_against_reference(monkeypatch, searches):
 def test_proxy_roots_match_reference_on_the_shipped_cell(factor, monkeypatch):
     # The trace searches of the wide-window benchmark's cells and -13.3
     # uF/m^2, and searches of targets across and beyond their poles, whose
-    # roots are found on g_t in blocked intervals: the monotone count and
-    # the in-place Newton keep every bit of the code they replaced.
+    # roots are found on g_t in blocked intervals: the in-place Newton
+    # keeps every bit of the compacting one it replaced.
     rng, searches = np.random.default_rng(25), []
     for c_over_s in (0.0, -11e-6, -13.3e-6, -16.7e-6):
         cell = default_cell(c_over_s)
@@ -651,9 +641,9 @@ def test_proxy_roots_match_reference_on_the_shipped_cell(factor, monkeypatch):
 
 
 def test_proxy_roots_match_reference_on_random_cells(monkeypatch):
-    # Coarse scans of random cells with awkward targets: intervals whose
-    # samples are not monotone take the full sign-change scan, and converged
-    # proxies sit in place while slower ones in their block step on.
+    # Coarse scans of random cells with awkward targets: some intervals'
+    # samples are not monotone, and converged proxies sit in place while
+    # slower ones in their block step on.
     draws, rng = np.random.default_rng(23), np.random.default_rng(24)
     searches = []
     for _ in range(30):
@@ -728,13 +718,12 @@ def test_speculative_levels_evaluate_every_plain_mid(monkeypatch):
     assert len(points) < 10
 
 
-def test_shared_mids_in_shuffled_bracket_order(monkeypatch):
-    # Only g_t shares mids: the 200 brackets of the blocked interval at the
-    # flat-band C* of branch 1, here in shuffled order. At C* every target
-    # converges on omega*, so all mids stay equal and each is evaluated
-    # once. At 1e-9 relative off C* the targets part after about ten
-    # passes, and equal mids that are not adjacent are evaluated apart.
-    # The roots are the plain loop's either way.
+def test_flat_band_roots_in_shuffled_bracket_order(monkeypatch):
+    # The 200 brackets of the blocked interval at the flat-band C* of
+    # branch 1, in shuffled order. At C* every target converges on omega*;
+    # at 1e-9 relative off C* the targets part after about ten passes. The
+    # roots are the plain loop's either way: each depends on its own
+    # bracket alone, not on where it sits among the others.
     target_hits, rng = bs._target_hits, np.random.default_rng(12)
 
     def shuffled(scan, targets):
@@ -745,46 +734,9 @@ def test_shared_mids_in_shuffled_bracket_order(monkeypatch):
         return (interval[order], owner[order], f_lo[order]), zeros
 
     monkeypatch.setattr(bs, "_target_hits", shuffled)
-    points = counted(monkeypatch, "_cell_parts")
     for delta in (0.0, 1e-9):
         scan = bs.scan_frequencies(default_cell(-1.631192105104345e-05 * (1.0 + delta)))
-        expected = reference_roots(scan, K_TARGETS)
-        points.clear()
-        assert_roots_match_reference(scan, K_TARGETS, expected)
-        evaluated = np.concatenate(points)
-        if delta == 0.0:
-            assert np.unique(evaluated).size == evaluated.size < 60
-        else:
-            assert evaluated.size > 2 * np.unique(evaluated).size
-
-
-def test_flat_band_bisection_evaluates_each_mid_once(monkeypatch):
-    # At C* every target converges on the flat band omega*, so the 200
-    # brackets of the blocked interval share every mid, and their
-    # predictions agree: each distinct mid is evaluated once, and the levels
-    # past each bracket's last cost at most as many points again.
-    cell = default_cell(-1.631192105104345e-05)
-    scan = bs.scan_frequencies(cell)
-    targets = np.cos(np.linspace(0.0, math.pi, bs.DEFAULT_K_POINTS))
-    (interval, owner, f_lo), _ = bs._target_hits(scan, targets)
-    pole = scan.blocked[interval]
-    assert pole.sum() == targets.size
-
-    def numerator(x):
-        h0, r, M3 = transfer_matrix._cell_parts(cell, x)
-        return (1.0 / cell.c_over_s - M3) * (h0 - targets[owner[pole]]) + r
-
-    lo, hi = scan.nodes[interval[pole]], scan.nodes[interval[pole] + 1]
-    passes = mids_per_pass(numerator, lo, hi, f_lo[pole], rtol=bs.ROOT_RTOL)
-    distinct = plain_mids(numerator, lo, hi, f_lo[pole], rtol=bs.ROOT_RTOL)
-    expected = reference_roots(scan, targets)
-    points = counted(monkeypatch, "_cell_parts")
-    assert_roots_match_reference(scan, targets, expected)
-    evaluated = np.concatenate(points)
-    assert distinct.size == shared_points(passes) == len(passes) < 30
-    assert [np.count_nonzero(evaluated == x) for x in distinct] == [1] * distinct.size
-    assert evaluated.size <= 2 * len(passes)
-    assert len(points) < len(passes) / 3
+        assert_roots_match_reference(scan, K_TARGETS, reference_roots(scan, K_TARGETS))
 
 
 def recorded_bisections(solve):
@@ -997,14 +949,13 @@ def test_prediction_failing_at_the_first_level(rtol):
 @pytest.mark.parametrize("rtol", [bs.ROOT_RTOL, 1e-14, 0.0, 1e-17])
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_bisection_passes_before_any_bracket_can_converge(rtol, degenerate, monkeypatch):
-    # Brackets at least 0.5 wide with ends of at most 1000 leave 20 or more
-    # passes in which none can converge or run out of floats. Exact zeros must still end a
-    # bracket in those passes: at the first mid ([0, 2], [-8, -1]) and at
-    # the second ([0, 4], [-5, -1]). At rtol = 0 and 1e-17 only the float
+    # Brackets at least 0.5 wide with ends of at most 1000 take 20 or more
+    # passes before any can converge or run out of floats. Exact zeros end a
+    # bracket in those early passes: at the first mid ([0, 2], [-8, -1]) and
+    # at the second ([0, 4], [-5, -1]). At rtol = 0 and 1e-17 only the float
     # grid or an exact zero ends a bracket: (x - 999) - 0.4 has no float
-    # zero, and [999, 999.5] runs out of floats after 42 passes, one before
-    # a bound taken at rtol = 1e-17 instead of 2^-50 would test again. A
-    # zero-width bracket leaves no pass that cannot end.
+    # zero, and [999, 999.5] runs out of floats after 42 passes. A
+    # zero-width bracket ends at its first pass.
     lo = np.array([0.0, 0.0, 0.0, -8.0, -5.0, -1000.0, 999.0, 0.5, 0.0, 10.0])
     hi = np.array([2.0, 4.0, 1.0, -1.0, -1.0, -999.0, 999.5, 1.0, 1000.0, 11.0])
     offset = np.array([1.0, 3.0, 0.3, 3.5, 3.0, 0.877, 0.4, 0.4999, 1e-3, 0.6])
