@@ -30,14 +30,15 @@ binary search on its two end values and keeps those that pass the strict
 sign-change test, so the cost is O(nodes * log targets + brackets) with no
 targets x nodes temporary. The refiner is chosen per scan (``_bisected``),
 so a root never depends on the other targets of its search. A scan of any
-window but the default interpolates each scan interval that holds
-brackets at 9 Chebyshev points, all in one kernel call, and takes each
-bracket's proxy root once the kernel has verified it: a pair of points
-around it must change sign, its end nearer the root meeting the residual
-test. The brackets a proxy does not serve are bisected. A scan of exactly
-the default window is bisected, which evaluates the mids of several
-passes a call along the path a secant estimate predicts. ``stopbands``
-reuses a trace's h = +-1 roots.
+window but the default interpolates each scan interval that holds brackets
+at 9 Chebyshev points, all in one kernel call, runs Newton on each
+bracket's proxy until its step is small, and takes the proxy root once the
+kernel has verified it: a pair of points around it must change sign, its
+end nearer the root meeting the residual test. The pair, not an error
+model of the proxy, is the certificate. The brackets a proxy does not
+serve are bisected. A scan of exactly the default window is bisected,
+which evaluates the mids of several passes a call along the path a secant
+estimate predicts. ``stopbands`` reuses a trace's h = +-1 roots.
 """
 
 from __future__ import annotations
@@ -94,13 +95,7 @@ _MAX_LEVELS = 6
 # Each scan interval with brackets is interpolated at the 9
 # Chebyshev-Lobatto points s_j = -cos(j*pi/8) of [-1, 1] (Boyd, SIAM J.
 # Numer. Anal. 40(5), 2002), in powers of s for Horner: coefficients a =
-# _POWERS @ samples. The Chebyshev tail is c_7 = a_7/64 and c_8 = a_8/128.
-# A base interval of the 50x window spans a tenth of a band, where c_7 and
-# c_8 of the half-trace fall to about 1e-13, so 8*(|c_7| + |c_8|) bounds the
-# interpolation error with room to spare. 1e-12 of the size of the terms,
-# max|A| + |t|*max|D| over the samples of f = A - t*D, covers the kernel's
-# rounding: on the c08 cells, next to the quasistatic pole, h of order 1
-# carries 1e-14 of it.
+# _POWERS @ samples.
 _LOBATTO = -np.cos(np.arange(9) * (math.pi / 8))
 # Column j holds the Lagrange basis polynomial of s_j, from its roots (no
 # BLAS or LAPACK call, which would start their thread buffers at import).
@@ -108,11 +103,13 @@ _POWERS = np.array([
     np.poly(np.delete(_LOBATTO, j))[::-1] / np.prod(_LOBATTO[j] - np.delete(_LOBATTO, j))
     for j in range(9)
 ]).T
-_ROUNDING = 1e-12
+# A proxy's Newton run stops once a step moves it by at most this fraction
+# of its interval's half-width.
+_NEWTON_STOP = 1e-9
 # Newton evaluations of each proxy at most, from regula falsi between the
 # samples across its sign change: on the wide-window benchmark's cells two
-# or three bring |p| within its error bound for all but 124 of 143 524
-# brackets, and none takes more than five.
+# or three stop all but 121 of 143 524 brackets, and of those 120 stop
+# within five and one not at all.
 _NEWTON_STEPS = 8
 
 
@@ -571,12 +568,10 @@ def _proxy_roots(nodes, interval, target, positive, sample, values=None):
     one ``sample(x)`` call, which returns (A, D) with f = A - t*D, D = None
     for 1. A bracket's proxy p is the interpolant of its 9 values of f;
     Newton from regula falsi between the two samples across its one sign
-    change, kept inside them, gives its root x and slope |p'(x)| in omega.
-    A bracket is ok where its samples change sign once, from the sign of
-    f(lo), and its Newton run brought |p(x)| within 8*(|c_7| + |c_8|) +
-    1e-12*(max|A| + |t|*max|D|), c_k the Chebyshev coefficients of A and
-    t*D added in magnitude. Brackets go in blocks of ``_BLOCK``, so the
-    (9, n) temporaries stay small.
+    change, kept inside them, gives its root x and slope |p'| in omega. A
+    bracket is ok where its samples change sign once, from the sign of
+    f(lo), and its Newton run stopped. Brackets go in blocks of
+    ``_BLOCK``, so the (9, n) temporaries stay small.
     """
     held = np.zeros(nodes.size, dtype=bool)
     held[interval] = True
@@ -589,8 +584,6 @@ def _proxy_roots(nodes, interval, target, positive, sample, values=None):
         A = np.concatenate([values[iv][None], A, values[iv + 1][None]])
     # einsum, not matmul: a BLAS call on these (9, 9) @ (9, n) can cost milliseconds.
     power = [None if v is None else np.einsum("kj,jn->kn", _POWERS, v) for v in (A, D)]
-    error = [_ROUNDING if v is None else np.abs(p[7]) / 8.0 + np.abs(p[8]) / 16.0
-             + _ROUNDING * np.abs(v).max(axis=0) for p, v in zip(power, (A, D))]
     root, slope, ok = np.empty(target.size), np.empty(target.size), np.empty(target.size, dtype=bool)
     for start in range(0, target.size, _BLOCK):
         block = slice(start, start + _BLOCK)
@@ -599,11 +592,9 @@ def _proxy_roots(nodes, interval, target, positive, sample, values=None):
         if D is None:
             f -= t
             coef[0] -= t
-            bound = error[0][k] + np.abs(t) * error[1]
         else:
             f -= t * D.take(k, axis=1)
             coef -= t * power[1].take(k, axis=1)
-            bound = error[0][k] + np.abs(t) * error[1][k]
         above = f > 0.0
         change = above[1:] != above[:-1]
         j = change.argmax(axis=0)
@@ -613,11 +604,11 @@ def _proxy_roots(nodes, interval, target, positive, sample, values=None):
         del f, above, change
         with np.errstate(divide="ignore", invalid="ignore"):
             u = lo_s - f_lo * (hi_s - lo_s) / (f_hi - f_lo)
-            p, dp = _newton(coef, u, lo_s, hi_s, pos, bound)
+            dp = _newton(coef, u, lo_s, hi_s, pos)
         half = 0.5 * (b - a)[k]
         slope[block] = np.abs(dp) / half
-        # An unconverged Newton run (nan p) gives no root.
-        ok[block] = lone & (np.abs(p) <= bound)
+        # A Newton run that did not stop (nan p') gives no root.
+        ok[block] = lone & ~np.isnan(dp)
         root[block] = a[k] + half * (1.0 + u)
     return root, slope, ok
 
@@ -653,22 +644,20 @@ def _checked_roots(func, x, slope, ok, lo, hi, positive, residual_tol):
     return roots, found
 
 
-def _newton(coef, u, lo, hi, rising, error):
+def _newton(coef, u, lo, hi, rising):
     """Newton on each proxy sum coef[k]*s^k from u, in place, kept inside (lo, hi).
 
-    Iterates, ``_NEWTON_STEPS`` times at most, until every |p(u)| is within
-    its error; a step out of the bracket, which each iterate's sign
-    narrows, becomes its midpoint, and a step onto u itself is taken (as in
-    ``_locate``). Every proxy is evaluated each time, and a converged one
-    keeps its u, so it evaluates to the same p again: each element's
-    arithmetic is that of a loop on the open proxies alone. Returns p(u)
-    and p'(u), with nan p where the run did not converge.
+    Iterates, ``_NEWTON_STEPS`` times at most, until every proxy's last
+    step moved its u by at most ``_NEWTON_STOP``; a step out of the
+    bracket, which each iterate's sign narrows, becomes its midpoint, and a
+    step onto u itself is taken (as in ``_locate``). Every proxy is
+    evaluated each time, but a stopped one keeps its u and the p' of its
+    own last step, so each element's arithmetic is that of a loop on the
+    open proxies alone. Returns that p', nan where the run did not stop.
     """
+    slope, open_ = np.empty_like(u), np.ones(u.shape, dtype=bool)
     for _ in range(_NEWTON_STEPS):
         p, dp = _horner(coef, u)
-        done = np.abs(p) <= error
-        if done.all():
-            break
         # Branch-free selects (the masks are random): lo, hi = u on the side of u.
         below = ((p > 0.0) == rising).astype(float)
         lo += below * (u - lo)
@@ -676,8 +665,15 @@ def _newton(coef, u, lo, hi, rising, error):
         step = u - p / dp
         inside = (((step > lo) & (step < hi)) | (step == u)).astype(float)
         mid = 0.5 * (lo + hi)
-        np.copyto(u, mid + inside * (step - mid), where=~done)
-    return np.where(done, p, np.nan), dp
+        step = mid + inside * (step - mid)
+        np.copyto(slope, dp, where=open_)
+        stopped = np.abs(step - u) <= _NEWTON_STOP
+        np.copyto(u, step, where=open_)
+        open_ &= ~stopped
+        if not open_.any():
+            break
+    slope[open_] = np.nan
+    return slope
 
 
 def _horner(coef, s):

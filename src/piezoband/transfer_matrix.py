@@ -16,15 +16,20 @@ entries as a 2x2 array.
 One set of private per-layer helpers serves every array function:
 ``_phase_sinc`` forms the phase q = omega*d*sqrt(rho/c) and sin(q)/q
 once, ``_layer`` adds the bare-layer entries, ``_coupling`` the shunt
-coefficients M1, M2, M3 (sharing the piezo sinc), and ``_piezo`` the
-shunted piezo entries. ``monodromy_entries`` is the fused cell kernel:
-it writes t11, t12, t21, t22 into one preallocated (4, n) array, or with
-``half_trace`` only 0.5*(t11 + t22), the one value the spectrum reads,
-into an n-array (no t12 or t21 formed), ``_BLOCK`` frequencies at a time,
-with in-place ufuncs. ``_cell_parts``
-splits the half-trace into the parts h0, r, M3 that do not depend on C/S;
-it serves flat bands, the pole-free root search next to poles and, at
-complex omega, the group velocity, and defines no root bit.
+coefficients M1, M2 and h*M1 (sharing the piezo sinc), and ``_piezo`` the
+shunted piezo entries. ``_piezo`` and ``shunt_denominator`` form the
+denominator as D = (S/C + d/eps) - h*M1, the order of
+``band_structure._find_poles``' closed form: in the negative-stiffness
+interval S/C is close to -d/eps, and S/C - M3 with M3 = h*M1 - d/eps
+rounded first would cancel the two after rounding. ``monodromy_entries``
+is the fused cell kernel: it writes t11, t12, t21, t22 into one
+preallocated (4, n) array, or with ``half_trace`` only 0.5*(t11 + t22),
+the one value the spectrum reads, into an n-array (no t12 or t21
+formed), ``_BLOCK`` frequencies at a time, with in-place ufuncs.
+``_cell_parts`` splits the half-trace into the parts h0, r, M3 that do
+not depend on C/S; it serves flat bands, the pole-free root search next
+to poles and, at complex omega, the group velocity, and defines no root
+bit.
 
 The per-element operation order is fixed: every entry is the same
 sequence of correctly rounded float operations as the formulas in the
@@ -103,9 +108,9 @@ def _layer(rho: float, c: float, d: float, omega: np.ndarray):
 
 
 def _coupling(pz, q: np.ndarray, s: np.ndarray):
-    """Shunt coefficients M1, M2, M3 from the piezo phase q and sinc s.
+    """Shunt coefficients M1, M2 and h*M1 from the piezo phase q and sinc s.
 
-    M1 = (h*(d/cD))*s and M3 = h*M1 - d/eps. M2 = h*(cos q - 1) is written
+    M1 = (h*(d/cD))*s, and M3 = h*M1 - d/eps. M2 = h*(cos q - 1) is written
     cancellation-free as ((-2h)*sin(q/2))*sin(q/2).
     """
     h = pz.h
@@ -113,9 +118,7 @@ def _coupling(pz, q: np.ndarray, s: np.ndarray):
     half = np.sin(0.5 * q)
     M2 = (-2.0 * h) * half
     M2 *= half
-    M3 = h * M1
-    M3 -= pz.d / pz.eps
-    return M1, M2, M3
+    return M1, M2, h * M1
 
 
 def _piezo(cell: ShuntedCell, omega: np.ndarray):
@@ -131,8 +134,8 @@ def _piezo(cell: ShuntedCell, omega: np.ndarray):
     if not has_shunt_correction(cell):
         return cos_q, b12, b21, cos_q
     M1, M2, f = _coupling(pz, q, s)
-    # f = 1/(S/C - M3), overwriting M3.
-    np.subtract(1.0 / cell.c_over_s, f, out=f)
+    # f = 1/((S/C + d/eps) - h*M1), overwriting h*M1 (see the module docstring).
+    np.subtract(1.0 / cell.c_over_s + pz.d / pz.eps, f, out=f)
     with np.errstate(divide="ignore"):
         np.divide(1.0, f, out=f)
     fM1 = f * M1
@@ -166,14 +169,14 @@ def pole_threshold(cell: ShuntedCell) -> float:
 
 
 def shunt_denominator(cell: ShuntedCell, omega):
-    """S/C - M3(omega), elementwise; requires an active shunt correction."""
+    """S/C - M3 = (S/C + d/eps) - h*M1, elementwise; requires an active shunt correction."""
     if not has_shunt_correction(cell):
         raise ValueError("shunt correction inactive (e == 0 or open circuit)")
     pz = cell.piezo
 
     def denominator(w):
-        M3 = _coupling(pz, *_phase_sinc(pz.rho, pz.cD, pz.d, w))[2]
-        return (np.subtract(1.0 / cell.c_over_s, M3, out=M3),)
+        hM1 = _coupling(pz, *_phase_sinc(pz.rho, pz.cD, pz.d, w))[2]
+        return (np.subtract(1.0 / cell.c_over_s + pz.d / pz.eps, hM1, out=hM1),)
 
     return _entries(denominator, omega)[0]
 
@@ -214,9 +217,9 @@ def _cell_parts(cell: ShuntedCell, omega):
     def parts(w):
         _, _, a11, a12, a21 = _layer(el.rho, el.c, el.d, w)
         q, s, cos_q, b12, b21 = _layer(pz.rho, pz.cD, pz.d, w)
-        M1, M2, M3 = _coupling(pz, q, s)
+        M1, M2, hM1 = _coupling(pz, q, s)
         h0 = cos_q * a11 + 0.5 * (b12 * a21 + b21 * a12)
-        return h0, M1 * M2 * a11 + 0.5 * a12 * M2 * M2 + 0.5 * a21 * M1 * M1, M3
+        return h0, M1 * M2 * a11 + 0.5 * a12 * M2 * M2 + 0.5 * a21 * M1 * M1, hM1 - pz.d / pz.eps
 
     return _entries(parts, omega)
 

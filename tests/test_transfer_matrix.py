@@ -47,10 +47,11 @@ def bare_piezo(cell, omega):
 
 
 def coupling(cell, omega):
-    """Shunt coefficients (M1, M2, M3) at one frequency, as floats."""
+    """Shunt coefficients (M1, M2, M3) at one frequency, as floats, M3 = h*M1 - d/eps."""
     pz = cell.piezo
     q, s = transfer_matrix._phase_sinc(pz.rho, pz.cD, pz.d, np.array([float(omega)]))
-    return floats(transfer_matrix._coupling(pz, q, s))
+    M1, M2, hM1 = transfer_matrix._coupling(pz, q, s)
+    return floats((M1, M2, hM1 - pz.d / pz.eps))
 
 
 def first_pole(cell, omega_max):
@@ -305,13 +306,19 @@ def plain_elastic_entries(cell, omega):
     return plain_m0_entries(el.rho, el.c, el.d, omega)
 
 
+def plain_denominator(cell, M1):
+    """S/C - M3 as (S/C + d/eps) - h*M1, the kernel's cancellation-free order."""
+    pz = cell.piezo
+    return (1.0 / cell.c_over_s + pz.d / pz.eps) - pz.h * M1
+
+
 def plain_piezo_entries(cell, omega):
     pz = cell.piezo
     b11, b12, b21, b22 = plain_m0_entries(pz.rho, pz.cD, pz.d, omega)
     if has_shunt_correction(cell):
-        M1, M2, M3 = plain_shunt_terms(cell, omega)
+        M1, M2, _ = plain_shunt_terms(cell, omega)
         with np.errstate(divide="ignore"):
-            f = 1.0 / (1.0 / cell.c_over_s - M3)
+            f = 1.0 / plain_denominator(cell, M1)
         b11 = b11 + f * M1 * M2
         b12 = b12 + f * M1 * M1
         b21 = b21 + f * M2 * M2
@@ -336,8 +343,8 @@ def plain_monodromy(cell, omega):
     b11, b12, b21, b22 = (float(x) for x in plain_m0_entries(
         cell.piezo.rho, cell.piezo.cD, cell.piezo.d, omega))
     if has_shunt_correction(cell):
-        M1, M2, M3 = (float(x) for x in plain_shunt_terms(cell, omega))
-        f = 1.0 / (1.0 / cell.c_over_s - M3)
+        M1, M2, _ = (float(x) for x in plain_shunt_terms(cell, omega))
+        f = 1.0 / plain_denominator(cell, M1)
         b11, b12 = b11 + f * M1 * M2, b12 + f * M1 * M1
         b21, b22 = b21 + f * M2 * M2, b22 + f * M2 * M1
     return (b11 * a11 + b12 * a21, b11 * a12 + b12 * a22,
@@ -361,7 +368,7 @@ def assert_kernels_match_plain(cell, omega):
         got, expected = m_piezo_shunted_entries(cell, omega), plain_piezo_entries(cell, omega)
     assert bits(got) == bits(expected)
     if has_shunt_correction(cell):
-        expected = 1.0 / cell.c_over_s - plain_shunt_terms(cell, omega)[2]
+        expected = plain_denominator(cell, plain_shunt_terms(cell, omega)[0])
         assert bits([shunt_denominator(cell, omega)]) == bits([expected])
 
 
@@ -422,21 +429,20 @@ class TestKernelBitsMatchPlainFormulas:
 
 
 def inline_shunt_denominator(cell, omega):
-    """The earlier shunt_denominator: M3 = h*((h*(d/cD))*s) - d/eps built in place on s."""
+    """shunt_denominator written inline: (S/C + d/eps) - h*((h*(d/cD))*s) built in place on s."""
     pz = cell.piezo
     omega = np.asarray(omega, dtype=float)
     _, s = transfer_matrix._phase_sinc(pz.rho, pz.cD, pz.d, omega.reshape(-1))
     s *= pz.h * (pz.d / pz.cD)
     s *= pz.h
-    s -= pz.d / pz.eps
-    np.subtract(1.0 / cell.c_over_s, s, out=s)
+    np.subtract(1.0 / cell.c_over_s + pz.d / pz.eps, s, out=s)
     return s.reshape(omega.shape)
 
 
 def test_shunt_denominator_keeps_the_inline_bits():
-    # S/C - M3 with M3 from _coupling: the two orders differ only by exact
-    # commutations of one product. 300 random cells on 3x their window and
-    # the shipped cell, shunted, on the 50x window.
+    # (S/C + d/eps) - h*M1 with h*M1 from _coupling: the two orders differ
+    # only by exact commutations of one product. 300 random cells on 3x
+    # their window and the shipped cell, shunted, on the 50x window.
     rng = np.random.default_rng(8)
     draws = np.random.default_rng(0)
     base = default_cell()
@@ -530,7 +536,7 @@ class TestCellParts:
         # The error bound scales with the condition of the denominator,
         # kappa = |S/C| / |S/C - M3|, which grows without limit at a pole:
         # error <= 2e-14 * (1 + |h|) * max(1, kappa). Measured worst over
-        # these 305 cells: 4.0e-15 (9.5e-17 at -11 uF/m^2). Points inside the
+        # these 305 cells: 4.0e-15 (1.3e-16 at -11 uF/m^2). Points inside the
         # pole threshold are skipped.
         base = default_cell()
         draws = np.random.default_rng(0)
