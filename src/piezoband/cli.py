@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -74,12 +76,24 @@ def _resolve_omega_max(args, cell: ShuntedCell) -> float:
     return parse_quantity(args.omega_max, "frequency")
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write_text(path: str | Path | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        return
+    # Overwrite in place: no O_TRUNC, so a rerun never truncates its old
+    # output to zero, which on ext4 waits for the disk (tens of ms a file).
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    regular = stat.S_ISREG(os.fstat(fd).st_mode)
+    end = 0  # a failed write leaves an empty file, never new bytes on old ones
+    try:
+        with open(fd, "w", encoding="utf-8", newline="", closefd=False) as fh:
             fh.write(text)
+        if regular:
+            end = os.lseek(fd, 0, os.SEEK_CUR)
+    finally:
+        if regular:
+            os.ftruncate(fd, end)
+        os.close(fd)
 
 
 def _bands_csv(cell: ShuntedCell, branches: list[Branch]) -> str:
@@ -240,7 +254,7 @@ def _cmd_sweep(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
-        (out_dir / name).write_text(text, encoding="utf-8", newline="")
+        _write_text(out_dir / name, text)
     return 0
 
 

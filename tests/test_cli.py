@@ -1,5 +1,7 @@
 import json
 import math
+import errno
+import os
 
 import pytest
 
@@ -287,6 +289,101 @@ class TestSweep:
         assert message in err["message"]
         assert len(traced) == (message == "k_points")
         assert not out_dir.exists()
+
+
+class TestOverwrite:
+    """An existing output is overwritten in place, with no stale tail."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bands", "--k-points", "20"],
+        ["stopbands"],
+        ["effective", "--sweep=-40uF/m2:0:21"],
+    ], ids=["bands", "stopbands", "effective-sweep"])
+    def test_longer_file_of_other_bytes_is_replaced(self, argv, tmp_path, capsys):
+        fresh, used = tmp_path / "fresh.csv", tmp_path / "used.csv"
+        assert main(argv + ["--out", str(fresh)]) == 0
+        expected = fresh.read_bytes()
+        used.write_bytes(b"\x00stale\r\n" * len(expected))
+        assert main(argv + ["--out", str(used)]) == 0
+        capsys.readouterr()
+        assert used.read_bytes() == expected
+
+    @pytest.mark.parametrize("longer, shorter", [
+        (["--values", "0,-11uF/m2", "--k-points", "40"], ["--values", "0,-11uF/m2", "--k-points", "9"]),
+        ([], ["--k-points", "50"]),
+    ], ids=["two-values", "default"])
+    def test_sweep_rerun_with_fewer_k_points_shrinks_every_file(self, longer, shorter, tmp_path):
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        assert main(["sweep", *longer, "--out", str(used)]) == 0
+        first = {p.name: p.read_bytes() for p in used.iterdir()}
+        assert main(["sweep", *shorter, "--out", str(used)]) == 0
+        assert main(["sweep", *shorter, "--out", str(fresh)]) == 0
+        assert sorted(p.name for p in used.iterdir()) == sorted(first)
+        for name, old in first.items():
+            assert (used / name).read_bytes() == (fresh / name).read_bytes()
+            assert (used / name).stat().st_size < len(old)
+        # And back: the longer run over the shorter one restores its bytes.
+        assert main(["sweep", *longer, "--out", str(used)]) == 0
+        assert {p.name: p.read_bytes() for p in used.iterdir()} == first
+
+    def test_inode_mode_and_symlink_target_are_kept(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_text("old\n" * 10_000, encoding="utf-8")
+        target.chmod(0o640)
+        inode = target.stat().st_ino
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(["bands", "--k-points", "5", "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.stat().st_ino == inode
+        assert target.stat().st_mode & 0o777 == 0o640
+        assert target.read_text(encoding="utf-8").startswith("branch_index,")
+        assert "old" not in target.read_text(encoding="utf-8")
+
+    def test_out_to_the_null_device(self):
+        assert main(["bands", "--k-points", "5", "--out", os.devnull]) == 0
+
+    def test_existing_output_is_not_opened_truncating(self, tmp_path, monkeypatch):
+        # Pins the mechanism: a stall of the disk cannot be timed
+        # deterministically, but it is the truncating open of an existing
+        # output that waits for the disk on ext4.
+        out = tmp_path / "bands.csv"
+        out.write_text("~" * 100_000, encoding="utf-8")
+        flags = []
+        real_open = os.open
+
+        def recording_open(path, flag, *args, **kwargs):
+            if os.fspath(path) == str(out):
+                flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(cli.os, "open", recording_open)
+        assert main(["bands", "--k-points", "5", "--out", str(out)]) == 0
+        assert flags and not any(f & os.O_TRUNC for f in flags)
+        assert "~" not in out.read_text(encoding="utf-8")
+
+    def test_a_failed_write_leaves_no_old_bytes(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "bands.csv"
+        out.write_text("~" * 1_000_000, encoding="utf-8")
+        real_open = open
+
+        def failing_open(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+
+            def write(text):
+                # Half the text reaches the file, then the disk fills up.
+                type(fh).write(fh, text[: len(text) // 2])
+                fh.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            fh.write = write
+            return fh
+
+        monkeypatch.setattr(cli, "open", failing_open, raising=False)
+        assert main(["bands", "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert (err["error"], err["type"]) == ("input", "OSError")
+        assert out.read_bytes() == b""
 
 
 class TestErrorHandling:
