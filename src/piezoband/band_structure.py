@@ -31,12 +31,13 @@ sign-change test, so the cost is O(nodes * log targets + brackets) with no
 targets x nodes temporary. The refiner is chosen per scan (``_bisected``),
 so a root never depends on the other targets of its search. A scan of any
 window but the default interpolates each scan interval that holds brackets
-at 9 Chebyshev points, all in one kernel call, runs Newton on each
-bracket's proxy until its step is small, and takes the proxy root once the
-kernel has verified it: a pair of points around it must change sign, its
-end nearer the root meeting the residual test. The pair, not an error
-model of the proxy, is the certificate. The brackets a proxy does not
-serve are bisected. A scan of exactly the default window is bisected,
+at 9 Chebyshev points, all in one kernel call, relative to the interval's
+first sample, runs Newton on each bracket's proxy until its step is small
+or its steps run out, and takes the proxy root once the kernel has
+verified it: a pair of points around it must change sign, its end nearer
+the root meeting the residual test. The pair, not an error model of the
+proxy or of its Newton run, is the certificate. The brackets a proxy does
+not serve are bisected. A scan of exactly the default window is bisected,
 which evaluates the mids of several passes a call along the path a secant
 estimate predicts. ``stopbands`` reuses a trace's h = +-1 roots.
 """
@@ -107,9 +108,9 @@ _POWERS = np.array([
 # of its interval's half-width.
 _NEWTON_STOP = 1e-9
 # Newton evaluations of each proxy at most, from regula falsi between the
-# samples across its sign change: on the wide-window benchmark's cells two
-# or three stop all but 121 of 143 524 brackets, and of those 120 stop
-# within five and one not at all.
+# samples across its sign change: on the wide-window benchmark's cells three
+# stop all but 116 of 143 524 brackets, five all but 3, which do not stop
+# within eight and whose verification pairs still hold their roots.
 _NEWTON_STEPS = 8
 
 
@@ -566,12 +567,15 @@ def _proxy_roots(nodes, interval, target, positive, sample, values=None):
     Each scan interval that holds brackets is sampled at the 9
     Chebyshev-Lobatto points (the ends from ``values`` where given), all in
     one ``sample(x)`` call, which returns (A, D) with f = A - t*D, D = None
-    for 1. A bracket's proxy p is the interpolant of its 9 values of f;
-    Newton from regula falsi between the two samples across its one sign
-    change, kept inside them, gives its root x and slope |p'| in omega. A
-    bracket is ok where its samples change sign once, from the sign of
-    f(lo), and its Newton run stopped. Brackets go in blocks of
-    ``_BLOCK``, so the (9, n) temporaries stay small.
+    for 1. A bracket's proxy p is the interpolant of its 9 values of f,
+    formed as A(lo) plus the interpolant of A - A(lo), minus t times that
+    of D, so that its rounding scales with A's variation over the interval
+    rather than with |A|. Newton from regula falsi between the two samples across its one
+    sign change, kept inside them, gives its root x and slope |p'| in
+    omega. A bracket is ok where its samples change sign once, from the
+    sign of f(lo), whether its Newton run stopped or not: the verification
+    pair judges the root. Brackets go in blocks of ``_BLOCK``, so the
+    (9, n) temporaries stay small.
     """
     held = np.zeros(nodes.size, dtype=bool)
     held[interval] = True
@@ -583,7 +587,11 @@ def _proxy_roots(nodes, interval, target, positive, sample, values=None):
     if values is not None:
         A = np.concatenate([values[iv][None], A, values[iv + 1][None]])
     # einsum, not matmul: a BLAS call on these (9, 9) @ (9, n) can cost milliseconds.
-    power = [None if v is None else np.einsum("kj,jn->kn", _POWERS, v) for v in (A, D)]
+    # Rows k >= 1 of _POWERS sum to up to 3e-14, not 0: interpolated itself,
+    # A = h = 1 - O(omega^2) next to the origin would leak its 1 into every
+    # power and move the proxy root out of its verification pair.
+    first = A[0]
+    power = [None if v is None else np.einsum("kj,jn->kn", _POWERS, v) for v in (A - first, D)]
     root, slope, ok = np.empty(target.size), np.empty(target.size), np.empty(target.size, dtype=bool)
     for start in range(0, target.size, _BLOCK):
         block = slice(start, start + _BLOCK)
@@ -591,10 +599,11 @@ def _proxy_roots(nodes, interval, target, positive, sample, values=None):
         f, coef = A.take(k, axis=1), power[0].take(k, axis=1)
         if D is None:
             f -= t
-            coef[0] -= t
+            coef[0] += first[k] - t
         else:
             f -= t * D.take(k, axis=1)
             coef -= t * power[1].take(k, axis=1)
+            coef[0] += first[k]
         above = f > 0.0
         change = above[1:] != above[:-1]
         j = change.argmax(axis=0)
@@ -607,8 +616,7 @@ def _proxy_roots(nodes, interval, target, positive, sample, values=None):
             dp = _newton(coef, u, lo_s, hi_s, pos)
         half = 0.5 * (b - a)[k]
         slope[block] = np.abs(dp) / half
-        # A Newton run that did not stop (nan p') gives no root.
-        ok[block] = lone & ~np.isnan(dp)
+        ok[block] = lone
         root[block] = a[k] + half * (1.0 + u)
     return root, slope, ok
 
@@ -653,7 +661,8 @@ def _newton(coef, u, lo, hi, rising):
     step onto u itself is taken (as in ``_locate``). Every proxy is
     evaluated each time, but a stopped one keeps its u and the p' of its
     own last step, so each element's arithmetic is that of a loop on the
-    open proxies alone. Returns that p', nan where the run did not stop.
+    open proxies alone. Returns that p', that of the last step where the
+    run did not stop.
     """
     slope, open_ = np.empty_like(u), np.ones(u.shape, dtype=bool)
     for _ in range(_NEWTON_STEPS):
@@ -672,7 +681,6 @@ def _newton(coef, u, lo, hi, rising):
         open_ &= ~stopped
         if not open_.any():
             break
-    slope[open_] = np.nan
     return slope
 
 

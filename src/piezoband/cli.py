@@ -2,7 +2,9 @@
 
 All outputs are plot-ready CSV/JSON data, deterministic for fixed inputs
 and tool version. Exit codes: 0 success, 2 input error, 3 numerical
-failure; failures print a machine-readable JSON object on stderr.
+failure; failures, usage errors included, print a machine-readable JSON
+object on stderr, and ``main`` returns the code. Only ``--help`` and
+``--version`` exit from ``main``, with code 0.
 """
 
 from __future__ import annotations
@@ -275,8 +277,16 @@ def _add_common(p: argparse.ArgumentParser, *, k_points: bool, omega_max: bool) 
                             "(default: 4x the open-circuit first-gap center)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, an input error, instead of
+    exiting; ``add_subparsers`` gives each subcommand's parser this class too."""
+
+    def error(self, message: str):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="piezoband",
         description="Floquet-Bloch spectra of a 1D elastic/piezoelectric bilayer "
                     "with a capacitive shunt.",
@@ -320,9 +330,8 @@ def _fail(kind: str, code: int, exc: Exception) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except _NUMERICAL_ERRORS as exc:
         return _fail("numerical", 3, exc)

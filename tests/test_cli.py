@@ -431,6 +431,25 @@ class TestErrorHandling:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "numerical", "message": "no sign change", "type": "BracketError"}
 
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["bands", "--k-points", "five", "--out", "-"],
+                     "piezoband bands: argument --k-points: invalid int value: 'five'", id="bad int"),
+        pytest.param([], "piezoband: the following arguments are required: command", id="no command"),
+    ])
+    def test_usage_error_exit_2(self, argv, message, capsys):
+        # Regression: argparse printed plain usage text and main raised
+        # SystemExit(2) instead of returning 2 with the JSON error.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "input", "message": message, "type": "ValueError"}
+
+    def test_version_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--version"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out == f"piezoband {cli.__version__}\n"
+
     @pytest.mark.parametrize("case, expected", [
         ("missing material", "FileNotFoundError"),
         ("bands out under a file", "NotADirectoryError"),
