@@ -30,16 +30,12 @@ binary search on its two end values and keeps those that pass the strict
 sign-change test, so the cost is O(nodes * log targets + brackets) with no
 targets x nodes temporary. The refiner is chosen per scan (``_bisected``),
 so a root never depends on the other targets of its search. A scan of any
-window but the default interpolates each scan interval that holds brackets
-at 9 Chebyshev points, all in one kernel call, relative to the interval's
-first sample, runs Newton on each bracket's proxy until its step is small
-or its steps run out, and takes the proxy root once the kernel has
-verified it: a pair of points around it must change sign, its end nearer
-the root meeting the residual test. The pair, not an error model of the
-proxy or of its Newton run, is the certificate. The brackets a proxy does
-not serve are bisected. A scan of exactly the default window is bisected,
-which evaluates the mids of several passes a call along the path a secant
-estimate predicts. ``stopbands`` reuses a trace's h = +-1 roots.
+window but the default takes Chebyshev-proxy roots of h - t that the
+kernel verifies at a pair of points around each; the brackets a proxy
+does not serve, and every g_t bracket of a blocked interval, are
+bisected. A scan of exactly the default window is bisected throughout,
+several passes a kernel call along the path a secant estimate predicts.
+``stopbands`` reuses a trace's h = +-1 roots.
 """
 
 from __future__ import annotations
@@ -218,7 +214,7 @@ class FrequencyScan:
             between consecutive extrema of the piezo sin(q)/q, and
             bisected only where its sign-verified pair had to be widened.
         blocked: Per-interval mask, True when (nodes[i], nodes[i+1])
-            contains a pole: its roots are bracketed and refined on the
+            contains a pole: its roots are bracketed and bisected on the
             pole-free numerator g_t, never on the half-trace.
 
     ``trace_branches`` keeps its roots of h = +-1 (K = 0 and pi/T) in a
@@ -243,9 +239,9 @@ def _bisect(func, lo, hi, f_lo, f_hi, *, rtol, residual_tol=None, max_iter=200):
     else hi. A bracket finishes at mid when the width after the move is
     relatively tight (and, if requested, |f(mid)| is small), when f(mid) is
     an exact zero, or when the floating-point grid is exhausted. It refines
-    every root search of a default-window scan (``_bisected``), the brackets
-    whose proxy roots any other scan could not verify, and the pole pairs
-    that ``_locate`` had to widen.
+    every root search of a default-window scan (``_bisected``), the g_t
+    brackets of every other scan and the h - t brackets whose proxy roots it
+    could not verify, and the pole pairs that ``_locate`` had to widen.
 
     ``_MAX_LEVELS`` passes share a func call, whatever the number of
     brackets, so the kernel's fixed cost is paid once a round. A round
@@ -372,23 +368,28 @@ def _locate(model, func, x, lo, hi, rising) -> np.ndarray:
     Newton runs from x on ``model(x)``, the values and derivatives of a
     monotone closed form of func (``rising`` where it increases), with no
     kernel call; a step out of the bracket, which each iterate's sign
-    narrows, becomes its midpoint. Then func is called once per round at
-    x*(1 -+ delta) in [lo, hi], from delta = ``_POLE_RTOL``/4 up 16x, until
-    the two values differ in sign or one is 0 (``NumericalError`` if not
-    even at lo and hi). A pair whose two halves are both within
-    ``_POLE_RTOL``*|mid| gives its mid 0.5*(a + b): ``_bisect`` returns that
-    point at its first pass whatever the sign there, so only the pairs that
-    had to be widened are bisected, to ``_POLE_RTOL``.
+    narrows, becomes its midpoint. Each bracket stops in place on its own
+    step of at most ``_POLE_RTOL``/4 relative, as in ``_newton``, so its
+    zero does not depend on the other brackets of the call. Then func is
+    called once per round at x*(1 -+ delta) in [lo, hi], from delta =
+    ``_POLE_RTOL``/4 up 16x, until the two values differ in sign or one is
+    0 (``NumericalError`` if not even at lo and hi). A pair whose halves
+    are both within ``_POLE_RTOL``*|mid| gives its mid 0.5*(a + b):
+    ``_bisect`` returns that point at its first pass whatever the sign
+    there, so only the pairs that had to be widened are bisected.
     """
-    a, b = lo, hi
+    a, b, open_ = lo, hi, np.ones(x.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(60):
             f, df = model(x)
             below = (f < 0.0) == rising
             a, b = np.where(below, x, a), np.where(below, b, x)
             step = x - f / df
-            x, last = np.where(((step > a) & (step < b)) | (step == x), step, 0.5 * (a + b)), x
-            if np.all(np.abs(x - last) <= _POLE_RTOL / 4 * np.abs(last)):
+            step = np.where(((step > a) & (step < b)) | (step == x), step, 0.5 * (a + b))
+            stopped = np.abs(step - x) <= _POLE_RTOL / 4 * np.abs(x)
+            x = np.where(open_, step, x)
+            open_ &= ~stopped
+            if not open_.any():
                 break
     a, b, f_a, f_b = (np.empty_like(x) for _ in range(4))
     todo, delta = np.arange(x.size), _POLE_RTOL / 4
@@ -561,49 +562,40 @@ def _target_hits(scan: FrequencyScan, targets: np.ndarray):
     return brackets, (node[exact], zero_owner[exact])
 
 
-def _proxy_roots(nodes, interval, target, positive, sample, values=None):
-    """The proxy root (root, slope, ok) of each bracket, for ``_checked_roots``.
+def _proxy_roots(scan, interval, target, positive):
+    """The proxy root (root, slope, ok) of each h - t bracket, for ``_checked_roots``.
 
     Each scan interval that holds brackets is sampled at the 9
-    Chebyshev-Lobatto points (the ends from ``values`` where given), all in
-    one ``sample(x)`` call, which returns (A, D) with f = A - t*D, D = None
-    for 1. A bracket's proxy p is the interpolant of its 9 values of f,
-    formed as A(lo) plus the interpolant of A - A(lo), minus t times that
-    of D, so that its rounding scales with A's variation over the interval
-    rather than with |A|. Newton from regula falsi between the two samples across its one
-    sign change, kept inside them, gives its root x and slope |p'| in
-    omega. A bracket is ok where its samples change sign once, from the
-    sign of f(lo), whether its Newton run stopped or not: the verification
-    pair judges the root. Brackets go in blocks of ``_BLOCK``, so the
-    (9, n) temporaries stay small.
+    Chebyshev-Lobatto points, its ends from ``scan.values`` and the 7 inner
+    points in one kernel call. A bracket's proxy p is the interpolant of
+    its 9 values of h - t. Newton from regula falsi between the two samples
+    across its one sign change, kept inside them, gives its root x and
+    slope |p'| in omega. A bracket is ok where its samples change sign
+    once, from the sign of h(lo) - t, whether its Newton run stopped or
+    not: the verification pair judges the root. Brackets go in blocks of
+    ``_BLOCK``, so the (9, n) temporaries stay small.
     """
+    nodes, values = scan.nodes, scan.values
     held = np.zeros(nodes.size, dtype=bool)
     held[interval] = True
     iv = np.flatnonzero(held)
     inverse = (np.cumsum(held) - 1)[interval]
     a, b = nodes[iv], nodes[iv + 1]
-    s = _LOBATTO if values is None else _LOBATTO[1:-1]
-    A, D = sample(a + (b - a) * (0.5 + 0.5 * s[:, None]))
-    if values is not None:
-        A = np.concatenate([values[iv][None], A, values[iv + 1][None]])
+    inner = half_trace_values(scan.cell, a + (b - a) * (0.5 + 0.5 * _LOBATTO[1:-1, None]))
+    h = np.concatenate([values[iv][None], inner, values[iv + 1][None]])
     # einsum, not matmul: a BLAS call on these (9, 9) @ (9, n) can cost milliseconds.
     # Rows k >= 1 of _POWERS sum to up to 3e-14, not 0: interpolated itself,
-    # A = h = 1 - O(omega^2) next to the origin would leak its 1 into every
+    # h = 1 - O(omega^2) next to the origin would leak its 1 into every
     # power and move the proxy root out of its verification pair.
-    first = A[0]
-    power = [None if v is None else np.einsum("kj,jn->kn", _POWERS, v) for v in (A - first, D)]
+    first = h[0]
+    power = np.einsum("kj,jn->kn", _POWERS, h - first)
     root, slope, ok = np.empty(target.size), np.empty(target.size), np.empty(target.size, dtype=bool)
     for start in range(0, target.size, _BLOCK):
         block = slice(start, start + _BLOCK)
         k, t, pos = inverse[block], target[block], positive[block]
-        f, coef = A.take(k, axis=1), power[0].take(k, axis=1)
-        if D is None:
-            f -= t
-            coef[0] += first[k] - t
-        else:
-            f -= t * D.take(k, axis=1)
-            coef -= t * power[1].take(k, axis=1)
-            coef[0] += first[k]
+        f, coef = h.take(k, axis=1), power.take(k, axis=1)
+        f -= t
+        coef[0] += first[k] - t
         above = f > 0.0
         change = above[1:] != above[:-1]
         j = change.argmax(axis=0)
@@ -621,22 +613,21 @@ def _proxy_roots(nodes, interval, target, positive, sample, values=None):
     return root, slope, ok
 
 
-def _checked_roots(func, x, slope, ok, lo, hi, positive, residual_tol):
+def _checked_roots(func, x, slope, ok, lo, hi, positive):
     """(roots, found): the proxy roots x that the kernel's func verifies.
 
     Each ok bracket gets a pair x -+ dx, clipped to [lo, hi], with dx =
-    min(``ROOT_RTOL``/4*x, residual_tol/(4*slope)); all pairs go to one
+    min(``ROOT_RTOL``/4*x, ``RESIDUAL_TOL``/(4*slope)); all pairs go to one
     ``func(x, live)`` call, as ``_bisect`` makes it, which the kernel
     evaluates in blocks of ``_BLOCK``. The pair must change sign the way f
     does from lo to hi (an exact 0 counts as either sign), and its end with
-    the smaller |f| must meet residual_tol: then that end is the root,
+    the smaller |f| must meet ``RESIDUAL_TOL``: then that end is the root,
     within 2*dx <= ``ROOT_RTOL``/2*x of a root of f whatever the proxy's
-    error. No residual_tol (g_t in a blocked interval) keeps the
-    ``ROOT_RTOL`` term alone.
+    error.
     """
     k = np.flatnonzero(ok)
     with np.errstate(divide="ignore"):
-        dx = np.minimum(ROOT_RTOL / 4 * x[k], (residual_tol or math.inf) / (4.0 * slope[k]))
+        dx = np.minimum(ROOT_RTOL / 4 * x[k], RESIDUAL_TOL / (4.0 * slope[k]))
     pair = np.empty((2, k.size))
     np.subtract(x[k], dx, out=pair[0])
     np.add(x[k], dx, out=pair[1])
@@ -644,9 +635,7 @@ def _checked_roots(func, x, slope, ok, lo, hi, positive, residual_tol):
     f = func(pair.ravel(), np.concatenate([k, k])).reshape(pair.shape)
     f *= np.where(positive[k], 1.0, -1.0)
     near = np.abs(f[1]) < np.abs(f[0])
-    verified = (f[0] >= 0.0) & (f[1] <= 0.0)
-    if residual_tol is not None:
-        verified &= np.minimum(np.abs(f[0]), np.abs(f[1])) <= residual_tol
+    verified = (f[0] >= 0.0) & (f[1] <= 0.0) & (np.minimum(*np.abs(f)) <= RESIDUAL_TOL)
     roots, found = np.empty(x.size), np.zeros(x.size, dtype=bool)
     roots[k], found[k] = np.where(near, pair[1], pair[0]), verified
     return roots, found
@@ -713,20 +702,20 @@ def _scan_roots_batch(
 
     Brackets come from ``_target_hits``. They are refined on h - t to
     ``ROOT_RTOL`` and ``RESIDUAL_TOL``, except in blocked intervals, where
-    h - t has a pole (0/0 at a flat band) and the refinement runs on g_t =
-    (S/C - M3)*(h0 - t) + r to ``ROOT_RTOL`` alone. Exact zeros at scan
-    nodes are roots as they are. With ``lowest``, each target keeps only
-    its lowest hit above omega = 0, the node zero or bracket with the
-    smallest node or interval index (a zero at node i lies below the root
-    of interval j exactly when i <= j), and only those brackets are refined.
+    h - t has a pole (0/0 at a flat band) and g_t = (S/C - M3)*(h0 - t) + r
+    is bisected, with no residual test. Exact zeros at scan nodes are roots
+    as they are. With ``lowest``, each target keeps only its lowest hit
+    above omega = 0, the node zero or bracket with the smallest node or
+    interval index (a zero at node i lies below the root of interval j
+    exactly when i <= j), and only those brackets are refined.
 
-    A scan of the default window (``_bisected``) is bisected. Any other
-    scan, narrower or wider, takes the proxy roots (``_proxy_roots``) of h,
-    or of the parts A = (S/C - M3)*h0 + r and D = S/C - M3 of g_t = A -
-    t*D, that the kernel verifies (``_checked_roots``): one kernel call for
-    the proxies and one for the verification pairs. The brackets left over
-    are bisected to ``ROOT_RTOL``/4, so every root of such a scan lies
-    within ``ROOT_RTOL``/2 of a root of f. Either way each root depends on
+    A scan of the default window (``_bisected``) bisects h - t too, and
+    g_t to ``ROOT_RTOL``. Any other scan, narrower or wider, takes the
+    proxy roots of h - t (``_proxy_roots``) that the kernel verifies
+    (``_checked_roots``): one kernel call for the proxies and one for the
+    verification pairs. The h - t brackets left over, and every g_t
+    bracket, are bisected to ``ROOT_RTOL``/4, so every root of such a scan
+    lies within ``ROOT_RTOL``/2 of a root. Either way each root depends on
     its own bracket alone, never on the other targets of the search.
 
     Returns:
@@ -749,28 +738,23 @@ def _scan_roots_batch(
     target = targets[owner]
     bisected = _bisected(scan)
 
-    def refine(group, func, sample, values=None, residual_tol=None):
-        iv, t, f = interval[group], target[group], f_lo[group]
+    def bisect(func, group, rtol, residual_tol=None):
+        iv, f = interval[group], f_lo[group]
+        # f(hi) only steers the speculative levels: sign-scaled values do for g_t.
+        f_hi = np.copysign(scan.values[iv + 1] - target[group], -f)
+        return _bisect(func, nodes[iv], nodes[iv + 1], f, f_hi, rtol=rtol, residual_tol=residual_tol)
 
-        def bisect(func, iv, t, f, rtol):
-            # f(hi) only steers the speculative levels: sign-scaled values do for g_t.
-            f_hi = np.copysign(scan.values[iv + 1] - t, -f)
-            return _bisect(func, nodes[iv], nodes[iv + 1], f, f_hi, rtol=rtol, residual_tol=residual_tol)
-
-        if bisected or not iv.size:
-            return bisect(func, iv, t, f, ROOT_RTOL)
-        positive = f > 0.0
-        x, slope, ok = _proxy_roots(nodes, iv, t, positive, sample, values)
-        roots, found = _checked_roots(func, x, slope, ok, nodes[iv], nodes[iv + 1], positive, residual_tol)
+    free = slice(None, split)
+    h_minus_t = lambda x, live: half_trace_values(cell, x) - target[live]
+    if bisected or not split:
+        refined = bisect(h_minus_t, free, ROOT_RTOL, RESIDUAL_TOL)
+    else:
+        iv, positive = interval[free], f_lo[free] > 0.0
+        x, slope, ok = _proxy_roots(scan, iv, target[free], positive)
+        refined, found = _checked_roots(h_minus_t, x, slope, ok, nodes[iv], nodes[iv + 1], positive)
         if (rest := np.flatnonzero(~found)).size:
             # To ROOT_RTOL/4, so that these roots too lie within ROOT_RTOL/2.
-            roots[rest] = bisect(lambda x, live: func(x, rest[live]), iv[rest], t[rest], f[rest], ROOT_RTOL / 4)
-        return roots
-
-    refined = refine(
-        slice(None, split), lambda x, live: half_trace_values(cell, x) - target[live],
-        lambda x: (half_trace_values(cell, x), None), scan.values, residual_tol=RESIDUAL_TOL,
-    )
+            refined[rest] = bisect(lambda x, live: h_minus_t(x, rest[live]), rest, ROOT_RTOL / 4, RESIDUAL_TOL)
     if split < interval.size:
         pole_target = target[split:]
 
@@ -778,11 +762,9 @@ def _scan_roots_batch(
             h0, r, M3 = _cell_parts(cell, x)
             return (1.0 / cell.c_over_s - M3) * (h0 - pole_target[live]) + r
 
-        def sample(x):
-            h0, r, M3 = _cell_parts(cell, x)
-            return (1.0 / cell.c_over_s - M3) * h0 + r, 1.0 / cell.c_over_s - M3
-
-        refined = np.concatenate([refined, refine(slice(split, None), numerator, sample)])
+        # Off the default window to ROOT_RTOL/4, as the fallback above.
+        rtol = ROOT_RTOL if bisected else ROOT_RTOL / 4
+        refined = np.concatenate([refined, bisect(numerator, slice(split, None), rtol)])
     roots = np.concatenate([nodes[node], refined])
     owners = np.concatenate([zero_owner, owner])
     order = np.lexsort((roots, owners))

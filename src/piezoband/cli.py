@@ -125,6 +125,8 @@ def _stopbands_csv(intervals) -> str:
 
 
 def _cmd_effective(args) -> int:
+    if args.out is not None and args.sweep is None:
+        raise ValueError("--out writes the --sweep CSV; add --sweep or drop --out")
     cell = _load_cell(args)
     em = effective_model(cell)
     # With the sweep CSV going to stdout, keep stdout machine-parseable.

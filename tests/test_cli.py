@@ -418,6 +418,18 @@ class TestErrorHandling:
         err = json.loads(captured.err)
         assert (err["error"], err["type"]) == ("input", "ValueError")
 
+    def test_effective_out_without_sweep_exit_2(self, tmp_path, capsys):
+        # Regression: --out without --sweep printed the report, exited 0
+        # and wrote nothing, so the requested file was dropped silently.
+        out = tmp_path / "ceff.csv"
+        assert main(["effective", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert (err["error"], err["type"]) == ("input", "ValueError")
+        assert "--sweep" in err["message"]
+        assert not out.exists()
+
     def test_unknown_unit_exit_2(self, capsys):
         assert main(["bands", "--c-over-s=1 parsec", "--out", "-"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "input"

@@ -10,9 +10,10 @@ scan of exactly the default window is bisected: every bracket set
 evaluates several predicted passes a call, and the roots are held to the
 plain loop bit for bit, at every rtol and whether the predictions hold or
 not. Scans of every other window, narrower or wider, take verified
-Chebyshev-proxy roots instead: those are held to roots bisected to 1e-15
-on the plain formulas of the kernel tests, and every proxy root, bit for
-bit, to a compacting form of the locator kept below.
+Chebyshev-proxy roots of h - t instead and bisect g_t: those roots are
+held to roots bisected to 1e-15 on the plain formulas of the kernel
+tests, and every proxy root, bit for bit, to a compacting form of the
+locator kept below.
 """
 
 import math
@@ -414,12 +415,12 @@ def flat_band_capacitances():
 
 @pytest.mark.parametrize(
     "c_over_s, factor",
-    [(c, f) for c in (0.0, -11e-6, -13.3e-6, -16.7e-6) for f in (10.0, 50.0)] + [("C*", 10.0)],
+    [(c, f) for c in ("C*", 0.0, -11e-6, -13.3e-6, -16.7e-6) for f in (10.0, 50.0)],
 )
 def test_wide_window_roots_match_tight_reference(c_over_s, factor):
-    # Every K target of a trace on the 10x and 50x windows, and at the four
-    # flat-band C* on the 10x one, where 200 targets meet omega* in a
-    # blocked interval and are found on g_t.
+    # Every K target of a trace on the 10x and 50x windows, also at the four
+    # flat-band C*, where 200 targets meet omega* in a blocked interval and
+    # are bisected on g_t.
     if c_over_s == "C*":
         cells = [default_cell(c) for c in flat_band_capacitances()]
     else:
@@ -551,37 +552,32 @@ def test_located_search_kernel_points(monkeypatch):
     assert len(points) <= 10
 
 
-def reference_proxy_roots(nodes, interval, target, positive, sample, values=None, stats=None):
+def reference_proxy_roots(scan, interval, target, positive, stats=None):
     """_proxy_roots with a compacting Newton.
 
     Every bracket's sign-change segment comes from argmax and count_nonzero
     over its (9, n) sign table, and ``reference_newton`` gathers its open
     proxies every step. ``stats``, where given, counts the brackets whose
-    samples of f are not monotone and those still open after two Newton
-    steps.
+    samples of h - t are not monotone and those still open after two
+    Newton steps.
     """
+    nodes = scan.nodes
     held = np.zeros(nodes.size, dtype=bool)
     held[interval] = True
     iv = np.flatnonzero(held)
     inverse = (np.cumsum(held, dtype=np.int32) - 1)[interval]
     a, b = nodes[iv], nodes[iv + 1]
-    s = bs._LOBATTO if values is None else bs._LOBATTO[1:-1]
-    A, D = sample(a + (b - a) * (0.5 + 0.5 * s[:, None]))
-    if values is not None:
-        A = np.concatenate([values[iv][None], A, values[iv + 1][None]])
-    first = A[0]
-    power = [None if v is None else np.einsum("kj,jn->kn", bs._POWERS, v) for v in (A - first, D)]
+    inner = bs.half_trace_values(scan.cell, a + (b - a) * (0.5 + 0.5 * bs._LOBATTO[1:-1, None]))
+    h = np.concatenate([scan.values[iv][None], inner, scan.values[iv + 1][None]])
+    first = h[0]
+    power = np.einsum("kj,jn->kn", bs._POWERS, h - first)
     root, slope, ok = np.empty(target.size), np.empty(target.size), np.empty(target.size, dtype=bool)
     stats = {} if stats is None else stats
     for start in range(0, target.size, bs._BLOCK):
         block = slice(start, start + bs._BLOCK)
         k, t, pos = inverse[block], target[block], positive[block]
-        if D is None:
-            f, coef = A[:, k] - t, power[0][:, k]
-            coef[0] += first[k] - t
-        else:
-            f, coef = A[:, k] - t * D[:, k], power[0][:, k] - t * power[1][:, k]
-            coef[0] += first[k]
+        f, coef = h[:, k] - t, power[:, k]
+        coef[0] += first[k] - t
         above = f > 0.0
         change = above[1:] != above[:-1]
         j = change.argmax(axis=0)
@@ -644,17 +640,15 @@ def proxy_roots_against_reference(monkeypatch, searches):
     """Run ``_scan_roots_batch`` on each (scan, targets) with every
     ``_proxy_roots`` call held to ``reference_proxy_roots``: ok and root
     bit for bit on every bracket, slope on every ok one. Returns the
-    reference's stats, with the number of calls on g_t (no scan values)
-    under "g_t"."""
-    proxy_roots, stats = bs._proxy_roots, {"g_t": 0}
+    reference's stats."""
+    proxy_roots, stats = bs._proxy_roots, {}
 
-    def checked(nodes, interval, target, positive, sample, values=None):
-        root, slope, ok = proxy_roots(nodes, interval, target, positive, sample, values)
-        expected = reference_proxy_roots(nodes, interval, target, positive, sample, values, stats)
+    def checked(scan, interval, target, positive):
+        root, slope, ok = proxy_roots(scan, interval, target, positive)
+        expected = reference_proxy_roots(scan, interval, target, positive, stats)
         assert ok.tobytes() == expected[2].tobytes()
         assert root.tobytes() == expected[0].tobytes()
         assert slope[ok].tobytes() == expected[1][ok].tobytes()
-        stats["g_t"] += values is None
         return root, slope, ok
 
     monkeypatch.setattr(bs, "_proxy_roots", checked)
@@ -666,16 +660,15 @@ def proxy_roots_against_reference(monkeypatch, searches):
 @pytest.mark.parametrize("factor", [10.0, 50.0])
 def test_proxy_roots_match_reference_on_the_shipped_cell(factor, monkeypatch):
     # The trace searches of the wide-window benchmark's cells and -13.3
-    # uF/m^2, and searches of targets across and beyond their poles, whose
-    # roots are found on g_t in blocked intervals: the in-place Newton
-    # keeps every bit of the compacting loop.
+    # uF/m^2, and searches of targets across and beyond their poles: the
+    # in-place Newton keeps every bit of the compacting loop.
     rng, searches = np.random.default_rng(25), []
     for c_over_s in (0.0, -11e-6, -13.3e-6, -16.7e-6):
         cell = default_cell(c_over_s)
         scan = bs.scan_frequencies(cell, factor * bs.default_omega_max(cell))
         searches += [(scan, K_TARGETS), (scan, awkward_targets(scan, rng))]
     stats = proxy_roots_against_reference(monkeypatch, searches)
-    assert stats["g_t"] >= 2 and stats["late"] > 0 and stats["non-monotone"] > 0
+    assert stats["late"] > 0 and stats["non-monotone"] > 0
 
 
 def test_proxy_roots_match_reference_on_random_cells(monkeypatch):
@@ -689,7 +682,7 @@ def test_proxy_roots_match_reference_on_random_cells(monkeypatch):
         scan = bs.scan_frequencies(cell, 10.0 * bs.default_omega_max(cell), base_points=400)
         searches.append((scan, awkward_targets(scan, rng)))
     stats = proxy_roots_against_reference(monkeypatch, searches)
-    assert stats["non-monotone"] > 0 and stats["late"] > 0 and stats["g_t"] > 0
+    assert stats["non-monotone"] > 0 and stats["late"] > 0
 
 
 @pytest.mark.parametrize("move", ["shift", "far end"])
@@ -701,11 +694,11 @@ def test_mispredicted_proxy_roots_fall_back_to_bisection(move, monkeypatch):
     scan = bs.scan_frequencies(cell, 10.0 * bs.default_omega_max(cell))
     proxy_roots, bisect, bisected = bs._proxy_roots, bs._bisect, []
 
-    def wrong(nodes, interval, target, positive, sample, values=None):
-        root, slope, ok = proxy_roots(nodes, interval, target, positive, sample, values)
+    def wrong(scan, interval, target, positive):
+        root, slope, ok = proxy_roots(scan, interval, target, positive)
         if move == "shift":
             return root * (1.0 + 1e-6), slope, ok
-        lo, hi = nodes[interval], nodes[interval + 1]
+        lo, hi = scan.nodes[interval], scan.nodes[interval + 1]
         return np.where(root - lo < hi - root, hi, lo), slope, ok
 
     def spy(func, lo, *args, **kwargs):
@@ -723,15 +716,42 @@ def test_roots_do_not_depend_on_other_targets(factor):
     # A root depends on its own bracket alone: every seventh K target, or
     # every fiftieth, gets the roots it gets among all 200, bit for bit.
     # The refiner is chosen per scan: a rule by the size of the bracket set
-    # would bisect the smaller search and locate the larger one.
-    cell = default_cell(-16.7e-6)
-    scan = bs.scan_frequencies(cell, factor * bs.default_omega_max(cell))
-    roots, counts = bs._scan_roots_batch(scan, K_TARGETS)
-    groups = np.split(roots, np.cumsum(counts)[:-1])
-    for stride in (7, 50):
-        subset, subset_counts = bs._scan_roots_batch(scan, K_TARGETS[::stride])
-        assert subset_counts.tolist() == counts[::stride].tolist()
-        assert subset.tobytes() == np.concatenate(groups[::stride]).tobytes()
+    # would bisect the smaller search and locate the larger one. At the
+    # flat-band C* of branch 1 every target has a g_t root in a blocked
+    # interval, next to the located h - t roots.
+    for cell in (default_cell(-16.7e-6), default_cell(flat_band_capacitances()[0])):
+        scan = bs.scan_frequencies(cell, factor * bs.default_omega_max(cell))
+        roots, counts = bs._scan_roots_batch(scan, K_TARGETS)
+        groups = np.split(roots, np.cumsum(counts)[:-1])
+        for stride in (7, 50):
+            subset, subset_counts = bs._scan_roots_batch(scan, K_TARGETS[::stride])
+            assert subset_counts.tolist() == counts[::stride].tolist()
+            assert subset.tobytes() == np.concatenate(groups[::stride]).tobytes()
+    # The last scan, at C*, holds a g_t bracket for every target.
+    (interval, _, _), _ = bs._target_hits(scan, K_TARGETS)
+    assert np.count_nonzero(scan.blocked[interval]) >= K_TARGETS.size
+
+
+def test_blocked_brackets_are_never_located(monkeypatch):
+    # Every bracket of a blocked interval is bisected on g_t, on every
+    # scan: the four flat-band C* traces on the 10x and 50x windows hold 200
+    # each, one a K target, and no _proxy_roots call is handed one.
+    proxy_roots, handed, blocked = bs._proxy_roots, [], 0
+
+    def spy(*args):
+        handed.append(np.count_nonzero(scan.blocked[args[1]]))
+        return proxy_roots(*args)
+
+    monkeypatch.setattr(bs, "_proxy_roots", spy)
+    for c_over_s in flat_band_capacitances():
+        cell = default_cell(c_over_s)
+        for factor in (10.0, 50.0):
+            scan = bs.scan_frequencies(cell, factor * bs.default_omega_max(cell))
+            (interval, _, _), _ = bs._target_hits(scan, K_TARGETS)
+            blocked += np.count_nonzero(scan.blocked[interval])
+            bs._scan_roots_batch(scan, K_TARGETS)
+    assert blocked == 8 * K_TARGETS.size
+    assert len(handed) == 8 and sum(handed) == 0
 
 
 def test_speculative_levels_evaluate_every_plain_mid(monkeypatch):
@@ -871,19 +891,25 @@ def test_lowest_roots_are_the_first_of_the_full_search():
 def reference_locate(model, func, x, lo, hi, rising):
     """_locate's Newton run and sign-verified pairs, every pair then bisected.
 
-    The pairs are refined by the plain loop to _POLE_RTOL, whether or not
-    both halves are already within it.
+    Newton runs on each bracket alone, until its own step moves it by at
+    most _POLE_RTOL/4 relative. The pairs are refined by the plain loop to
+    _POLE_RTOL, whether or not both halves are already within it.
     """
-    a, b = lo, hi
+    x, rising = np.array(x, dtype=float), np.broadcast_to(rising, np.shape(x))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(60):
-            f, df = model(x)
-            below = (f < 0.0) == rising
-            a, b = np.where(below, x, a), np.where(below, b, x)
-            step = x - f / df
-            x, last = np.where(((step > a) & (step < b)) | (step == x), step, 0.5 * (a + b)), x
-            if np.all(np.abs(x - last) <= bs._POLE_RTOL / 4 * np.abs(last)):
-                break
+        for i in range(x.size):
+            a, b = lo[i], hi[i]
+            for _ in range(60):
+                f, df = (v[i] for v in model(x))
+                if (f < 0.0) == rising[i]:
+                    a = x[i]
+                else:
+                    b = x[i]
+                step = x[i] - f / df
+                step = step if a < step < b or step == x[i] else 0.5 * (a + b)
+                last, x[i] = x[i], step
+                if abs(step - last) <= bs._POLE_RTOL / 4 * abs(last):
+                    break
     a, b, f_a = (np.empty_like(x) for _ in range(3))
     todo, delta = np.arange(x.size), bs._POLE_RTOL / 4
     while todo.size:
@@ -921,6 +947,22 @@ def test_located_roots_match_always_bisecting_reference(monkeypatch):
         assert [a.tobytes() for a in found] == [a.tobytes() for a in expected]
         located += found[0].size + found[1].size
     assert 0 < widened < located / 10
+
+
+@pytest.mark.parametrize("seed", [5, 30, 31])
+def test_flat_band_candidates_do_not_depend_on_the_window(seed):
+    # Regression: _locate stepped every bracket until all of them had
+    # stopped, so a candidate's bits depended on the other brackets of its
+    # call: for 6-9 of these 100 draws a seed, the candidates of the default
+    # window differed from the same ones among the 10x window's, and
+    # find_flat_capacitance's C* could change with omega_max.
+    draws = np.random.default_rng(seed)
+    for _ in range(100):
+        cell = shunted_cell(draws)
+        omega_max = bs.default_omega_max(cell)
+        narrow = bs._flat_band_candidates(cell, omega_max)
+        wide = bs._flat_band_candidates(cell, 10.0 * omega_max)
+        assert [a.tobytes() for a in narrow] == [b[: narrow[0].size].tobytes() for b in wide]
 
 
 @pytest.mark.parametrize("levels", [1, 6])
