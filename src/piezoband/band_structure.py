@@ -19,10 +19,11 @@ implicitly, by one complex step of the parts, so a flat band has v_g = 0.
 The flat-band frequencies, where r changes sign, solve theta(omega) = k*pi
 for a rising phase theta: one in each (k*pi/T, (k + 2)*pi/T) (see
 ``_flat_band_candidates``). ``_locate`` finds poles and flat bands alike:
-Newton on the closed form, then a sign-verified bracket of the kernel's
-own function around it, bisected only if it had to be widened past the
-pole tolerance. ``find_flat_capacitance`` judges each candidate on its
-first branch alone, bisecting only the lowest root of each K.
+the proxies' safeguarded Newton (``_newton``) on the closed form, then a
+sign-verified bracket of the kernel's own function around it, bisected
+only if it had to be widened past the pole tolerance.
+``find_flat_capacitance`` judges each candidate on its first branch
+alone, bisecting only the lowest root of each K.
 
 Root search is array code throughout. The targets cos(K*T) of all K are
 sorted once; each pole-free scan interval finds its candidate targets by
@@ -357,19 +358,18 @@ def _find_poles(cell: ShuntedCell, omega_max: float) -> np.ndarray:
         lo, hi, d_lo, d_hi = ends[idx], ends[idx + 1], d_ends[idx], d_ends[idx + 1]
         # Start where a half cosine through both ends, flat at both like D, is 0.
         x = lo + (hi - lo) / math.pi * np.arccos((d_lo + d_hi) / (d_hi - d_lo))
-        located = _locate(model, lambda x: shunt_denominator(cell, x), x, lo, hi, d_lo < 0.0)
+        located = _locate(model, lambda x: shunt_denominator(cell, x), x, lo, hi, d_lo > 0.0)
         poles = np.unique(np.concatenate([poles, located]))
     return poles[(poles > 0.0) & (poles < omega_max)]
 
 
-def _locate(model, func, x, lo, hi, rising) -> np.ndarray:
+def _locate(model, func, x, lo, hi, positive) -> np.ndarray:
     """The zero of the kernel's func in each bracket [lo, hi], from a closed form.
 
-    Newton runs from x on ``model(x)``, the values and derivatives of a
-    monotone closed form of func (``rising`` where it increases), with no
-    kernel call; a step out of the bracket, which each iterate's sign
-    narrows, becomes its midpoint. Each bracket stops in place on its own
-    step of at most ``_POLE_RTOL``/4 relative, as in ``_newton``, so its
+    ``_newton`` runs from x, in place, on ``model(x)``, the value and
+    derivative of a monotone closed form of func (``positive`` where it is
+    > 0 at lo), with no kernel call: 60 steps at most, each bracket stopping
+    on its own step of at most ``_POLE_RTOL``/4 of its start |x|, so its
     zero does not depend on the other brackets of the call. Then func is
     called once per round at x*(1 -+ delta) in [lo, hi], from delta =
     ``_POLE_RTOL``/4 up 16x, until the two values differ in sign or one is
@@ -378,19 +378,8 @@ def _locate(model, func, x, lo, hi, rising) -> np.ndarray:
     ``_bisect`` returns that point at its first pass whatever the sign
     there, so only the pairs that had to be widened are bisected.
     """
-    a, b, open_ = lo, hi, np.ones(x.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(60):
-            f, df = model(x)
-            below = (f < 0.0) == rising
-            a, b = np.where(below, x, a), np.where(below, b, x)
-            step = x - f / df
-            step = np.where(((step > a) & (step < b)) | (step == x), step, 0.5 * (a + b))
-            stopped = np.abs(step - x) <= _POLE_RTOL / 4 * np.abs(x)
-            x = np.where(open_, step, x)
-            open_ &= ~stopped
-            if not open_.any():
-                break
+        _newton(model, x, lo.copy(), hi.copy(), positive, stop=_POLE_RTOL / 4 * np.abs(x), steps=60)
     a, b, f_a, f_b = (np.empty_like(x) for _ in range(4))
     todo, delta = np.arange(x.size), _POLE_RTOL / 4
     while todo.size:
@@ -605,7 +594,7 @@ def _proxy_roots(scan, interval, target, positive):
         del f, above, change
         with np.errstate(divide="ignore", invalid="ignore"):
             u = lo_s - f_lo * (hi_s - lo_s) / (f_hi - f_lo)
-            dp = _newton(coef, u, lo_s, hi_s, pos)
+            dp = _newton(lambda s: _horner(coef, s), u, lo_s, hi_s, pos)
         half = 0.5 * (b - a)[k]
         slope[block] = np.abs(dp) / half
         ok[block] = lone
@@ -641,23 +630,24 @@ def _checked_roots(func, x, slope, ok, lo, hi, positive):
     return roots, found
 
 
-def _newton(coef, u, lo, hi, rising):
-    """Newton on each proxy sum coef[k]*s^k from u, in place, kept inside (lo, hi).
+def _newton(model, u, lo, hi, positive, stop=_NEWTON_STOP, steps=_NEWTON_STEPS):
+    """Safeguarded Newton on each model(u) = (p, p') from u, in place, kept inside (lo, hi).
 
-    Iterates, ``_NEWTON_STEPS`` times at most, until every proxy's last
-    step moved its u by at most ``_NEWTON_STOP``; a step out of the
-    bracket, which each iterate's sign narrows, becomes its midpoint, and a
-    step onto u itself is taken (as in ``_locate``). Every proxy is
-    evaluated each time, but a stopped one keeps its u and the p' of its
-    own last step, so each element's arithmetic is that of a loop on the
-    open proxies alone. Returns that p', that of the last step where the
-    run did not stop.
+    ``positive`` marks the models that are > 0 at lo, as in ``_bisect``;
+    each iterate's sign moves lo or hi onto it. Iterates, ``steps`` times at
+    most, until every model's last step moved its u by at most ``stop``;
+    a step out of the bracket becomes its midpoint, and a step onto u
+    itself is taken. Every model is evaluated each time, but a stopped one
+    keeps its u and the p' of its own last step, so each element's
+    arithmetic is that of a loop on the open models alone. Returns that p',
+    that of the last step where the run did not stop. ``_proxy_roots`` runs
+    it on its Chebyshev proxies, ``_locate`` on its closed forms.
     """
     slope, open_ = np.empty_like(u), np.ones(u.shape, dtype=bool)
-    for _ in range(_NEWTON_STEPS):
-        p, dp = _horner(coef, u)
+    for _ in range(steps):
+        p, dp = model(u)
         # Branch-free selects (the masks are random): lo, hi = u on the side of u.
-        below = ((p > 0.0) == rising).astype(float)
+        below = ((p > 0.0) == positive).astype(float)
         lo += below * (u - lo)
         hi += (1.0 - below) * (u - hi)
         step = u - p / dp
@@ -665,7 +655,7 @@ def _newton(coef, u, lo, hi, rising):
         mid = 0.5 * (lo + hi)
         step = mid + inside * (step - mid)
         np.copyto(slope, dp, where=open_)
-        stopped = np.abs(step - u) <= _NEWTON_STOP
+        stopped = np.abs(step - u) <= stop
         np.copyto(u, step, where=open_)
         open_ &= ~stopped
         if not open_.any():
@@ -857,7 +847,9 @@ def stopbands(
     the same scan, and taken from the scan once a trace has run. An interval
     whose closure reaches omega = 0 carries the quasistatic flag. An edge
     that is a root of both h = 1 and h = -1 is a flat band of zero width, so
-    the two stop intervals it separates stay apart.
+    the two stop intervals it separates stay apart. A given ``scan`` of
+    ``cell`` is used as it is: its window wins over omega_max, as in
+    ``trace_branches``.
 
     Raises:
         ValueError: If ``scan`` is not a scan of ``cell``.
@@ -1026,7 +1018,7 @@ def _flat_band_candidates(cell: ShuntedCell, omega_max: float) -> tuple[np.ndarr
     k = np.arange(math.floor(theta(omega_max)[0] / math.pi) + 1.0)
     lo, hi = k * (math.pi / (t1 + t2)), (k + 2.0) * (math.pi / (t1 + t2))
     r = lambda x: _cell_parts(cell, x)[1]
-    omega = _locate(lambda x: theta(x, k), r, 0.5 * (lo + hi), lo, hi, True)
+    omega = _locate(lambda x: theta(x, k), r, 0.5 * (lo + hi), lo, hi, positive=False)
     omega = omega[(omega > 0.0) & (omega < omega_max)]
     return omega, 1.0 / _cell_parts(cell, omega)[2]
 
@@ -1062,12 +1054,14 @@ def find_flat_capacitance(
             or holds no candidate C*/S = 1/M3(omega*) with r(omega*) = 0.
         NumericalError: If no candidate in the bracket gives a first branch
             flat to flatness_tol.
-        ValueError: If flatness_tol is not positive and finite (checked
-            before any scan), if k_points < 2, or if omega_max is not
-            positive and finite or spans more bands than the base scan
+        ValueError: If flatness_tol is not positive and finite or
+            k_points < 2 (both checked before any scan), or if omega_max is
+            not positive and finite or spans more bands than the base scan
             resolves.
     """
     _check_flatness_tol(flatness_tol)
+    if k_points < 2:
+        raise ValueError("k_points must be at least 2")
     c_lo, c_hi = sorted(bracket)
     c_inf, c_zero = special_capacitances(cell)
     if not (c_zero < c_lo < c_inf and c_zero < c_hi < c_inf):

@@ -22,10 +22,12 @@ denominator as D = (S/C + d/eps) - h*M1, the order of
 ``band_structure._find_poles``' closed form: in the negative-stiffness
 interval S/C is close to -d/eps, and S/C - M3 with M3 = h*M1 - d/eps
 rounded first would cancel the two after rounding. ``monodromy_entries``
-is the fused cell kernel: it writes t11, t12, t21, t22 into one
-preallocated (4, n) array, or with ``half_trace`` only 0.5*(t11 + t22),
-the one value the spectrum reads, into an n-array (no t12 or t21
-formed), ``_BLOCK`` frequencies at a time, with in-place ufuncs.
+is the cell kernel. With ``half_trace`` it forms only 0.5*(t11 + t22),
+the one value the spectrum reads, into one n-array (no t12 or t21
+formed), ``_BLOCK`` frequencies at a time, with in-place ufuncs
+(``_cell_block``). Without it, ``_cell`` forms t11, t12, t21, t22 in one
+pass over omega; in the package only the scalar ``monodromy`` (through
+``bloch_wavenumber``) reads them, never a spectral query.
 ``_cell_parts`` splits the half-trace into the parts h0, r, M3 that do
 not depend on C/S; it serves flat bands, the pole-free root search next
 to poles and, at complex omega, the group velocity, and defines no root
@@ -40,8 +42,9 @@ so every output bit is independent of the block size and of array
 shape; root positions and the CSV output depend on it.
 
 Blocking keeps about twenty 64 KiB temporaries (8192 points) in a core's
-2 MiB L2. A 40 000-point call takes 3.30, 2.86, 2.67 and 3.52 ms in blocks
-of 2048, 4096, 8192 and 16384 (medians, shared 2-core Xeon).
+2 MiB L2. A 40 000-point half-trace call on the 50x window takes 3.13,
+2.95, 2.96 and 3.19 ms in blocks of 2048, 4096, 8192 and 16384 (medians
+of 60, shared 2-core AMD EPYC).
 """
 
 from __future__ import annotations
@@ -224,60 +227,51 @@ def _cell_parts(cell: ShuntedCell, omega):
     return _entries(parts, omega)
 
 
-def _cell_block(cell: ShuntedCell, omega: np.ndarray, out: np.ndarray) -> None:
-    """Write t = b @ a, or its half-trace, for one block of 1-D omega into out.
+def _cell(cell: ShuntedCell, omega: np.ndarray):
+    """Entries (t11, t12, t21, t22) of t = b @ a, 1-D omega (a22 is a11)."""
+    _, _, a11, a12, a21 = _layer(cell.elastic.rho, cell.elastic.c, cell.elastic.d, omega)
+    b11, b12, b21, b22 = _piezo(cell, omega)
+    return b11 * a11 + b12 * a21, b11 * a12 + b12 * a11, b21 * a11 + b22 * a21, b21 * a12 + b22 * a11
 
-    t11 = b11*a11 + b12*a21, t12 = b11*a12 + b12*a22, t21 = b21*a11 + b22*a21
-    and t22 = b21*a12 + b22*a22. A (4, n) out takes the four entries; a 1-D
-    out takes 0.5*(t11 + t22) alone, with no t12 or t21 formed.
+
+def _cell_block(cell: ShuntedCell, omega: np.ndarray, out: np.ndarray) -> None:
+    """Write the half-trace 0.5*(t11 + t22) of t = b @ a for one block of 1-D omega into out.
+
+    t11 = b11*a11 + b12*a21 and t22 = b21*a12 + b22*a22, as in ``_cell``;
+    no t12 or t21 is formed.
     """
     el = cell.elastic
     _, _, a11, a12, a21 = _layer(el.rho, el.c, el.d, omega)
     b11, b12, b21, b22 = _piezo(cell, omega)
-    # t = b @ a, where a22 is a11. b11 and b22 are one array on an open
-    # circuit or with e == 0, so neither is written in place.
-    if out.ndim == 1:
-        np.multiply(b11, a11, out=out)
-        b12 *= a21
-        out += b12
-        b21 *= a12
-        a11 *= b22
-        b21 += a11
-        out += b21
-        out *= 0.5
-        return
-    t11, t12, t21, t22 = out
-    np.multiply(b11, a11, out=t11)
-    np.multiply(b11, a12, out=t12)
-    np.multiply(b21, a11, out=t21)
-    np.multiply(b21, a12, out=t22)
-    tmp = b12 * a21
-    t11 += tmp
-    np.multiply(b12, a11, out=tmp)
-    t12 += tmp
-    np.multiply(b22, a21, out=tmp)
-    t21 += tmp
-    np.multiply(b22, a11, out=tmp)
-    t22 += tmp
+    # a22 is a11. b11 and b22 are one array on an open circuit or with
+    # e == 0, so neither is written in place.
+    np.multiply(b11, a11, out=out)
+    b12 *= a21
+    out += b12
+    b21 *= a12
+    a11 *= b22
+    b21 += a11
+    out += b21
+    out *= 0.5
 
 
 def monodromy_entries(cell: ShuntedCell, omega, *, half_trace: bool = False):
     """Entries (t11, t12, t21, t22) of m2 @ m1, elementwise over omega.
 
-    Evaluated in blocks of ``_BLOCK`` frequencies into one (4, n) array.
-    With ``half_trace`` only 0.5*(t11 + t22) is formed, into one array of
-    omega's shape, bit for bit the sum of the two entries. Same
-    unchecked-near-poles contract as ``m_piezo_shunted_entries``.
+    With ``half_trace`` only 0.5*(t11 + t22) is formed, ``_BLOCK``
+    frequencies at a time, into one array of omega's shape, bit for bit the
+    sum of the two entries. Same unchecked-near-poles contract as
+    ``m_piezo_shunted_entries``.
     """
     omega = np.asarray(omega, dtype=float)
+    if not half_trace:
+        return _entries(lambda w: _cell(cell, w), omega)
     flat = omega.reshape(-1)
-    out = np.empty(flat.size if half_trace else (4, flat.size))
+    out = np.empty(flat.size)
     for start in range(0, flat.size, _BLOCK):
         stop = start + _BLOCK
-        _cell_block(cell, flat[start:stop], out[..., start:stop])
-    if half_trace:
-        return out.reshape(omega.shape)
-    return tuple(out.reshape((4,) + omega.shape))
+        _cell_block(cell, flat[start:stop], out[start:stop])
+    return out.reshape(omega.shape)
 
 
 def monodromy(cell: ShuntedCell, omega: float) -> np.ndarray:

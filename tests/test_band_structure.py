@@ -586,9 +586,19 @@ class TestFlatBands:
                 checked += 1
         assert checked >= 300 and 0 < flat < checked
 
-    def test_find_flat_capacitance_rejects_bad_k_points(self, cell):
-        with pytest.raises(ValueError, match="k_points"):
-            bs.find_flat_capacitance(cell, (-16.5e-6, -16.2e-6), k_points=1)
+    def test_find_flat_capacitance_rejects_bad_k_points(self, cell, monkeypatch):
+        # Checked before any scan or candidate search, whatever the bracket.
+        # Regression: a bracket with no candidate, or one outside the
+        # negative-stiffness interval, raised BracketError instead, and a
+        # good one paid the candidate search before the ValueError.
+        calls = {name: 0 for name in ("scan_frequencies", "monodromy_entries", "_cell_parts")}
+        for name in calls:
+            monkeypatch.setattr(bs, name, counted_calls(calls, name, getattr(bs, name)))
+        for bracket in ((-16.5e-6, -16.2e-6), (-15.95e-6, -15.9e-6), (-15e-6, -14e-6)):
+            with pytest.raises(ValueError, match="k_points must be at least 2") as error:
+                bs.find_flat_capacitance(cell, bracket, k_points=1)
+            assert not isinstance(error.value, bs.BracketError)
+        assert calls == {"scan_frequencies": 0, "monodromy_entries": 0, "_cell_parts": 0}
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_tolerance_must_be_positive_and_finite(self, tol):

@@ -888,27 +888,29 @@ def test_lowest_roots_are_the_first_of_the_full_search():
         ]
 
 
-def reference_locate(model, func, x, lo, hi, rising):
+def reference_locate(model, func, x, lo, hi, positive):
     """_locate's Newton run and sign-verified pairs, every pair then bisected.
 
-    Newton runs on each bracket alone, until its own step moves it by at
-    most _POLE_RTOL/4 relative. The pairs are refined by the plain loop to
-    _POLE_RTOL, whether or not both halves are already within it.
+    Newton runs on each bracket alone, with _newton's branch-free selects,
+    until its own step moves it by at most _POLE_RTOL/4 of its start |x|.
+    The pairs are refined by the plain loop to _POLE_RTOL, whether or not
+    both halves are already within it.
     """
-    x, rising = np.array(x, dtype=float), np.broadcast_to(rising, np.shape(x))
+    x, positive = np.array(x, dtype=float), np.broadcast_to(positive, np.shape(x))
+    stop = bs._POLE_RTOL / 4 * np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(x.size):
             a, b = lo[i], hi[i]
             for _ in range(60):
                 f, df = (v[i] for v in model(x))
-                if (f < 0.0) == rising[i]:
-                    a = x[i]
-                else:
-                    b = x[i]
+                below = float((f > 0.0) == positive[i])
+                a += below * (x[i] - a)
+                b += (1.0 - below) * (x[i] - b)
                 step = x[i] - f / df
-                step = step if a < step < b or step == x[i] else 0.5 * (a + b)
+                mid = 0.5 * (a + b)
+                step = mid + float(a < step < b or step == x[i]) * (step - mid)
                 last, x[i] = x[i], step
-                if abs(step - last) <= bs._POLE_RTOL / 4 * abs(last):
+                if abs(step - last) <= stop[i]:
                     break
     a, b, f_a = (np.empty_like(x) for _ in range(3))
     todo, delta = np.arange(x.size), bs._POLE_RTOL / 4
@@ -963,6 +965,32 @@ def test_flat_band_candidates_do_not_depend_on_the_window(seed):
         narrow = bs._flat_band_candidates(cell, omega_max)
         wide = bs._flat_band_candidates(cell, 10.0 * omega_max)
         assert [a.tobytes() for a in narrow] == [b[: narrow[0].size].tobytes() for b in wide]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("start", [-0.95, 0.95])
+def test_newton_narrows_each_bracket_toward_its_root(sign, start):
+    # One flag for every caller of _newton: positive marks a model that is
+    # > 0 at its bracket's low end, as in _bisect and _checked_roots. A
+    # rising (sign 1) and a falling cubic with roots across (-1, 1), from
+    # a start next to either end: with the flag every run ends at its own
+    # root, inside its narrowed bracket. With the flag inverted, as when a
+    # caller passes "rising" for a rising model, the first iterate moves
+    # the wrong end, the root leaves the bracket and no run comes near it.
+    root = np.linspace(-0.9, 0.9, 7)
+
+    def model(u):
+        return sign * (u * u * u + u - (root * root * root + root)), sign * (3.0 * u * u + 1.0)
+
+    for positive in (sign < 0.0, sign > 0.0):
+        u, lo, hi = np.full(7, start), np.full(7, -1.0), np.full(7, 1.0)
+        slope = bs._newton(model, u, lo, hi, np.full(7, positive), stop=1e-15, steps=60)
+        if positive == (sign < 0.0):
+            assert np.all(np.abs(u - root) <= 1e-15)
+            assert np.all((lo <= u) & (u <= hi))
+            assert np.all(np.sign(slope) == sign)
+        else:
+            assert np.all(np.abs(u - root) >= 0.04)
 
 
 @pytest.mark.parametrize("levels", [1, 6])

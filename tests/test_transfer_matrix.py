@@ -383,7 +383,7 @@ def oracle_cells():
 
 
 class TestKernelBitsMatchPlainFormulas:
-    """The blocked kernel must reproduce the unblocked formulas bit for bit."""
+    """The four entries and the blocked half-trace must reproduce the plain formulas bit for bit."""
 
     @staticmethod
     def frequencies(cell, rng, n):
@@ -458,8 +458,9 @@ def test_shunt_denominator_keeps_the_inline_bits():
 
 
 def test_block_size_moves_no_bit(monkeypatch):
-    # 40 000 frequencies on the 50x window, the size of a wide bisection
-    # pass, through blocks of 4096 and of 8192.
+    # The half-trace, the one blocked path, at 40 000 frequencies on the
+    # 50x window, the size of a wide bisection pass, through blocks of 4096
+    # and of 8192.
     rng = np.random.default_rng(4)
     draws = np.random.default_rng(5)
     cells = [default_cell(g * 1e-6) for g in (0.0, -11.0, -16.7)]
@@ -472,7 +473,7 @@ def test_block_size_moves_no_bit(monkeypatch):
         got = []
         for block in (4096, 8192):
             monkeypatch.setattr(transfer_matrix, "_BLOCK", block)
-            got.append(bits(monodromy_entries(cell, omega)))
+            got.append(bits([monodromy_entries(cell, omega, half_trace=True)]))
         assert got[0] == got[1]
 
 
