@@ -18,12 +18,12 @@ implicitly, by one complex step of the parts, so a flat band has v_g = 0.
 
 The flat-band frequencies, where r changes sign, solve theta(omega) = k*pi
 for a rising phase theta: one in each (k*pi/T, (k + 2)*pi/T) (see
-``_flat_band_candidates``). ``_locate`` finds poles and flat bands alike:
-the proxies' safeguarded Newton (``_newton``) on the closed form, then a
-sign-verified bracket of the kernel's own function around it, bisected
-only if it had to be widened past the pole tolerance.
-``find_flat_capacitance`` judges each candidate on its first branch
-alone, bisecting only the lowest root of each K.
+``_flat_band_candidates``). Poles (``_float_newton``) and flat bands
+(``_newton``) alike take safeguarded Newton on the closed form, then
+``_locate``'s sign-verified bracket of the kernel's own function around
+it, bisected only if it had to be widened past the pole tolerance.
+``find_flat_capacitance`` judges each candidate on the scan brackets of
+each K's lowest root, refined only where they leave the verdict open.
 
 Root search is array code throughout. The targets cos(K*T) of all K are
 sorted once; each pole-free scan interval finds its candidate targets by
@@ -335,7 +335,7 @@ def _find_poles(cell: ShuntedCell, omega_max: float) -> np.ndarray:
     piezo phase q = alpha*omega, alpha = d*sqrt(rho/cD). sin(q)/q is
     monotone between consecutive roots of tan q = q, so each segment of
     [0, omega_max] between them holds at most one pole, bracketed where D
-    changes sign across it; ``_locate`` locates each from this closed form.
+    changes sign across it; ``_float_newton`` on this closed form and ``_locate`` find each.
     Exact zeros of D at segment ends are poles themselves.
     """
     if not has_shunt_correction(cell):
@@ -345,10 +345,10 @@ def _find_poles(cell: ShuntedCell, omega_max: float) -> np.ndarray:
     level, weight = 1.0 / cell.c_over_s + pz.d / pz.eps, pz.h * pz.h * (pz.d / pz.cD)
 
     def model(x):
-        # D and D' = -h^2*(d/cD)*alpha*(cos q - sin(q)/q)/q.
+        # D and D' = -h^2*(d/cD)*alpha*(cos q - sin(q)/q)/q, on floats.
         q = alpha * x
-        sinc = np.sin(q) / q
-        return level - weight * sinc, (weight * alpha) * (sinc - np.cos(q)) / q
+        sinc = math.sin(q) / q
+        return level - weight * sinc, (weight * alpha) * (sinc - math.cos(q)) / q
 
     ends = np.concatenate([[0.0], _sinc_extrema(alpha * omega_max) / alpha, [omega_max]])
     d_ends = shunt_denominator(cell, ends)
@@ -358,28 +358,24 @@ def _find_poles(cell: ShuntedCell, omega_max: float) -> np.ndarray:
         lo, hi, d_lo, d_hi = ends[idx], ends[idx + 1], d_ends[idx], d_ends[idx + 1]
         # Start where a half cosine through both ends, flat at both like D, is 0.
         x = lo + (hi - lo) / math.pi * np.arccos((d_lo + d_hi) / (d_hi - d_lo))
-        located = _locate(model, lambda x: shunt_denominator(cell, x), x, lo, hi, d_lo > 0.0)
+        # About ten poles a scan: a float run takes 3 us, a _newton step 19 us at any size.
+        brackets = zip(x.tolist(), lo.tolist(), hi.tolist(), (d_lo > 0.0).tolist())
+        x = np.array([_float_newton(model, *bracket) for bracket in brackets])
+        located = _locate(lambda x: shunt_denominator(cell, x), x, lo, hi)
         poles = np.unique(np.concatenate([poles, located]))
     return poles[(poles > 0.0) & (poles < omega_max)]
 
 
-def _locate(model, func, x, lo, hi, positive) -> np.ndarray:
-    """The zero of the kernel's func in each bracket [lo, hi], from a closed form.
+def _locate(func, x, lo, hi) -> np.ndarray:
+    """The zero of the kernel's func in each bracket [lo, hi], next to its Newton estimate x.
 
-    ``_newton`` runs from x, in place, on ``model(x)``, the value and
-    derivative of a monotone closed form of func (``positive`` where it is
-    > 0 at lo), with no kernel call: 60 steps at most, each bracket stopping
-    on its own step of at most ``_POLE_RTOL``/4 of its start |x|, so its
-    zero does not depend on the other brackets of the call. Then func is
-    called once per round at x*(1 -+ delta) in [lo, hi], from delta =
-    ``_POLE_RTOL``/4 up 16x, until the two values differ in sign or one is
-    0 (``NumericalError`` if not even at lo and hi). A pair whose halves
-    are both within ``_POLE_RTOL``*|mid| gives its mid 0.5*(a + b):
-    ``_bisect`` returns that point at its first pass whatever the sign
-    there, so only the pairs that had to be widened are bisected.
+    Each x stopped on its own step of at most ``_POLE_RTOL``/4 of its start
+    |x|. func is called once a round at x*(1 -+ delta) in [lo, hi], delta =
+    ``_POLE_RTOL``/4 up 16x, until the values differ in sign or one is 0
+    (``NumericalError`` if not even at lo and hi). A pair within
+    ``_POLE_RTOL``*|mid| gives its mid 0.5*(a + b), as ``_bisect``'s first
+    pass would, so only widened pairs are bisected.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _newton(model, x, lo.copy(), hi.copy(), positive, stop=_POLE_RTOL / 4 * np.abs(x), steps=60)
     a, b, f_a, f_b = (np.empty_like(x) for _ in range(4))
     todo, delta = np.arange(x.size), _POLE_RTOL / 4
     while todo.size:
@@ -499,7 +495,7 @@ def _index_ranges(first: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.n
     return row, position
 
 
-def _target_hits(scan: FrequencyScan, targets: np.ndarray):
+def _target_hits(scan: FrequencyScan, targets: np.ndarray, *, lowest: bool = False):
     """Brackets and exact node zeros of the half-trace h(omega) = t for all targets.
 
     The targets are sorted once, and two binary searches of the node
@@ -513,7 +509,9 @@ def _target_hits(scan: FrequencyScan, targets: np.ndarray):
     A blocked interval tries every target on the pole-free numerator
     g_t = (S/C - M3)*(h - t) instead, whose sign at a node is
     sign(S/C - M3)*(h - t): its brackets pass g_lo*g_hi < 0, carry g_lo as
-    f_lo and come after all others.
+    f_lo and come after all others. With ``lowest``, each target keeps its
+    lowest hit above omega = 0: a zero at node i lies below the root of
+    interval j exactly when i <= j.
 
     Returns:
         (interval, owner, f_lo) of every bracket and (node, owner) of every
@@ -548,7 +546,16 @@ def _target_hits(scan: FrequencyScan, targets: np.ndarray):
     node, position = _index_ranges(left, right)
     zero_owner = order[position]
     exact = values[node] - targets[zero_owner] == 0.0
-    return brackets, (node[exact], zero_owner[exact])
+    node, zero_owner = node[exact], zero_owner[exact]
+    if lowest:
+        node, zero_owner = node[node > 0], zero_owner[node > 0]
+        rank = np.concatenate([2 * node, 2 * brackets[0] + 1])
+        key = np.full(len(targets), np.iinfo(np.intp).max)
+        np.minimum.at(key, hit := np.concatenate([zero_owner, brackets[1]]), rank)
+        first = key[hit] == rank
+        brackets = tuple(a[first[node.size :]] for a in brackets)
+        node, zero_owner = node[first[: node.size]], zero_owner[first[: node.size]]
+    return brackets, (node, zero_owner)
 
 
 def _proxy_roots(scan, interval, target, positive):
@@ -641,7 +648,7 @@ def _newton(model, u, lo, hi, positive, stop=_NEWTON_STOP, steps=_NEWTON_STEPS):
     keeps its u and the p' of its own last step, so each element's
     arithmetic is that of a loop on the open models alone. Returns that p',
     that of the last step where the run did not stop. ``_proxy_roots`` runs
-    it on its Chebyshev proxies, ``_locate`` on its closed forms.
+    it on its Chebyshev proxies, ``_flat_band_candidates`` on its phases.
     """
     slope, open_ = np.empty_like(u), np.ones(u.shape, dtype=bool)
     for _ in range(steps):
@@ -661,6 +668,23 @@ def _newton(model, u, lo, hi, positive, stop=_NEWTON_STOP, steps=_NEWTON_STEPS):
         if not open_.any():
             break
     return slope
+
+
+def _float_newton(model, u, lo, hi, positive):
+    """``_newton``'s u on one float bracket (60 steps, stop ``_POLE_RTOL``/4*|u|); p' = 0 steps to its mid."""
+    stop = _POLE_RTOL / 4 * abs(u)
+    for _ in range(60):
+        p, dp = model(u)
+        below = float((p > 0.0) == positive)
+        lo += below * (u - lo)
+        hi += (1.0 - below) * (u - hi)
+        mid = 0.5 * (lo + hi)
+        step = u - p / dp if dp else mid
+        step = mid + float(lo < step < hi or step == u) * (step - mid)
+        u, last = step, u
+        if abs(step - last) <= stop:
+            break
+    return u
 
 
 def _horner(coef, s):
@@ -695,9 +719,7 @@ def _scan_roots_batch(
     h - t has a pole (0/0 at a flat band) and g_t = (S/C - M3)*(h0 - t) + r
     is bisected, with no residual test. Exact zeros at scan nodes are roots
     as they are. With ``lowest``, each target keeps only its lowest hit
-    above omega = 0, the node zero or bracket with the smallest node or
-    interval index (a zero at node i lies below the root of interval j
-    exactly when i <= j), and only those brackets are refined.
+    above omega = 0 (``_target_hits``), and only those brackets are refined.
 
     A scan of the default window (``_bisected``) bisects h - t too, and
     g_t to ``ROOT_RTOL``. Any other scan, narrower or wider, takes the
@@ -713,16 +735,7 @@ def _scan_roots_batch(
         sorted within each group, and the number of roots of each target.
     """
     cell, nodes = scan.cell, scan.nodes
-    (interval, owner, f_lo), (node, zero_owner) = _target_hits(scan, targets)
-    if lowest:
-        node, zero_owner = node[node > 0], zero_owner[node > 0]
-        rank = np.concatenate([2 * node, 2 * interval + 1])
-        key = np.full(len(targets), np.iinfo(np.intp).max)
-        np.minimum.at(key, np.concatenate([zero_owner, owner]), rank)
-        first = key[owner] == 2 * interval + 1
-        interval, owner, f_lo = interval[first], owner[first], f_lo[first]
-        first = key[zero_owner] == 2 * node
-        node, zero_owner = node[first], zero_owner[first]
+    (interval, owner, f_lo), (node, zero_owner) = _target_hits(scan, targets, lowest=lowest)
     # Brackets in blocked intervals come last, so both groups are views.
     split = interval.size - np.count_nonzero(scan.blocked[interval])
     target = targets[owner]
@@ -1017,10 +1030,32 @@ def _flat_band_candidates(cell: ShuntedCell, omega_max: float) -> tuple[np.ndarr
 
     k = np.arange(math.floor(theta(omega_max)[0] / math.pi) + 1.0)
     lo, hi = k * (math.pi / (t1 + t2)), (k + 2.0) * (math.pi / (t1 + t2))
-    r = lambda x: _cell_parts(cell, x)[1]
-    omega = _locate(lambda x: theta(x, k), r, 0.5 * (lo + hi), lo, hi, positive=False)
+    omega = 0.5 * (lo + hi)
+    # 4/39/200 levels on the 1x/10x/50x windows, so arrays: a float Newton
+    # took 0.18/0.48/1.88 ms, _newton 0.51/0.54/0.41.
+    _newton(lambda x: theta(x, k), omega, lo.copy(), hi.copy(), False, stop=_POLE_RTOL / 4 * omega, steps=60)
+    omega = _locate(lambda x: _cell_parts(cell, x)[1], omega, lo, hi)
     omega = omega[(omega > 0.0) & (omega < omega_max)]
     return omega, 1.0 / _cell_parts(cell, omega)[2]
+
+
+def _first_branch_is_flat(scan: FrequencyScan, k_points: int, flatness_tol: float) -> bool:
+    """Whether branch 1's spread is below flatness_tol, where no branch holds the origin.
+
+    Each K's lowest root lies between the nodes lo, hi of its lowest hit, so
+    the spread lies in [(max lo - min hi)/mean hi, (max hi - min lo)/mean lo];
+    the roots are refined (``_trace``) only where flatness_tol falls inside.
+    """
+    period = scan.cell.period
+    targets = np.cos(np.linspace(0.0, math.pi / period, k_points) * period)
+    (interval, _, _), (node, _) = _target_hits(scan, targets, lowest=True)
+    lo = scan.nodes[np.concatenate([node, interval])]
+    hi = scan.nodes[np.concatenate([node, interval + 1])]
+    if lo.size and hi.max() - lo.min() < flatness_tol * lo.mean():
+        return True
+    if not lo.size or lo.max() - hi.min() >= flatness_tol * hi.mean():
+        return False
+    return branch_flatness(_trace(scan.cell, k_points, None, scan, lowest=True)[0]) < flatness_tol
 
 
 def find_flat_capacitance(
@@ -1037,9 +1072,8 @@ def find_flat_capacitance(
     ``_flat_band_candidates``) that lie in the bracket are tried in
     ascending omega*; the first whose first branch has a relative spread
     below flatness_tol is returned. At C* the pole at omega* cancels, so
-    that branch holds omega* at every K. Each candidate is judged on its
-    first branch alone: one scan, and only the lowest root of each K
-    refined, which are ``trace_branches(...)[0]`` bit for bit.
+    that branch holds omega* at every K. Each candidate takes one scan,
+    and ``_first_branch_is_flat`` judges ``trace_branches(...)[0]`` on it.
 
     Args:
         cell: Template cell (its own c_over_s is ignored).
@@ -1078,8 +1112,7 @@ def find_flat_capacitance(
             "r(omega*) = 0 lies in it"
         )
     for gamma in c_star.tolist():
-        branches = _trace(cell.with_c_over_s(gamma), k_points, omega_max, None, lowest=True)
-        if branches and branch_flatness(branches[0]) < flatness_tol:
+        if _first_branch_is_flat(scan_frequencies(cell.with_c_over_s(gamma), omega_max), k_points, flatness_tol):
             return gamma
     raise NumericalError(
         f"none of the {c_star.size} flat-band candidate(s) in the bracket gives a first "

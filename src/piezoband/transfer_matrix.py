@@ -261,8 +261,10 @@ def monodromy_entries(cell: ShuntedCell, omega, *, half_trace: bool = False):
     With ``half_trace`` only 0.5*(t11 + t22) is formed, ``_BLOCK``
     frequencies at a time, into one array of omega's shape, bit for bit the
     sum of the two entries. Same unchecked-near-poles contract as
-    ``m_piezo_shunted_entries``.
+    ``m_piezo_shunted_entries``. Complex omega raises TypeError.
     """
+    if np.iscomplexobj(omega):
+        raise TypeError("monodromy_entries takes real omega; complex omega would drop its imaginary part")
     omega = np.asarray(omega, dtype=float)
     if not half_trace:
         return _entries(lambda w: _cell(cell, w), omega)

@@ -550,14 +550,23 @@ class TestFlatBands:
             shared = [a.omega_hi for a, b in zip(intervals, intervals[1:]) if a.omega_hi == b.omega_lo]
             assert flat.omega[0] in shared
 
-    def test_find_flat_capacitance_runs_one_trace(self, cell, monkeypatch):
-        # The one candidate is judged on its first branch alone: one scan and
-        # one root search, with no full trace.
-        calls = {name: 0 for name in ("trace_branches", "scan_frequencies", "_scan_roots_batch")}
-        for name in calls:
-            monkeypatch.setattr(bs, name, counted_calls(calls, name, getattr(bs, name)))
+    def test_find_flat_capacitance_decides_on_one_scan(self, cell, monkeypatch):
+        # The one candidate is decided flat on the brackets of its scan:
+        # after the candidates come one scan and no root refinement, so no
+        # root search, bisection or g_t evaluation (_cell_parts).
+        names = ("trace_branches", "scan_frequencies", "_scan_roots_batch", "_bisect", "_cell_parts")
+        calls = dict.fromkeys(names, 0)
+        candidates = bs._flat_band_candidates
+
+        def then_count(*args):
+            found = candidates(*args)
+            for name in calls:
+                monkeypatch.setattr(bs, name, counted_calls(calls, name, getattr(bs, name)))
+            return found
+
+        monkeypatch.setattr(bs, "_flat_band_candidates", then_count)
         assert bs.find_flat_capacitance(cell, (-16.5e-6, -16.2e-6)) == C_STAR
-        assert calls == {"trace_branches": 0, "scan_frequencies": 1, "_scan_roots_batch": 1}
+        assert calls == {**dict.fromkeys(names, 0), "scan_frequencies": 1}
 
     def test_first_branch_check_matches_the_full_trace(self):
         # Every candidate C*/S inside the negative-stiffness interval is

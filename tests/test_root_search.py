@@ -784,8 +784,8 @@ def test_flat_band_roots_in_shuffled_bracket_order(monkeypatch):
     # bracket alone, not on where it sits among the others.
     target_hits, rng = bs._target_hits, np.random.default_rng(12)
 
-    def shuffled(scan, targets):
-        (interval, owner, f_lo), zeros = target_hits(scan, targets)
+    def shuffled(scan, targets, lowest=False):
+        (interval, owner, f_lo), zeros = target_hits(scan, targets, lowest=lowest)
         at_pole = scan.blocked[interval]
         assert np.count_nonzero(at_pole) == targets.size
         order = np.concatenate([np.flatnonzero(~at_pole), rng.permutation(np.flatnonzero(at_pole))])
@@ -888,30 +888,71 @@ def test_lowest_roots_are_the_first_of_the_full_search():
         ]
 
 
-def reference_locate(model, func, x, lo, hi, positive):
-    """_locate's Newton run and sign-verified pairs, every pair then bisected.
+def flatness_verdicts(cell, omega_max, k_points, pick=slice(None), scales=()):
+    """(verdict, refined, expected) of each flat-band candidate in pick of cell, at each tolerance.
 
-    Newton runs on each bracket alone, with _newton's branch-free selects,
-    until its own step moves it by at most _POLE_RTOL/4 of its start |x|.
+    The tolerances are DEFAULT_FLATNESS_TOL and, inside the
+    negative-stiffness interval, where no branch holds the origin, each
+    scale times the candidate's own spread, which tends to fall between its
+    bracket bounds. verdict is _first_branch_is_flat's on the candidate's
+    scan, refined whether it called _trace, and expected the flatness test
+    of branch 1 of the full trace on that scan.
+    """
+    verdicts, trace = [], bs._trace
+    c_inf, c_zero = special_capacitances(cell) if cell.piezo.e else (0.0, 0.0)
+    for gamma in bs._flat_band_candidates(cell, omega_max)[1][pick].tolist():
+        scan = bs.scan_frequencies(cell.with_c_over_s(gamma), omega_max)
+        branches = bs.trace_branches(scan.cell, k_points, scan=scan)
+        spread = bs.branch_flatness(branches[0]) if branches else math.inf
+        scaled = [s * spread for s in scales if c_zero < gamma < c_inf and 0.0 < s * spread < math.inf]
+        for tol in [bs.DEFAULT_FLATNESS_TOL, *scaled]:
+            calls = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(bs, "_trace", lambda *args, **kwargs: calls.append(1) or trace(*args, **kwargs))
+                verdict = bs._first_branch_is_flat(scan, k_points, tol)
+            verdicts.append((verdict, bool(calls), spread < tol))
+    return verdicts
+
+
+@pytest.mark.parametrize("factor, candidates, refined", [(1.0, 4, 0), (10.0, 39, 1)])
+def test_flatness_verdicts_of_the_shipped_cell(factor, candidates, refined):
+    # Every candidate C*/S of the shipped cell, inside the negative-stiffness
+    # interval or not, is judged on the brackets of each K's lowest root as
+    # branch 1 of the full trace is; on the 10x window one candidate's
+    # brackets leave the verdict open and its roots are refined.
+    cell = default_cell()
+    verdicts = flatness_verdicts(cell, factor * bs.default_omega_max(cell), bs.DEFAULT_K_POINTS)
+    assert len(verdicts) == candidates
+    assert [v for v, _, _ in verdicts] == [e for _, _, e in verdicts]
+    assert sum(r for _, r, _ in verdicts) == refined and sum(v for v, _, _ in verdicts) == 1
+
+
+def test_flatness_verdicts_of_random_cells():
+    # Up to five candidates of each of 120 random cells, on the default or
+    # the 10x window, at the default tolerance and, inside the
+    # negative-stiffness interval, at 0.9, 1 -+ 1e-6 and 1.1 times the
+    # candidate's own spread (near 1 the bracket bounds leave the verdict
+    # open): decided on brackets or refined, each verdict is the full
+    # trace's.
+    draws = np.random.default_rng(23)
+    verdicts = []
+    for i in range(120):
+        cell = shunted_cell(draws)
+        factor, step = (10.0, 8) if i % 2 else (1.0, 1)
+        omega_max, pick = factor * bs.default_omega_max(cell), slice(None, 5 * step, step)
+        verdicts += flatness_verdicts(cell, omega_max, 40, pick, (0.9, 1.0 - 1e-6, 1.0 + 1e-6, 1.1))
+    assert [v for v, _, _ in verdicts] == [e for _, _, e in verdicts]
+    flat, refined = sum(v for v, _, _ in verdicts), sum(r for _, r, _ in verdicts)
+    # Measured: 595 verdicts on the 106 cells with candidates, 176 flat, 125 refined.
+    assert 0 < refined < len(verdicts) / 2 and 0 < flat < len(verdicts) / 2
+
+
+def reference_locate(func, x, lo, hi):
+    """_locate's sign-verified pairs around the Newton estimates x, every pair then bisected.
+
     The pairs are refined by the plain loop to _POLE_RTOL, whether or not
     both halves are already within it.
     """
-    x, positive = np.array(x, dtype=float), np.broadcast_to(positive, np.shape(x))
-    stop = bs._POLE_RTOL / 4 * np.abs(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(x.size):
-            a, b = lo[i], hi[i]
-            for _ in range(60):
-                f, df = (v[i] for v in model(x))
-                below = float((f > 0.0) == positive[i])
-                a += below * (x[i] - a)
-                b += (1.0 - below) * (x[i] - b)
-                step = x[i] - f / df
-                mid = 0.5 * (a + b)
-                step = mid + float(a < step < b or step == x[i]) * (step - mid)
-                last, x[i] = x[i], step
-                if abs(step - last) <= stop[i]:
-                    break
     a, b, f_a = (np.empty_like(x) for _ in range(3))
     todo, delta = np.arange(x.size), bs._POLE_RTOL / 4
     while todo.size:
@@ -925,10 +966,21 @@ def reference_locate(model, func, x, lo, hi, positive):
     return reference_bisect(func, a, b, f_a, rtol=bs._POLE_RTOL)[0]
 
 
+def array_newton(model, u, lo, hi, positive):
+    """_float_newton's run as _newton makes it, on 1-element arrays of the float model."""
+    u = np.array([u])
+    stop = bs._POLE_RTOL / 4 * np.abs(u)
+    wrapped = lambda x: tuple(np.array([v]) for v in model(float(x[0])))
+    bs._newton(wrapped, u, np.array([lo]), np.array([hi]), np.array([positive]), stop=stop, steps=60)
+    return float(u[0])
+
+
 def test_located_roots_match_always_bisecting_reference(monkeypatch):
     # The poles and flat-band candidates of the 300 cells and windows of
-    # random_cell_bisections, bit for bit, whether _locate bisected a pair
-    # or returned the mid of one already within _POLE_RTOL.
+    # random_cell_bisections, and the poles of the 50x window, bit for bit,
+    # whether _locate bisected a pair or returned the mid of one already
+    # within _POLE_RTOL. Each pole's float Newton run must also be
+    # _newton's, step for step, on its bracket alone.
     draws, bisect = np.random.default_rng(17), bs._bisect
     located = widened = 0
 
@@ -937,18 +989,40 @@ def test_located_roots_match_always_bisecting_reference(monkeypatch):
         widened += lo.size
         return bisect(func, lo, hi, f_lo, f_hi, **kwargs)
 
+    def search(cell, omega_max):
+        wide = 50.0 * bs.default_omega_max(cell)
+        return [bs._find_poles(cell, omega_max), *bs._flat_band_candidates(cell, omega_max), bs._find_poles(cell, wide)]
+
     for i in range(300):
         cell = shunted_cell(draws)
         omega_max = (10.0 if i // 4 % 2 else 1.0) * bs.default_omega_max(cell)
         with monkeypatch.context() as patch:
             patch.setattr(bs, "_bisect", counted)
-            found = [bs._find_poles(cell, omega_max), *bs._flat_band_candidates(cell, omega_max)]
+            found = search(cell, omega_max)
         with monkeypatch.context() as patch:
             patch.setattr(bs, "_locate", reference_locate)
-            expected = [bs._find_poles(cell, omega_max), *bs._flat_band_candidates(cell, omega_max)]
+            patch.setattr(bs, "_float_newton", array_newton)
+            expected = search(cell, omega_max)
         assert [a.tobytes() for a in found] == [a.tobytes() for a in expected]
-        located += found[0].size + found[1].size
+        located += found[0].size + found[1].size + found[3].size
     assert 0 < widened < located / 10
+
+
+def test_float_newton_takes_the_midpoint_at_a_zero_derivative():
+    # Where p' == 0, whether p is 0 or not, the step is the narrowed
+    # bracket's midpoint, and no ZeroDivisionError escapes. (_newton's
+    # branch-free select turns that step into nan; no closed form it runs
+    # has p' == 0 inside its bracket.) A flat model is bisected.
+    for p, root in ((lambda u: u - 0.3, 0.3), (lambda u: 0.0, 1.0)):
+        seen = []
+
+        def model(u):
+            seen.append(u)
+            return p(u), 0.0
+
+        u = bs._float_newton(model, 0.7, 0.0, 1.0, False)
+        assert seen[1] == (0.35 if root < 0.7 else 0.85)
+        assert abs(u - root) <= 1e-14 and len(seen) <= 60
 
 
 @pytest.mark.parametrize("seed", [5, 30, 31])

@@ -561,6 +561,20 @@ class TestCellParts:
             error = np.abs(h0 + gamma * r / (1.0 - gamma * M3) - h) / ((1.0 + np.abs(h)) * kappa)
             assert np.max(error[keep]) <= 2e-14
 
+    def test_complex_frequency_raises_in_the_cell_kernel(self):
+        # Regression: the kernel cast complex omega to real with only a
+        # ComplexWarning, so 1e6 + 1e3j gave the half-trace at 1e6.
+        cell = default_cell(-11e-6)
+        omega = np.array([1e6 + 1e3j])
+        for evaluate in (
+            lambda: transfer_matrix.monodromy_entries(cell, omega),
+            lambda: transfer_matrix.monodromy_entries(cell, omega, half_trace=True),
+            lambda: half_trace_values(cell, omega),
+            lambda: transfer_matrix.monodromy_entries(cell, 1e6 + 1e3j),
+        ):
+            with pytest.raises(TypeError, match="real omega"):
+                evaluate()
+
     def test_complex_frequency_stays_complex(self):
         # The complex step of group_velocity: real parts as on the real axis.
         cell = default_cell(-11e-6)
