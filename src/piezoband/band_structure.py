@@ -106,8 +106,7 @@ _POWERS = np.array([
 _NEWTON_STOP = 1e-9
 # Newton evaluations of each proxy at most, from regula falsi between the
 # samples across its sign change: on the wide-window benchmark's cells three
-# stop all but 116 of 143 524 brackets, five all but 3, which do not stop
-# within eight and whose verification pairs still hold their roots.
+# stop all but 113 of 143 524 brackets, four all but 2, and five every one.
 _NEWTON_STEPS = 8
 
 
@@ -362,7 +361,8 @@ def _find_poles(cell: ShuntedCell, omega_max: float) -> np.ndarray:
         brackets = zip(x.tolist(), lo.tolist(), hi.tolist(), (d_lo > 0.0).tolist())
         x = np.array([_float_newton(model, *bracket) for bracket in brackets])
         located = _locate(lambda x: shunt_denominator(cell, x), x, lo, hi)
-        poles = np.unique(np.concatenate([poles, located]))
+        # One a segment, so ascending and distinct; only exact zeros need merging.
+        poles = np.unique(np.concatenate([poles, located])) if poles.size else located
     return poles[(poles > 0.0) & (poles < omega_max)]
 
 
@@ -488,10 +488,11 @@ def _blocked_mask(nodes: np.ndarray, poles: np.ndarray) -> np.ndarray:
 
 
 def _index_ranges(first: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten the ranges [first[i], stop[i]) into (i, position) pairs."""
-    count = np.maximum(stop - first, 0)
-    row = np.repeat(np.arange(count.size), count)
-    position = np.arange(row.size) + np.repeat(first - (np.cumsum(count) - count), count)
+    """Flatten the ranges [first[i], stop[i]) into (i, position) pairs, expanding only nonempty ones."""
+    held = np.flatnonzero(stop > first)
+    count = stop[held] - first[held]
+    row = np.repeat(held, count)
+    position = np.arange(row.size) + np.repeat(first[held] - (np.cumsum(count) - count), count)
     return row, position
 
 
@@ -641,26 +642,25 @@ def _newton(model, u, lo, hi, positive, stop=_NEWTON_STOP, steps=_NEWTON_STEPS):
     """Safeguarded Newton on each model(u) = (p, p') from u, in place, kept inside (lo, hi).
 
     ``positive`` marks the models that are > 0 at lo, as in ``_bisect``;
-    each iterate's sign moves lo or hi onto it. Iterates, ``steps`` times at
-    most, until every model's last step moved its u by at most ``stop``;
-    a step out of the bracket becomes its midpoint, and a step onto u
-    itself is taken. Every model is evaluated each time, but a stopped one
-    keeps its u and the p' of its own last step, so each element's
-    arithmetic is that of a loop on the open models alone. Returns that p',
-    that of the last step where the run did not stop. ``_proxy_roots`` runs
-    it on its Chebyshev proxies, ``_flat_band_candidates`` on its phases.
+    each iterate's sign moves lo or hi onto it, exactly. Iterates, ``steps``
+    times at most, until every model's last step moved its u by at most
+    ``stop``; a step out of the bracket, or a nan one where p' = 0, becomes
+    its midpoint, and a step onto u itself is taken. Every model is
+    evaluated each time, but a stopped one keeps its u and the p' of its own
+    last step, so each element's arithmetic is that of a loop on the open
+    models alone. Returns that p', that of the last step where the run did
+    not stop. ``_proxy_roots`` runs it on its Chebyshev proxies,
+    ``_flat_band_candidates`` on its phases; the caller silences p / 0.
     """
     slope, open_ = np.empty_like(u), np.ones(u.shape, dtype=bool)
     for _ in range(steps):
         p, dp = model(u)
-        # Branch-free selects (the masks are random): lo, hi = u on the side of u.
-        below = ((p > 0.0) == positive).astype(float)
-        lo += below * (u - lo)
-        hi += (1.0 - below) * (u - hi)
+        below = (p > 0.0) == positive
+        np.copyto(lo, u, where=below)
+        np.copyto(hi, u, where=~below)
         step = u - p / dp
-        inside = (((step > lo) & (step < hi)) | (step == u)).astype(float)
-        mid = 0.5 * (lo + hi)
-        step = mid + inside * (step - mid)
+        inside = ((step > lo) & (step < hi)) | (step == u)
+        step = np.where(inside, step, 0.5 * (lo + hi))
         np.copyto(slope, dp, where=open_)
         stopped = np.abs(step - u) <= stop
         np.copyto(u, step, where=open_)
@@ -675,12 +675,14 @@ def _float_newton(model, u, lo, hi, positive):
     stop = _POLE_RTOL / 4 * abs(u)
     for _ in range(60):
         p, dp = model(u)
-        below = float((p > 0.0) == positive)
-        lo += below * (u - lo)
-        hi += (1.0 - below) * (u - hi)
+        if (p > 0.0) == positive:
+            lo = u
+        else:
+            hi = u
         mid = 0.5 * (lo + hi)
         step = u - p / dp if dp else mid
-        step = mid + float(lo < step < hi or step == u) * (step - mid)
+        if not (lo < step < hi or step == u):
+            step = mid
         u, last = step, u
         if abs(step - last) <= stop:
             break
@@ -951,21 +953,24 @@ def origin_slope(branch: Branch) -> float:
     The squared slowness (K/omega)^2 is an analytic, even function of
     omega along an origin-passing branch and stays well conditioned even
     where the slope diverges, so it is what gets extrapolated (through a
-    quadratic in omega^2) rather than omega/K itself.
+    quadratic in omega^2, in closed form) rather than omega/K itself.
+    ``NumericalError`` if a sample frequency is not positive, two samples
+    share omega^2, or the extrapolated squared slowness is not positive.
     """
     mask = branch.k > 0.0
     if mask.sum() < 3:
         raise InsufficientSamplesError("need three positive-K samples for the origin slope")
-    ks = branch.k[mask][:3]
-    ws = branch.omega[mask][:3]
-    if np.any(ws <= 0.0):
+    ks, ws = branch.k[mask][:3].tolist(), branch.omega[mask][:3].tolist()
+    if min(ws) <= 0.0:
         raise NumericalError("origin slope needs positive-frequency samples")
-    slowness_sq = (ks / ws) ** 2
-    vander = np.column_stack([np.ones(3), ws**2, ws**4])
-    coeffs = np.linalg.solve(vander, slowness_sq)
-    if coeffs[0] <= 0.0:
+    x, y = [w * w for w in ws], [(k / w) ** 2 for k, w in zip(ks, ws)]
+    if len(set(x)) < 3:
+        raise NumericalError("origin slope needs three distinct sample frequencies")
+    # The quadratic through the (x, y) at x = 0, by Lagrange's formula.
+    c0 = sum(y[i] * (x[i - 1] * x[i - 2]) / ((x[i] - x[i - 1]) * (x[i] - x[i - 2])) for i in range(3))
+    if c0 <= 0.0:
         raise NumericalError("squared-slowness extrapolation left the physical region")
-    return float(1.0 / math.sqrt(coeffs[0]))
+    return 1.0 / math.sqrt(c0)
 
 
 def branch_flatness(branch: Branch) -> float:

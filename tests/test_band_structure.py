@@ -255,6 +255,33 @@ class TestBranches:
         em = effective_model(cell)
         assert bs.origin_slope(branch) == pytest.approx(em.v_eff, rel=5e-3)
 
+    def test_origin_slope_rejects_repeated_frequencies(self):
+        # Regression: the Vandermonde solve raised numpy's LinAlgError, a
+        # type the docstring does not name.
+        branch = bs.Branch(1, np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 5.0, 5.0, 5.0]))
+        with pytest.raises(bs.NumericalError, match="distinct"):
+            bs.origin_slope(branch)
+
+    def test_c08_origin_slope_is_the_exact_extrapolation_without_linalg(self, monkeypatch):
+        # A c08 trace and its origin slope make no np.linalg call, and the
+        # slope is that of the quadratic in omega^2 through the three
+        # samples, extrapolated in exact rational arithmetic, to 4e-15.
+        from fractions import Fraction
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        cell = default_cell()
+        c_inf, _ = special_capacitances(cell)
+        for delta in (1e-4, 1e-2):
+            c2 = cell.with_c_over_s(c_inf + delta * abs(c_inf))
+            branch = bs.trace_branches(c2, k_points=400, omega_max=bs.default_omega_max(cell) / 4.0)[0]
+            k, w = (list(map(Fraction, a[1:4].tolist())) for a in (branch.k, branch.omega))
+            x, y = [v * v for v in w], [(a / b) ** 2 for a, b in zip(k, w)]
+            c0 = sum(y[i] * x[i - 1] * x[i - 2] / ((x[i] - x[i - 1]) * (x[i] - x[i - 2])) for i in range(3))
+            assert bs.origin_slope(branch) == pytest.approx(1.0 / math.sqrt(c0), rel=4e-15, abs=0.0)
+
     def test_first_branch_keeps_the_origin_at_the_pole_capacitance(self, cell):
         # Regression: at C/S = Cinf/S (c_eff infinite) the origin was dropped,
         # so branch 1 started at K = 0 on band 2's root and then fell to the

@@ -602,23 +602,22 @@ def reference_proxy_roots(scan, interval, target, positive, stats=None):
 def reference_newton(coef, u, lo, hi, rising, open_counts):
     """_newton as a compacting loop: every step gathers the open proxies'
     columns, takes their steps and drops those that moved by at most
-    ``_NEWTON_STOP``, each keeping the p' of its own last step. Returns
-    that p', also where the run did not stop, and appends the number of
-    proxies each step evaluates to ``open_counts``."""
+    ``_NEWTON_STOP``, each keeping the p' of its own last step. lo or hi
+    becomes each iterate exactly, and a step outside them their midpoint,
+    by ``np.where``. Returns that p', also where the run did not stop, and
+    appends the number of proxies each step evaluates to ``open_counts``."""
     dp = np.empty(u.size)
     todo = np.arange(u.size)
     for _ in range(bs._NEWTON_STEPS):
         open_counts.append(todo.size)
         x = u[todo]
         p_x, dp_x = reference_horner(coef if todo.size == u.size else coef[:, todo], x)
-        below = ((p_x > 0.0) == rising[todo]).astype(float)
-        a, b = lo[todo], hi[todo]
-        a += below * (x - a)
-        b += (1.0 - below) * (x - b)
+        below = (p_x > 0.0) == rising[todo]
+        a, b = np.where(below, x, lo[todo]), np.where(below, hi[todo], x)
         lo[todo], hi[todo] = a, b
         step = x - p_x / dp_x
-        inside = (((step > a) & (step < b)) | (step == x)).astype(float)
-        step = 0.5 * (a + b) + inside * (step - 0.5 * (a + b))
+        inside = ((step > a) & (step < b)) | (step == x)
+        step = np.where(inside, step, 0.5 * (a + b))
         u[todo], dp[todo] = step, dp_x
         done = np.abs(step - x) <= bs._NEWTON_STOP
         todo = todo[~done]
@@ -1010,9 +1009,8 @@ def test_located_roots_match_always_bisecting_reference(monkeypatch):
 
 def test_float_newton_takes_the_midpoint_at_a_zero_derivative():
     # Where p' == 0, whether p is 0 or not, the step is the narrowed
-    # bracket's midpoint, and no ZeroDivisionError escapes. (_newton's
-    # branch-free select turns that step into nan; no closed form it runs
-    # has p' == 0 inside its bracket.) A flat model is bisected.
+    # bracket's midpoint, and no ZeroDivisionError escapes. A flat model is
+    # bisected.
     for p, root in ((lambda u: u - 0.3, 0.3), (lambda u: 0.0, 1.0)):
         seen = []
 
@@ -1023,6 +1021,75 @@ def test_float_newton_takes_the_midpoint_at_a_zero_derivative():
         u = bs._float_newton(model, 0.7, 0.0, 1.0, False)
         assert seen[1] == (0.35 if root < 0.7 else 0.85)
         assert abs(u - root) <= 1e-14 and len(seen) <= 60
+
+
+def test_newton_takes_the_midpoint_at_a_zero_derivative():
+    # Regression: the arithmetic select mid + 0.0*(inf - mid) made a step
+    # with p' == 0 nan, and u, lo and hi stayed nan for every later step.
+    # Called as _proxy_roots calls it, with p / 0 silenced, the run bisects.
+    u, lo, hi = np.array([0.3]), np.array([0.0]), np.array([1.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bs._newton(lambda x: (x - 0.5, np.zeros_like(x)), u, lo, hi, np.array([False]), stop=1e-15, steps=3)
+    assert (u[0], lo[0], hi[0]) == (0.5625, 0.475, 0.65)
+
+
+@pytest.mark.parametrize("newton", ["array", "float"])
+def test_newton_moves_the_bracket_end_exactly_onto_its_iterate(newton):
+    # Regression: hi += (1 - below)*(u - hi) rounds. From u 9e-18 above the
+    # root, hi = 0.38268343236508984 + (u - 0.38268343236508984) came out
+    # 2.1e-17 below u and below the root, so every later Newton step left
+    # the bracket and became its midpoint: _newton spent all 8 evaluations
+    # and ended 5.3e-5 from the root, _float_newton spent 49. With hi = u
+    # itself the first step lands on the root and the run stops.
+    root, start, seen = 0.013564786650260075, 0.013564786650260084, []
+
+    def model(s):
+        seen.append(s)
+        return -1.35e-3 * (s - root), -1.35e-3 + 0.0 * s  # p' of s's type
+
+    lo, hi = -6.123233995736766e-17, 0.38268343236508984
+    if newton == "array":
+        u = np.array([start])
+        bs._newton(model, u, np.array([lo]), np.array([hi]), np.array([True]))
+        u = float(u[0])
+    else:
+        u = bs._float_newton(model, start, lo, hi, True)
+    assert abs(u - root) <= math.ulp(root) and len(seen) <= 2
+
+
+def test_proxy_newton_runs_stop_on_the_wide_window(monkeypatch):
+    # Regression: with the arithmetic selects, 3 proxy Newton runs of the
+    # -11 uF/m^2 trace on the 10x window (200 K points) did not stop within
+    # _NEWTON_STEPS. A run has stopped once a step moved its u by at most
+    # the stop: u stays put from then on.
+    newton, unstopped = bs._newton, []
+
+    def recorded(model, u, lo, hi, positive, **kwargs):
+        seen = []
+
+        def spy(s):
+            seen.append(s.copy())
+            return model(s)
+
+        slope = newton(spy, u, lo, hi, positive, **kwargs)
+        moves = np.abs(np.diff(np.vstack([*seen, u]), axis=0))
+        unstopped.append(np.count_nonzero(moves.min(axis=0) > bs._NEWTON_STOP))
+        return slope
+
+    monkeypatch.setattr(bs, "_newton", recorded)
+    cell = default_cell(-11e-6)
+    bs.trace_branches(cell, omega_max=10.0 * bs.default_omega_max(cell))
+    assert len(unstopped) > 0 and sum(unstopped) == 0
+
+
+def test_index_ranges_match_a_plain_loop():
+    # Empty and reversed ranges yield nothing; the rest in order.
+    rng = np.random.default_rng(29)
+    first = rng.integers(0, 20, 500)
+    for stop in (first + rng.integers(-3, 4, 500), first, first - 1):
+        row, position = bs._index_ranges(first, stop)
+        expected = [(i, p) for i in range(500) for p in range(first[i], stop[i])]
+        assert list(zip(row.tolist(), position.tolist())) == expected
 
 
 @pytest.mark.parametrize("seed", [5, 30, 31])
