@@ -31,11 +31,11 @@ binary search on its two end values and keeps those that pass the strict
 sign-change test, so the cost is O(nodes * log targets + brackets) with no
 targets x nodes temporary. The refiner is chosen per scan (``_bisected``),
 so a root never depends on the other targets of its search. A scan of any
-window but the default takes Chebyshev-proxy roots of h - t that the
-kernel verifies at a pair of points around each; the brackets a proxy
-does not serve, and every g_t bracket of a blocked interval, are
-bisected. A scan of exactly the default window is bisected throughout,
-several passes a kernel call along the path a secant estimate predicts.
+window but the default locates each h - t root on a Chebyshev proxy of
+its scan interval (three index bisections to the sign change, then about
+two Newton evaluations) that a kernel pair around it verifies; the
+brackets a pair fails, and every g_t bracket of a blocked interval, are
+bisected. A scan of exactly the default window is bisected throughout.
 ``stopbands`` reuses a trace's h = +-1 roots.
 """
 
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .materials import ShuntedCell
-from .quasistatic import Regime, effective_model, special_capacitances
+from .quasistatic import Regime, _matches, effective_model, special_capacitances
 from .transfer_matrix import (
     _BLOCK,
     _cell_parts,
@@ -101,12 +101,11 @@ _POWERS = np.array([
     np.poly(np.delete(_LOBATTO, j))[::-1] / np.prod(_LOBATTO[j] - np.delete(_LOBATTO, j))
     for j in range(9)
 ]).T
-# A proxy's Newton run stops once a step moves it by at most this fraction
-# of its interval's half-width.
+# A proxy's Newton run stops once its step, or 1e4 times the next step that
+# quadratic convergence predicts, is at most this fraction of its half-width.
 _NEWTON_STOP = 1e-9
-# Newton evaluations of each proxy at most, from regula falsi between the
-# samples across its sign change: on the wide-window benchmark's cells three
-# stop all but 113 of 143 524 brackets, four all but 2, and five every one.
+# Newton evaluations of each proxy at most, from regula falsi across its sign change: on the
+# wide-window benchmark's cells two stop all but 4 252 of 143 524 runs, three all but 20, four all.
 _NEWTON_STEPS = 8
 
 
@@ -560,17 +559,17 @@ def _target_hits(scan: FrequencyScan, targets: np.ndarray, *, lowest: bool = Fal
 
 
 def _proxy_roots(scan, interval, target, positive):
-    """The proxy root (root, slope, ok) of each h - t bracket, for ``_checked_roots``.
+    """The proxy root (root, slope) of each h - t bracket, for ``_checked_roots``.
 
     Each scan interval that holds brackets is sampled at the 9
     Chebyshev-Lobatto points, its ends from ``scan.values`` and the 7 inner
-    points in one kernel call. A bracket's proxy p is the interpolant of
-    its 9 values of h - t. Newton from regula falsi between the two samples
-    across its one sign change, kept inside them, gives its root x and
-    slope |p'| in omega. A bracket is ok where its samples change sign
-    once, from the sign of h(lo) - t, whether its Newton run stopped or
-    not: the verification pair judges the root. Brackets go in blocks of
-    ``_BLOCK``, so the (9, n) temporaries stay small.
+    points in one kernel call; a bracket's proxy p interpolates its 9
+    values f of h - t. Three bisection levels on the sample index find
+    samples j, j + 1 where f leaves the sign of f(lo) (f > 0 or f <= 0):
+    the sign change if f changes sign once, one of them if several times.
+    Newton from regula falsi between them gives the root x and slope |p'|
+    in omega, stopped or not: the verification pair judges x, and a bracket
+    it fails is bisected. Brackets go in blocks of ``_BLOCK``.
     """
     nodes, values = scan.nodes, scan.values
     held = np.zeros(nodes.size, dtype=bool)
@@ -586,93 +585,95 @@ def _proxy_roots(scan, interval, target, positive):
     # power and move the proxy root out of its verification pair.
     first = h[0]
     power = np.einsum("kj,jn->kn", _POWERS, h - first)
-    root, slope, ok = np.empty(target.size), np.empty(target.size), np.empty(target.size, dtype=bool)
+    # Sample j of interval k is flat[j*m + k]; i walks those indices.
+    flat, m = h.ravel(), iv.size
+    root, slope = np.empty(target.size), np.empty(target.size)
     for start in range(0, target.size, _BLOCK):
         block = slice(start, start + _BLOCK)
         k, t, pos = inverse[block], target[block], positive[block]
-        f, coef = h.take(k, axis=1), power.take(k, axis=1)
-        f -= t
+        i = k.copy()
+        for width in (4 * m, 2 * m, m):
+            np.add(i, width, out=i, where=(flat.take(i + width) - t > 0.0) == pos)
+        f_lo, f_hi = flat.take(i) - t, flat.take(i + m) - t
+        lo_s, hi_s = _LOBATTO[i // m], _LOBATTO[i // m + 1]
+        coef = power.take(k, axis=1)
         coef[0] += first[k] - t
-        above = f > 0.0
-        change = above[1:] != above[:-1]
-        j = change.argmax(axis=0)
-        lone = (np.count_nonzero(change, axis=0) == 1) & (above[0] == pos)
-        col = np.arange(t.size)
-        lo_s, hi_s, f_lo, f_hi = _LOBATTO[j], _LOBATTO[j + 1], f[j, col], f[j + 1, col]
-        del f, above, change
         with np.errstate(divide="ignore", invalid="ignore"):
             u = lo_s - f_lo * (hi_s - lo_s) / (f_hi - f_lo)
-            dp = _newton(lambda s: _horner(coef, s), u, lo_s, hi_s, pos)
+            dp = _newton(lambda s, run: _horner(coef[:, run], s), u, lo_s, hi_s, pos)
         half = 0.5 * (b - a)[k]
         slope[block] = np.abs(dp) / half
-        ok[block] = lone
         root[block] = a[k] + half * (1.0 + u)
-    return root, slope, ok
+    return root, slope
 
 
-def _checked_roots(func, x, slope, ok, lo, hi, positive):
-    """(roots, found): the proxy roots x that the kernel's func verifies.
+def _checked_roots(cell, x, slope, target, lo, hi, positive):
+    """(roots, found): the proxy roots x of h = target that the kernel verifies.
 
-    Each ok bracket gets a pair x -+ dx, clipped to [lo, hi], with dx =
+    Each bracket gets a pair x -+ dx, clipped to [lo, hi], with dx =
     min(``ROOT_RTOL``/4*x, ``RESIDUAL_TOL``/(4*slope)); all pairs go to one
-    ``func(x, live)`` call, as ``_bisect`` makes it, which the kernel
-    evaluates in blocks of ``_BLOCK``. The pair must change sign the way f
-    does from lo to hi (an exact 0 counts as either sign), and its end with
-    the smaller |f| must meet ``RESIDUAL_TOL``: then that end is the root,
-    within 2*dx <= ``ROOT_RTOL``/2*x of a root of f whatever the proxy's
-    error.
+    kernel call, which evaluates them in blocks of ``_BLOCK``. The pair
+    must change sign the way f = h - target does from lo to hi (an exact 0
+    counts as either sign), and its end with the smaller |f| must meet
+    ``RESIDUAL_TOL``: then that end is the root, within 2*dx <=
+    ``ROOT_RTOL``/2*x of a root of f whatever the proxy's error.
     """
-    k = np.flatnonzero(ok)
     with np.errstate(divide="ignore"):
-        dx = np.minimum(ROOT_RTOL / 4 * x[k], RESIDUAL_TOL / (4.0 * slope[k]))
-    pair = np.empty((2, k.size))
-    np.subtract(x[k], dx, out=pair[0])
-    np.add(x[k], dx, out=pair[1])
-    np.minimum(np.maximum(pair, lo[k], out=pair), hi[k], out=pair)
-    f = func(pair.ravel(), np.concatenate([k, k])).reshape(pair.shape)
-    f *= np.where(positive[k], 1.0, -1.0)
-    near = np.abs(f[1]) < np.abs(f[0])
-    verified = (f[0] >= 0.0) & (f[1] <= 0.0) & (np.minimum(*np.abs(f)) <= RESIDUAL_TOL)
-    roots, found = np.empty(x.size), np.zeros(x.size, dtype=bool)
-    roots[k], found[k] = np.where(near, pair[1], pair[0]), verified
-    return roots, found
+        dx = np.minimum(ROOT_RTOL / 4 * x, RESIDUAL_TOL / (4.0 * slope))
+    pair = np.multiply.outer((-1.0, 1.0), dx)
+    pair += x
+    np.minimum(np.maximum(pair, lo, out=pair), hi, out=pair)
+    f = half_trace_values(cell, pair.ravel()).reshape(pair.shape) - target
+    np.negative(f, out=f, where=~positive)
+    size = np.abs(f)
+    found = (f[0] >= 0.0) & (f[1] <= 0.0) & (np.minimum(*size) <= RESIDUAL_TOL)
+    return np.where(size[1] < size[0], pair[1], pair[0]), found
 
 
 def _newton(model, u, lo, hi, positive, stop=_NEWTON_STOP, steps=_NEWTON_STEPS):
-    """Safeguarded Newton on each model(u) = (p, p') from u, in place, kept inside (lo, hi).
+    """Safeguarded Newton on each model(u, run) = (p, p') from u, in place, kept inside (lo, hi).
 
     ``positive`` marks the models that are > 0 at lo, as in ``_bisect``;
-    each iterate's sign moves lo or hi onto it, exactly. Iterates, ``steps``
-    times at most, until every model's last step moved its u by at most
-    ``stop``; a step out of the bracket, or a nan one where p' = 0, becomes
-    its midpoint, and a step onto u itself is taken. Every model is
-    evaluated each time, but a stopped one keeps its u and the p' of its own
-    last step, so each element's arithmetic is that of a loop on the open
-    models alone. Returns that p', that of the last step where the run did
-    not stop. ``_proxy_roots`` runs it on its Chebyshev proxies,
-    ``_flat_band_candidates`` on its phases; the caller silences p / 0.
+    each iterate's sign moves lo or hi onto it, exactly. A step out of the
+    bracket, or a nan one where p' = 0, becomes its midpoint; a step onto u
+    is taken. A run stops once its step d is at most ``stop``, or d^3*1e4
+    <= stop*d_prev^2 after its step d_prev (quadratic convergence predicts
+    the next below stop/1e4), or after ``steps`` evaluations. The first two
+    take every model (run is ``slice(None)``), later ones the runs still
+    open (run holds their positions). A stopped run keeps its u and the p'
+    of its last step, which is returned, so each run's arithmetic is that
+    of a loop on it alone. ``_proxy_roots`` runs it on its Chebyshev
+    proxies, ``_flat_band_candidates`` on its phases; callers silence p / 0.
     """
-    slope, open_ = np.empty_like(u), np.ones(u.shape, dtype=bool)
-    for _ in range(steps):
-        p, dp = model(u)
-        below = (p > 0.0) == positive
-        np.copyto(lo, u, where=below)
-        np.copyto(hi, u, where=~below)
-        step = u - p / dp
-        inside = ((step > lo) & (step < hi)) | (step == u)
-        step = np.where(inside, step, 0.5 * (lo + hi))
-        np.copyto(slope, dp, where=open_)
-        stopped = np.abs(step - u) <= stop
-        np.copyto(u, step, where=open_)
-        open_ &= ~stopped
+    slope = np.empty_like(u)
+    x, a, b, grad, last = u, lo, hi, slope, np.zeros_like(u)
+    pos, tol = np.broadcast_to(positive, u.shape), np.broadcast_to(stop, u.shape)
+    run, open_ = slice(None), np.ones(u.shape, dtype=bool)
+    for i in range(steps):
+        if i == 2:
+            run = np.flatnonzero(open_)
+            x, a, b, grad, last, pos, tol = (v[run] for v in (x, a, b, grad, last, pos, tol))
+            open_ = open_[run]
+        p, dp = model(x, run)
+        below = (p > 0.0) == pos
+        np.copyto(a, x, where=below)
+        np.copyto(b, x, where=~below)
+        step = x - p / dp
+        step = np.where(((step > a) & (step < b)) | (step == x), step, 0.5 * (a + b))
+        np.copyto(grad, dp, where=open_)
+        d = np.abs(step - x)
+        np.copyto(x, step, where=open_)
+        open_ &= (d > tol) & (d * d * d * 1e4 > tol * last * last)
+        last = d
         if not open_.any():
             break
+    u[run], lo[run], hi[run], slope[run] = x, a, b, grad
     return slope
 
 
 def _float_newton(model, u, lo, hi, positive):
     """``_newton``'s u on one float bracket (60 steps, stop ``_POLE_RTOL``/4*|u|); p' = 0 steps to its mid."""
-    stop = _POLE_RTOL / 4 * abs(u)
+    stop, d = _POLE_RTOL / 4 * abs(u), 0.0
     for _ in range(60):
         p, dp = model(u)
         if (p > 0.0) == positive:
@@ -683,8 +684,8 @@ def _float_newton(model, u, lo, hi, positive):
         step = u - p / dp if dp else mid
         if not (lo < step < hi or step == u):
             step = mid
-        u, last = step, u
-        if abs(step - last) <= stop:
+        u, last, d = step, d, abs(step - u)
+        if d <= stop or d * d * d * 1e4 <= stop * last * last:
             break
     return u
 
@@ -755,8 +756,8 @@ def _scan_roots_batch(
         refined = bisect(h_minus_t, free, ROOT_RTOL, RESIDUAL_TOL)
     else:
         iv, positive = interval[free], f_lo[free] > 0.0
-        x, slope, ok = _proxy_roots(scan, iv, target[free], positive)
-        refined, found = _checked_roots(h_minus_t, x, slope, ok, nodes[iv], nodes[iv + 1], positive)
+        x, slope = _proxy_roots(scan, iv, target[free], positive)
+        refined, found = _checked_roots(cell, x, slope, target[free], nodes[iv], nodes[iv + 1], positive)
         if (rest := np.flatnonzero(~found)).size:
             # To ROOT_RTOL/4, so that these roots too lie within ROOT_RTOL/2.
             refined[rest] = bisect(lambda x, live: h_minus_t(x, rest[live]), rest, ROOT_RTOL / 4, RESIDUAL_TOL)
@@ -836,15 +837,13 @@ def _trace(cell, k_points, omega_max, scan, *, lowest=False) -> list[Branch]:
         roots = np.concatenate([[0.0], roots])
         counts[0] += 1
 
-    # Padded (K, branch) table: the n-th lowest root at each K is branch n.
+    # Padded (branch, K) table, filled through its transpose: branch n holds
+    # each K's n-th root, and each branch reads one contiguous row.
     n_branches = int(counts.max(initial=0))
-    present = np.arange(n_branches) < counts[:, None]
-    table = np.zeros((k_points, n_branches))
-    table[present] = roots
-    branches = [
-        Branch(index=j + 1, k=k_grid[present[:, j]], omega=table[present[:, j], j])
-        for j in range(n_branches)
-    ]
+    present = np.arange(n_branches)[:, None] < counts
+    table = np.zeros((n_branches, k_points))
+    table.T[present.T] = roots
+    branches = [Branch(index=j + 1, k=k_grid[present[j]], omega=table[j, present[j]]) for j in range(n_branches)]
     # With the origin kept, K = 0 holds 0.0 and its lowest positive root.
     return branches[:1] if lowest else branches
 
@@ -1038,7 +1037,7 @@ def _flat_band_candidates(cell: ShuntedCell, omega_max: float) -> tuple[np.ndarr
     omega = 0.5 * (lo + hi)
     # 4/39/200 levels on the 1x/10x/50x windows, so arrays: a float Newton
     # took 0.18/0.48/1.88 ms, _newton 0.51/0.54/0.41.
-    _newton(lambda x: theta(x, k), omega, lo.copy(), hi.copy(), False, stop=_POLE_RTOL / 4 * omega, steps=60)
+    _newton(lambda x, run: theta(x, k[run]), omega, lo.copy(), hi.copy(), False, stop=_POLE_RTOL / 4 * omega, steps=60)
     omega = _locate(lambda x: _cell_parts(cell, x)[1], omega, lo, hi)
     omega = omega[(omega > 0.0) & (omega < omega_max)]
     return omega, 1.0 / _cell_parts(cell, omega)[2]
@@ -1083,14 +1082,14 @@ def find_flat_capacitance(
     Args:
         cell: Template cell (its own c_over_s is ignored).
         bracket: (c_lo, c_hi) in F/m^2, both strictly inside the
-            negative-stiffness interval.
+            negative-stiffness interval and out of its ends' snap windows.
 
     Returns:
         The flat-band capacitance per area C*/S.
 
     Raises:
-        BracketError: If the bracket leaves the negative-stiffness interval
-            or holds no candidate C*/S = 1/M3(omega*) with r(omega*) = 0.
+        BracketError: If the bracket is not inside the interval above or
+            holds no candidate C*/S = 1/M3(omega*) with r(omega*) = 0.
         NumericalError: If no candidate in the bracket gives a first branch
             flat to flatness_tol.
         ValueError: If flatness_tol is not positive and finite or
@@ -1103,7 +1102,8 @@ def find_flat_capacitance(
         raise ValueError("k_points must be at least 2")
     c_lo, c_hi = sorted(bracket)
     c_inf, c_zero = special_capacitances(cell)
-    if not (c_zero < c_lo < c_inf and c_zero < c_hi < c_inf):
+    inside = lambda c: c_zero < c < c_inf and not (_matches(c, c_inf) or _matches(c, c_zero))
+    if not (inside(c_lo) and inside(c_hi)):
         raise BracketError(
             "bracket must lie strictly inside the negative-stiffness interval "
             f"({c_zero:.6e}, {c_inf:.6e}) F/m^2"

@@ -662,6 +662,21 @@ class TestFlatBands:
         with pytest.raises(bs.BracketError, match="interval"):
             bs.find_flat_capacitance(cell, (-15e-6, -14e-6), k_points=80)
 
+    @pytest.mark.parametrize("end", ["pole", "zero"])
+    def test_bracket_end_in_a_snap_window_raises(self, cell, monkeypatch, end):
+        # Regression: an end within quasistatic._MATCH_RTOL of Cinf/S or C0/S
+        # lies inside the open interval, yet effective_model classes it POLE
+        # or ZERO, where branch 1 can hold the origin; both brackets returned
+        # the shipped C*. The ends are tested without an effective_model call.
+        c_inf, c_zero = special_capacitances(cell)
+        bracket = (-16.5e-6, c_inf * (1.0 + 1e-13)) if end == "pole" else (c_zero * (1.0 - 1e-13), -16.2e-6)
+        assert c_zero < min(bracket) and max(bracket) < c_inf
+        calls = {"effective_model": 0}
+        monkeypatch.setattr(bs, "effective_model", counted_calls(calls, "effective_model", bs.effective_model))
+        with pytest.raises(bs.BracketError, match="interval"):
+            bs.find_flat_capacitance(cell, bracket)
+        assert calls == {"effective_model": 0}
+
 
 def counted_calls(calls, name, func):
     """func, counting its calls in calls[name]."""

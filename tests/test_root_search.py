@@ -552,15 +552,10 @@ def test_located_search_kernel_points(monkeypatch):
     assert len(points) <= 10
 
 
-def reference_proxy_roots(scan, interval, target, positive, stats=None):
-    """_proxy_roots with a compacting Newton.
-
-    Every bracket's sign-change segment comes from argmax and count_nonzero
-    over its (9, n) sign table, and ``reference_newton`` gathers its open
-    proxies every step. ``stats``, where given, counts the brackets whose
-    samples of h - t are not monotone and those still open after two
-    Newton steps.
-    """
+def proxy_samples(scan, interval):
+    """(h, inverse, iv): the (9, m) Lobatto samples of h on the m scan
+    intervals iv that hold brackets, as _proxy_roots takes them, and each
+    bracket's column."""
     nodes = scan.nodes
     held = np.zeros(nodes.size, dtype=bool)
     held[interval] = True
@@ -568,21 +563,34 @@ def reference_proxy_roots(scan, interval, target, positive, stats=None):
     inverse = (np.cumsum(held, dtype=np.int32) - 1)[interval]
     a, b = nodes[iv], nodes[iv + 1]
     inner = bs.half_trace_values(scan.cell, a + (b - a) * (0.5 + 0.5 * bs._LOBATTO[1:-1, None]))
-    h = np.concatenate([scan.values[iv][None], inner, scan.values[iv + 1][None]])
+    return np.concatenate([scan.values[iv][None], inner, scan.values[iv + 1][None]]), inverse, iv
+
+
+def reference_proxy_roots(scan, interval, target, positive, stats=None):
+    """_proxy_roots with a compacting Newton.
+
+    Every bracket's (9, n) table of h - t is formed whole; the three-level
+    search reads it by row and column, and ``reference_newton`` gathers its
+    open proxies every step. ``stats``, where given, counts the brackets
+    whose samples of h - t are not monotone and those still open after two
+    Newton steps.
+    """
+    nodes = scan.nodes
+    h, inverse, iv = proxy_samples(scan, interval)
+    a, b = nodes[iv], nodes[iv + 1]
     first = h[0]
     power = np.einsum("kj,jn->kn", bs._POWERS, h - first)
-    root, slope, ok = np.empty(target.size), np.empty(target.size), np.empty(target.size, dtype=bool)
+    root, slope = np.empty(target.size), np.empty(target.size)
     stats = {} if stats is None else stats
     for start in range(0, target.size, bs._BLOCK):
         block = slice(start, start + bs._BLOCK)
         k, t, pos = inverse[block], target[block], positive[block]
         f, coef = h[:, k] - t, power[:, k]
         coef[0] += first[k] - t
-        above = f > 0.0
-        change = above[1:] != above[:-1]
-        j = change.argmax(axis=0)
-        lone = (np.count_nonzero(change, axis=0) == 1) & (above[0] == pos)
         col = np.arange(t.size)
+        j = np.zeros(t.size, dtype=int)
+        for width in (4, 2, 1):
+            j = np.where((f[j + width, col] > 0.0) == pos, j + width, j)
         lo_s, hi_s, f_lo, f_hi = bs._LOBATTO[j], bs._LOBATTO[j + 1], f[j, col], f[j + 1, col]
         with np.errstate(divide="ignore", invalid="ignore"):
             u = lo_s - f_lo * (hi_s - lo_s) / (f_hi - f_lo)
@@ -594,20 +602,21 @@ def reference_proxy_roots(scan, interval, target, positive, stats=None):
         stats["late"] = stats.get("late", 0) + (open_counts[2] if len(open_counts) > 2 else 0)
         half = 0.5 * (b - a)[k]
         slope[block] = np.abs(dp) / half
-        ok[block] = lone
         root[block] = a[k] + half * (1.0 + u)
-    return root, slope, ok
+    return root, slope
 
 
 def reference_newton(coef, u, lo, hi, rising, open_counts):
     """_newton as a compacting loop: every step gathers the open proxies'
-    columns, takes their steps and drops those that moved by at most
-    ``_NEWTON_STOP``, each keeping the p' of its own last step. lo or hi
-    becomes each iterate exactly, and a step outside them their midpoint,
-    by ``np.where``. Returns that p', also where the run did not stop, and
-    appends the number of proxies each step evaluates to ``open_counts``."""
-    dp = np.empty(u.size)
-    todo = np.arange(u.size)
+    columns, takes their steps and drops those whose step d moved them by
+    at most ``_NEWTON_STOP``, or with d^3*1e4 <= ``_NEWTON_STOP``*d_prev^2
+    after their own previous step d_prev, each keeping the p' of its own
+    last step. lo or hi becomes each iterate exactly, and a step outside
+    them their midpoint, by ``np.where``. Returns that p', also where the
+    run did not stop, and appends the number of proxies each step evaluates
+    to ``open_counts``."""
+    dp, last = np.empty(u.size), np.zeros(u.size)
+    todo, stop = np.arange(u.size), bs._NEWTON_STOP
     for _ in range(bs._NEWTON_STEPS):
         open_counts.append(todo.size)
         x = u[todo]
@@ -619,7 +628,9 @@ def reference_newton(coef, u, lo, hi, rising, open_counts):
         inside = ((step > a) & (step < b)) | (step == x)
         step = np.where(inside, step, 0.5 * (a + b))
         u[todo], dp[todo] = step, dp_x
-        done = np.abs(step - x) <= bs._NEWTON_STOP
+        d, d_prev = np.abs(step - x), last[todo]
+        last[todo] = d
+        done = (d <= stop) | (d * d * d * 1e4 <= stop * d_prev * d_prev)
         todo = todo[~done]
         if not todo.size:
             break
@@ -637,18 +648,16 @@ def reference_horner(coef, s):
 
 def proxy_roots_against_reference(monkeypatch, searches):
     """Run ``_scan_roots_batch`` on each (scan, targets) with every
-    ``_proxy_roots`` call held to ``reference_proxy_roots``: ok and root
-    bit for bit on every bracket, slope on every ok one. Returns the
-    reference's stats."""
+    ``_proxy_roots`` call held to ``reference_proxy_roots``: root and slope
+    bit for bit on every bracket. Returns the reference's stats."""
     proxy_roots, stats = bs._proxy_roots, {}
 
     def checked(scan, interval, target, positive):
-        root, slope, ok = proxy_roots(scan, interval, target, positive)
+        root, slope = proxy_roots(scan, interval, target, positive)
         expected = reference_proxy_roots(scan, interval, target, positive, stats)
-        assert ok.tobytes() == expected[2].tobytes()
         assert root.tobytes() == expected[0].tobytes()
-        assert slope[ok].tobytes() == expected[1][ok].tobytes()
-        return root, slope, ok
+        assert slope.tobytes() == expected[1].tobytes()
+        return root, slope
 
     monkeypatch.setattr(bs, "_proxy_roots", checked)
     for scan, targets in searches:
@@ -694,11 +703,11 @@ def test_mispredicted_proxy_roots_fall_back_to_bisection(move, monkeypatch):
     proxy_roots, bisect, bisected = bs._proxy_roots, bs._bisect, []
 
     def wrong(scan, interval, target, positive):
-        root, slope, ok = proxy_roots(scan, interval, target, positive)
+        root, slope = proxy_roots(scan, interval, target, positive)
         if move == "shift":
-            return root * (1.0 + 1e-6), slope, ok
+            return root * (1.0 + 1e-6), slope
         lo, hi = scan.nodes[interval], scan.nodes[interval + 1]
-        return np.where(root - lo < hi - root, hi, lo), slope, ok
+        return np.where(root - lo < hi - root, hi, lo), slope
 
     def spy(func, lo, *args, **kwargs):
         bisected.append(lo.size)
@@ -969,7 +978,7 @@ def array_newton(model, u, lo, hi, positive):
     """_float_newton's run as _newton makes it, on 1-element arrays of the float model."""
     u = np.array([u])
     stop = bs._POLE_RTOL / 4 * np.abs(u)
-    wrapped = lambda x: tuple(np.array([v]) for v in model(float(x[0])))
+    wrapped = lambda x, run: tuple(np.array([v]) for v in model(float(x[0])))
     bs._newton(wrapped, u, np.array([lo]), np.array([hi]), np.array([positive]), stop=stop, steps=60)
     return float(u[0])
 
@@ -1029,7 +1038,7 @@ def test_newton_takes_the_midpoint_at_a_zero_derivative():
     # Called as _proxy_roots calls it, with p / 0 silenced, the run bisects.
     u, lo, hi = np.array([0.3]), np.array([0.0]), np.array([1.0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        bs._newton(lambda x: (x - 0.5, np.zeros_like(x)), u, lo, hi, np.array([False]), stop=1e-15, steps=3)
+        bs._newton(lambda x, run: (x - 0.5, np.zeros_like(x)), u, lo, hi, np.array([False]), stop=1e-15, steps=3)
     assert (u[0], lo[0], hi[0]) == (0.5625, 0.475, 0.65)
 
 
@@ -1043,7 +1052,7 @@ def test_newton_moves_the_bracket_end_exactly_onto_its_iterate(newton):
     # itself the first step lands on the root and the run stops.
     root, start, seen = 0.013564786650260075, 0.013564786650260084, []
 
-    def model(s):
+    def model(s, run=None):
         seen.append(s)
         return -1.35e-3 * (s - root), -1.35e-3 + 0.0 * s  # p' of s's type
 
@@ -1060,26 +1069,135 @@ def test_newton_moves_the_bracket_end_exactly_onto_its_iterate(newton):
 def test_proxy_newton_runs_stop_on_the_wide_window(monkeypatch):
     # Regression: with the arithmetic selects, 3 proxy Newton runs of the
     # -11 uF/m^2 trace on the 10x window (200 K points) did not stop within
-    # _NEWTON_STEPS. A run has stopped once a step moved its u by at most
-    # the stop: u stays put from then on.
-    newton, unstopped = bs._newton, []
+    # _NEWTON_STEPS. A run has stopped once a step d moved its u by at most
+    # the stop, or by d^3*1e4 <= stop*d_prev^2 after its previous step
+    # d_prev: u stays put from then on.
+    newton, stop, unstopped = bs._newton, bs._NEWTON_STOP, []
 
     def recorded(model, u, lo, hi, positive, **kwargs):
-        seen = []
+        rows, seen = np.arange(u.size), []
 
-        def spy(s):
-            seen.append(s.copy())
-            return model(s)
+        def spy(s, run):
+            seen.append((rows[run], s.copy()))
+            return model(s, run)
 
         slope = newton(spy, u, lo, hi, positive, **kwargs)
-        moves = np.abs(np.diff(np.vstack([*seen, u]), axis=0))
-        unstopped.append(np.count_nonzero(moves.min(axis=0) > bs._NEWTON_STOP))
+        # Each run's iterates, then where it ended.
+        paths = [[] for _ in rows]
+        for run, s in [*seen, (rows, u)]:
+            for i, x in zip(run.tolist(), s.tolist()):
+                paths[i].append(x)
+        for path in paths:
+            d = np.abs(np.diff(path))
+            d_prev = np.concatenate([[0.0], d[:-1]])
+            unstopped.append(not np.any((d <= stop) | (d * d * d * 1e4 <= stop * d_prev * d_prev)))
         return slope
 
     monkeypatch.setattr(bs, "_newton", recorded)
     cell = default_cell(-11e-6)
     bs.trace_branches(cell, omega_max=10.0 * bs.default_omega_max(cell))
-    assert len(unstopped) > 0 and sum(unstopped) == 0
+    assert len(unstopped) > 7_900 and sum(unstopped) == 0
+
+
+# The fallback brackets of the wide-window benchmark's searches, as
+# (scan interval, K target index): only -16.7 uF/m^2 on the 50x window has
+# any, 60 of the 64 brackets of one scan interval, where the degree-8
+# proxy is off.
+WIDE_WINDOW_FALLBACKS = {
+    (-16.7e-6, 50.0): {(38, i) for i in range(24, 88) if i not in (27, 58, 69, 85)},
+}
+
+
+@pytest.mark.parametrize("factor", [10.0, 50.0])
+@pytest.mark.parametrize("c_over_s", [0.0, -11e-6, -16.7e-6])
+def test_proxy_roots_take_two_evaluations(c_over_s, factor, monkeypatch):
+    # Each proxy's Newton run takes its first two Horner evaluations with
+    # every other run of its block; the few runs still open go on alone, so
+    # a located root costs at most 2.1 evaluations (3.0-4.0 when every run
+    # stepped until the slowest of its block stopped). The brackets whose
+    # verification pair fails, and so reach _bisect, stay those above.
+    cell = default_cell(c_over_s)
+    scan = bs.scan_frequencies(cell, factor * bs.default_omega_max(cell))
+    horner, proxy_roots, bisect = bs._horner, bs._proxy_roots, bs._bisect
+    evaluations, located, fallbacks = [], [], set()
+
+    def counted_horner(coef, s):
+        evaluations.append(s.size)
+        return horner(coef, s)
+
+    def counted_roots(scan, interval, *args):
+        located.append(interval.size)
+        return proxy_roots(scan, interval, *args)
+
+    def spy(func, lo, hi, f_lo, *args, **kwargs):
+        iv = np.searchsorted(scan.nodes, lo)
+        t = scan.values[iv] - f_lo
+        fallbacks.update(zip(iv.tolist(), np.abs(K_TARGETS - t[:, None]).argmin(axis=1).tolist()))
+        return bisect(func, lo, hi, f_lo, *args, **kwargs)
+
+    monkeypatch.setattr(bs, "_horner", counted_horner)
+    monkeypatch.setattr(bs, "_proxy_roots", counted_roots)
+    monkeypatch.setattr(bs, "_bisect", spy)
+    bs._scan_roots_batch(scan, K_TARGETS)
+    assert sum(located) > 7_700
+    assert sum(evaluations) <= 2.1 * sum(located)
+    assert fallbacks == WIDE_WINDOW_FALLBACKS.get((c_over_s, factor), set())
+
+
+def test_proxy_roots_do_not_depend_on_their_block():
+    # The brackets of the -11 uF/m^2 50x search, whole and in a random
+    # permutation cut into odd-sized chunks: every root and slope keeps its
+    # bits, whichever runs share its block and its Newton steps.
+    cell = default_cell(-11e-6)
+    scan = bs.scan_frequencies(cell, 50.0 * bs.default_omega_max(cell))
+    (interval, owner, f_lo), _ = bs._target_hits(scan, K_TARGETS)
+    free = ~scan.blocked[interval]
+    interval, target, positive = interval[free], K_TARGETS[owner[free]], f_lo[free] > 0.0
+    root, slope = bs._proxy_roots(scan, interval, target, positive)
+    assert root.size > 39_900
+    rng = np.random.default_rng(30)
+    order = rng.permutation(root.size)
+    cuts = np.cumsum(2 * rng.integers(0, 2_000, 60) + 1)
+    for chunk in np.split(order, cuts[cuts < order.size]):
+        got = bs._proxy_roots(scan, interval[chunk], target[chunk], positive[chunk])
+        assert got[0].tobytes() == root[chunk].tobytes()
+        assert got[1].tobytes() == slope[chunk].tobytes()
+
+
+def test_segment_search_is_the_first_sign_change(monkeypatch):
+    # The three-level search on the sample index finds, for every bracket of
+    # the random-cell awkward-target searches, the first sign change of its
+    # 9 samples of h - t (f > 0 against f <= 0), also where an inner sample
+    # is an exact zero: each search also targets the values of some inner
+    # samples of its bracketed intervals.
+    draws, rng = np.random.default_rng(23), np.random.default_rng(24)
+    proxy_roots, newton = bs._proxy_roots, bs._newton
+    found, expected, zeros = [], [], 0
+
+    def plain(scan, interval, target, positive):
+        nonlocal zeros
+        h, inverse, _ = proxy_samples(scan, interval)
+        for column, t in zip(inverse.tolist(), target.tolist()):
+            f = h[:, column] - t
+            zeros += bool(np.any(f[1:-1] == 0.0))
+            expected.append(next(j for j in range(8) if (f[j] > 0.0) != (f[j + 1] > 0.0)))
+        return proxy_roots(scan, interval, target, positive)
+
+    def segments(model, u, lo, hi, positive, **kwargs):
+        found.extend(np.searchsorted(bs._LOBATTO, lo).tolist())
+        return newton(model, u, lo, hi, positive, **kwargs)
+
+    monkeypatch.setattr(bs, "_proxy_roots", plain)
+    monkeypatch.setattr(bs, "_newton", segments)
+    for _ in range(30):
+        cell = shunted_cell(draws)
+        scan = bs.scan_frequencies(cell, 10.0 * bs.default_omega_max(cell), base_points=400)
+        targets = awkward_targets(scan, rng)
+        (interval, _, _), _ = bs._target_hits(scan, targets)
+        h, _, _ = proxy_samples(scan, interval[~scan.blocked[interval]])
+        inner = h[rng.integers(1, 8, 6), rng.integers(0, h.shape[1], 6)]
+        bs._scan_roots_batch(scan, np.concatenate([targets, inner]))
+    assert found == expected and zeros > 0
 
 
 def test_index_ranges_match_a_plain_loop():
@@ -1120,8 +1238,9 @@ def test_newton_narrows_each_bracket_toward_its_root(sign, start):
     # the wrong end, the root leaves the bracket and no run comes near it.
     root = np.linspace(-0.9, 0.9, 7)
 
-    def model(u):
-        return sign * (u * u * u + u - (root * root * root + root)), sign * (3.0 * u * u + 1.0)
+    def model(u, run):
+        r = root[run]
+        return sign * (u * u * u + u - (r * r * r + r)), sign * (3.0 * u * u + 1.0)
 
     for positive in (sign < 0.0, sign > 0.0):
         u, lo, hi = np.full(7, start), np.full(7, -1.0), np.full(7, 1.0)
