@@ -78,7 +78,8 @@ __all__ = [
     "half_trace_curvature",
 ]
 
-# Solver defaults: 200 K-points and a 2000-point base scan with 16x local
+# Solver defaults: 200 K-points and a base scan of 2000 intervals over the
+# default window's span (a narrower window keeps that spacing) with 16x local
 # refinement resolve the spectral features of mm-scale cells comfortably.
 DEFAULT_K_POINTS = 200
 DEFAULT_BASE_POINTS = 2000
@@ -405,16 +406,22 @@ def scan_frequencies(
 ) -> FrequencyScan:
     """Build the adaptive half-trace scan for a cell.
 
-    The base grid is uniform; the intervals where the half-trace crosses
-    +-1 and the interval that holds each located pole are subdivided by
-    ``DEFAULT_REFINE_FACTOR``, so that ``blocked`` marks a short interval.
+    The base grid is uniform: base_points intervals span the default
+    window, and a narrower window keeps their spacing plus a node at
+    omega_max/base_points (``_window``). The intervals where the half-trace
+    crosses +-1 and the interval that holds each located pole are
+    subdivided by ``DEFAULT_REFINE_FACTOR``, so that ``blocked`` marks a
+    short interval.
 
     Raises:
         ValueError: If omega_max is not positive and finite, or the window
             holds more bands than ``base_points`` can resolve.
     """
-    omega_max = _window(cell, omega_max, base_points)
-    nodes = np.linspace(0.0, omega_max, base_points + 1)
+    omega_max, n = _window(cell, omega_max, base_points)
+    nodes = np.linspace(0.0, omega_max, n + 1)
+    if n < base_points:
+        # A quasistatic edge next to Cinf/S can lie below the default spacing.
+        nodes = np.insert(nodes, 1, omega_max / base_points)
     poles = _find_poles(cell, omega_max)
     # Where S/C - M3 rounds to 0 next to a pole the half-trace is not finite;
     # such nodes are dropped at the end, and the pole's interval spans them.
@@ -447,10 +454,12 @@ def scan_frequencies(
     )
 
 
-def _window(cell: ShuntedCell, omega_max: float | None, base_points: int) -> float:
-    """omega_max, or ``default_omega_max``, checked against a base grid of base_points.
+def _window(cell: ShuntedCell, omega_max: float | None, base_points: int) -> tuple[float, int]:
+    """(omega_max, n): the window, or ``default_omega_max``, and its base interval count.
 
-    The window holds about 4*omega_max/default_omega_max(cell) bands; above
+    base_points intervals span the default window; a narrower window keeps
+    their spacing, n = ceil(base_points*omega_max/default), a wider one n =
+    base_points. The window holds about 4*omega_max/default bands; above
     base_points/4 of them a band gets fewer than four base intervals, and
     far above the kernel overflows.
     """
@@ -465,7 +474,7 @@ def _window(cell: ShuntedCell, omega_max: float | None, base_points: int) -> flo
             f"omega_max={omega_max!r} spans about {bands:.3g} bands, more than the "
             f"{base_points / 4:g} that {base_points} base points resolve"
         )
-    return float(omega_max)
+    return float(omega_max), min(base_points, math.ceil(base_points * bands / 4))
 
 
 def _scan_of(cell: ShuntedCell, omega_max: float | None, scan: FrequencyScan | None):
@@ -1108,7 +1117,7 @@ def find_flat_capacitance(
             "bracket must lie strictly inside the negative-stiffness interval "
             f"({c_zero:.6e}, {c_inf:.6e}) F/m^2"
         )
-    omega_max = _window(cell, omega_max, DEFAULT_BASE_POINTS)
+    omega_max, _ = _window(cell, omega_max, DEFAULT_BASE_POINTS)
     _, c_star = _flat_band_candidates(cell, omega_max)
     c_star = c_star[(c_star >= c_lo) & (c_star <= c_hi)]
     if not c_star.size:

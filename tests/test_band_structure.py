@@ -165,6 +165,27 @@ class TestScan:
             with pytest.raises(ValueError, match="bands"):
                 bs.scan_frequencies(cell, omega_max, base_points=base_points)
 
+    @pytest.mark.parametrize("c_over_s", [0.0, -11e-6])
+    @pytest.mark.parametrize("factor", [1.0, 10.0, 50.0])
+    def test_default_and_wide_windows_keep_the_2000_interval_grid(self, cell, c_over_s, factor):
+        # The default window and every wider one hold the uniform 2000-interval
+        # grid bit for bit and no extra first node: a refined interval holds
+        # DEFAULT_REFINE_FACTOR - 1 more nodes, every other none.
+        omega_max = factor * bs.default_omega_max(cell)
+        scan = bs.scan_frequencies(cell.with_c_over_s(c_over_s), omega_max)
+        base = np.linspace(0.0, omega_max, bs.DEFAULT_BASE_POINTS + 1)
+        assert np.isin(base, scan.nodes).all() and np.all(np.diff(scan.nodes) > 0.0)
+        inside = np.diff(np.searchsorted(scan.nodes, base)) - 1
+        assert set(inside.tolist()) == {0, bs.DEFAULT_REFINE_FACTOR - 1}
+
+    @pytest.mark.parametrize("factor, intervals", [(0.02, 40), (0.25, 500), (0.5, 1000)])
+    def test_narrow_window_keeps_the_default_spacing_and_its_first_node(self, cell, factor, intervals):
+        omega_max = factor * bs.default_omega_max(cell)
+        scan = bs.scan_frequencies(cell, omega_max)
+        base = np.linspace(0.0, omega_max, intervals + 1)
+        assert np.isin(base, scan.nodes).all()
+        assert scan.nodes[1] == omega_max / bs.DEFAULT_BASE_POINTS < base[1]
+
     def test_pole_intervals_are_blocked(self, cell):
         scan = bs.scan_frequencies(cell.with_c_over_s(interior_gamma(cell)))
         assert scan.poles.size == np.count_nonzero(scan.blocked)
@@ -367,6 +388,22 @@ class TestStopbands:
         assert intervals[0].omega_lo == 0.0
         assert intervals[0].quasistatic
 
+    @pytest.mark.parametrize(
+        "r, factor",
+        [(r, f) for r in (3.2e-9, 1e-8) for f in (0.02, 0.1)]
+        + [(r, f) for r in (3.2e-8, 1e-7) for f in (0.02, 0.1, 0.25)],
+    )
+    def test_no_window_loses_the_quasistatic_edge(self, cell, r, factor):
+        # At C/S = Cinf/S*(1 + r) the quasistatic edge grows like sqrt(r),
+        # from about 2 krad/s at r = 3.2e-9 to 11 krad/s at 1e-7, below the
+        # default window's node spacing of 15.7 krad/s. A narrow window keeps
+        # its first node at omega_max/DEFAULT_BASE_POINTS, so the edge still
+        # has a node below it (not at 0.25x for r <= 1e-8, nor at any window
+        # for r <= 1e-9, where h - 1 is at the rounding level: ROADMAP item 3).
+        c_inf, _ = special_capacitances(cell)
+        shunted = cell.with_c_over_s(c_inf * (1.0 + r))
+        assert bs.stopbands(shunted, factor * bs.default_omega_max(cell))[0].quasistatic
+
     def test_poles_are_interior_to_stopbands(self, cell):
         c2 = cell.with_c_over_s(interior_gamma(cell))
         scan = bs.scan_frequencies(c2)
@@ -437,7 +474,8 @@ class TestStopbands:
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: h == 1.0 exactly at nodes near 0")
 def test_tiny_window_holds_only_the_origin():
     # Below about 100 rad/s nodes near 0 read h == 1.0 exactly, and each
-    # becomes a one-sample K = 0 "branch" (9 at 10 rad/s, 2001 at 1e-3);
+    # becomes a one-sample K = 0 "branch" (2 at 10 rad/s, 3 at 1e-3, where
+    # the window holds one base interval and the kept first node);
     # at -16.7 uF/m^2 the one quasistatic interval on 0.1 rad/s splits in
     # three. Deflating the trivial root on (h - 1)/omega^2 should fix both.
     cell = default_cell()
