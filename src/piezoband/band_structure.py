@@ -18,12 +18,12 @@ implicitly, by one complex step of the parts, so a flat band has v_g = 0.
 
 The flat-band frequencies, where r changes sign, solve theta(omega) = k*pi
 for a rising phase theta: one in each (k*pi/T, (k + 2)*pi/T) (see
-``_flat_band_candidates``). Poles (``_float_newton``) and flat bands
-(``_newton``) alike take safeguarded Newton on the closed form, then
+``_flat_band_candidates``). Poles and flat bands alike take one
+safeguarded float Newton run (``_float_newton``) on the closed form, then
 ``_locate``'s sign-verified bracket of the kernel's own function around
 it, bisected only if it had to be widened past the pole tolerance.
 ``find_flat_capacitance`` judges each candidate on the scan brackets of
-each K's lowest root, refined only where they leave the verdict open.
+each K's lowest root, and traces it only where they leave the verdict open.
 
 Root search is array code throughout. The targets cos(K*T) of all K are
 sorted once; each pole-free scan interval finds its candidate targets by
@@ -91,6 +91,8 @@ DEFAULT_FLATNESS_TOL = 1e-3
 _POLE_RTOL = 1e-14
 # Bisection passes a kernel call; one a call is 1.8x slower on the 9 default panels.
 _MAX_LEVELS = 6
+# Bisection passes a bracket may take before ``_bisect`` gives up on it.
+_MAX_PASSES = 200
 # Each scan interval with brackets is interpolated at the 9
 # Chebyshev-Lobatto points s_j = -cos(j*pi/8) of [-1, 1] (Boyd, SIAM J.
 # Numer. Anal. 40(5), 2002), in powers of s for Horner: coefficients a =
@@ -230,7 +232,7 @@ class FrequencyScan:
     _edges: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
 
-def _bisect(func, lo, hi, f_lo, f_hi, *, rtol, residual_tol=None, max_iter=200):
+def _bisect(func, lo, hi, f_lo, f_hi, *, rtol, residual_tol=None):
     """Vectorized bisection on 1-D arrays of brackets with f(lo)*f(hi) < 0.
 
     ``func(x, live)`` evaluates the residual at the points x of the
@@ -254,11 +256,11 @@ def _bisect(func, lo, hi, f_lo, f_hi, *, rtol, residual_tol=None, max_iter=200):
     the prediction, or the round's last, ends its round. Each test is the
     pass's own, on the width after the move, so no bit of a root depends on
     a prediction: a wrong one costs points. Passes are counted per bracket,
-    and no round takes one past max_iter. The returned point is always one
-    whose residual was actually evaluated.
+    and no round takes one past ``_MAX_PASSES``. The returned point is
+    always one whose residual was actually evaluated.
 
     Raises:
-        NumericalError: If a bracket is still open after max_iter passes.
+        NumericalError: If a bracket is still open after ``_MAX_PASSES`` passes.
     """
     lo, hi = np.array([lo, hi], dtype=float)
     f_lo, f_hi = np.asarray(f_lo, dtype=float), np.asarray(f_hi, dtype=float)
@@ -269,11 +271,11 @@ def _bisect(func, lo, hi, f_lo, f_hi, *, rtol, residual_tol=None, max_iter=200):
     x, f_x, x_prev, f_prev = lo, f_lo, hi, f_hi
     while live.size:
         top = int(passes.max())
-        depth = min(_MAX_LEVELS, max_iter - top)
+        depth = min(_MAX_LEVELS, _MAX_PASSES - top)
         if depth < 1:
-            open_ = np.flatnonzero(passes >= max_iter)
+            open_ = np.flatnonzero(passes >= _MAX_PASSES)
             raise NumericalError(
-                f"bisection left {open_.size} bracket(s) open after {max_iter} passes; "
+                f"bisection left {open_.size} bracket(s) open after {_MAX_PASSES} passes; "
                 f"first open bracket [{lo[open_[0]]!r}, {hi[open_[0]]!r}]"
             )
         with np.errstate(all="ignore"):
@@ -504,7 +506,7 @@ def _index_ranges(first: np.ndarray, stop: np.ndarray) -> tuple[np.ndarray, np.n
     return row, position
 
 
-def _target_hits(scan: FrequencyScan, targets: np.ndarray, *, lowest: bool = False):
+def _target_hits(scan: FrequencyScan, targets: np.ndarray):
     """Brackets and exact node zeros of the half-trace h(omega) = t for all targets.
 
     The targets are sorted once, and two binary searches of the node
@@ -518,9 +520,7 @@ def _target_hits(scan: FrequencyScan, targets: np.ndarray, *, lowest: bool = Fal
     A blocked interval tries every target on the pole-free numerator
     g_t = (S/C - M3)*(h - t) instead, whose sign at a node is
     sign(S/C - M3)*(h - t): its brackets pass g_lo*g_hi < 0, carry g_lo as
-    f_lo and come after all others. With ``lowest``, each target keeps its
-    lowest hit above omega = 0: a zero at node i lies below the root of
-    interval j exactly when i <= j.
+    f_lo and come after all others.
 
     Returns:
         (interval, owner, f_lo) of every bracket and (node, owner) of every
@@ -555,16 +555,7 @@ def _target_hits(scan: FrequencyScan, targets: np.ndarray, *, lowest: bool = Fal
     node, position = _index_ranges(left, right)
     zero_owner = order[position]
     exact = values[node] - targets[zero_owner] == 0.0
-    node, zero_owner = node[exact], zero_owner[exact]
-    if lowest:
-        node, zero_owner = node[node > 0], zero_owner[node > 0]
-        rank = np.concatenate([2 * node, 2 * brackets[0] + 1])
-        key = np.full(len(targets), np.iinfo(np.intp).max)
-        np.minimum.at(key, hit := np.concatenate([zero_owner, brackets[1]]), rank)
-        first = key[hit] == rank
-        brackets = tuple(a[first[node.size :]] for a in brackets)
-        node, zero_owner = node[first[: node.size]], zero_owner[first[: node.size]]
-    return brackets, (node, zero_owner)
+    return brackets, (node[exact], zero_owner[exact])
 
 
 def _proxy_roots(scan, interval, target, positive):
@@ -639,29 +630,29 @@ def _checked_roots(cell, x, slope, target, lo, hi, positive):
     return np.where(size[1] < size[0], pair[1], pair[0]), found
 
 
-def _newton(model, u, lo, hi, positive, stop=_NEWTON_STOP, steps=_NEWTON_STEPS):
+def _newton(model, u, lo, hi, positive):
     """Safeguarded Newton on each model(u, run) = (p, p') from u, in place, kept inside (lo, hi).
 
     ``positive`` marks the models that are > 0 at lo, as in ``_bisect``;
     each iterate's sign moves lo or hi onto it, exactly. A step out of the
     bracket, or a nan one where p' = 0, becomes its midpoint; a step onto u
-    is taken. A run stops once its step d is at most ``stop``, or d^3*1e4
-    <= stop*d_prev^2 after its step d_prev (quadratic convergence predicts
-    the next below stop/1e4), or after ``steps`` evaluations. The first two
-    take every model (run is ``slice(None)``), later ones the runs still
-    open (run holds their positions). A stopped run keeps its u and the p'
-    of its last step, which is returned, so each run's arithmetic is that
-    of a loop on it alone. ``_proxy_roots`` runs it on its Chebyshev
-    proxies, ``_flat_band_candidates`` on its phases; callers silence p / 0.
+    is taken. A run stops once its step d is at most ``_NEWTON_STOP``, or
+    d^3*1e4 <= ``_NEWTON_STOP``*d_prev^2 after its step d_prev (quadratic
+    convergence predicts the next below ``_NEWTON_STOP``/1e4), or after
+    ``_NEWTON_STEPS`` evaluations. The first two take every model (run is
+    ``slice(None)``), later ones the runs still open (run holds their
+    positions). A stopped run keeps its u and the p' of its last step,
+    which is returned, so each run's arithmetic is that of a loop on it
+    alone. ``_proxy_roots`` runs it on its Chebyshev proxies and silences
+    p / 0.
     """
     slope = np.empty_like(u)
-    x, a, b, grad, last = u, lo, hi, slope, np.zeros_like(u)
-    pos, tol = np.broadcast_to(positive, u.shape), np.broadcast_to(stop, u.shape)
+    x, a, b, grad, last, pos = u, lo, hi, slope, np.zeros_like(u), positive
     run, open_ = slice(None), np.ones(u.shape, dtype=bool)
-    for i in range(steps):
+    for i in range(_NEWTON_STEPS):
         if i == 2:
             run = np.flatnonzero(open_)
-            x, a, b, grad, last, pos, tol = (v[run] for v in (x, a, b, grad, last, pos, tol))
+            x, a, b, grad, last, pos = (v[run] for v in (x, a, b, grad, last, pos))
             open_ = open_[run]
         p, dp = model(x, run)
         below = (p > 0.0) == pos
@@ -672,7 +663,7 @@ def _newton(model, u, lo, hi, positive, stop=_NEWTON_STOP, steps=_NEWTON_STEPS):
         np.copyto(grad, dp, where=open_)
         d = np.abs(step - x)
         np.copyto(x, step, where=open_)
-        open_ &= (d > tol) & (d * d * d * 1e4 > tol * last * last)
+        open_ &= (d > _NEWTON_STOP) & (d * d * d * 1e4 > _NEWTON_STOP * last * last)
         last = d
         if not open_.any():
             break
@@ -681,7 +672,7 @@ def _newton(model, u, lo, hi, positive, stop=_NEWTON_STOP, steps=_NEWTON_STEPS):
 
 
 def _float_newton(model, u, lo, hi, positive):
-    """``_newton``'s u on one float bracket (60 steps, stop ``_POLE_RTOL``/4*|u|); p' = 0 steps to its mid."""
+    """``_newton``'s step rule on one float bracket, stop ``_POLE_RTOL``/4*|u|, 60 steps; p' = 0 steps to its mid."""
     stop, d = _POLE_RTOL / 4 * abs(u), 0.0
     for _ in range(60):
         p, dp = model(u)
@@ -721,17 +712,14 @@ def _bisected(scan: FrequencyScan) -> bool:
     return scan.omega_max == default_omega_max(scan.cell)
 
 
-def _scan_roots_batch(
-    scan: FrequencyScan, targets: np.ndarray, *, lowest: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
+def _scan_roots_batch(scan: FrequencyScan, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Roots of the half-trace h(omega) = t for every target t.
 
     Brackets come from ``_target_hits``. They are refined on h - t to
     ``ROOT_RTOL`` and ``RESIDUAL_TOL``, except in blocked intervals, where
     h - t has a pole (0/0 at a flat band) and g_t = (S/C - M3)*(h0 - t) + r
     is bisected, with no residual test. Exact zeros at scan nodes are roots
-    as they are. With ``lowest``, each target keeps only its lowest hit
-    above omega = 0 (``_target_hits``), and only those brackets are refined.
+    as they are.
 
     A scan of the default window (``_bisected``) bisects h - t too, and
     g_t to ``ROOT_RTOL``. Any other scan, narrower or wider, takes the
@@ -747,7 +735,7 @@ def _scan_roots_batch(
         sorted within each group, and the number of roots of each target.
     """
     cell, nodes = scan.cell, scan.nodes
-    (interval, owner, f_lo), (node, zero_owner) = _target_hits(scan, targets, lowest=lowest)
+    (interval, owner, f_lo), (node, zero_owner) = _target_hits(scan, targets)
     # Brackets in blocked intervals come last, so both groups are views.
     split = interval.size - np.count_nonzero(scan.blocked[interval])
     target = targets[owner]
@@ -821,11 +809,6 @@ def trace_branches(
     Raises:
         ValueError: If k_points < 2 or ``scan`` is not a scan of ``cell``.
     """
-    return _trace(cell, k_points, omega_max, scan)
-
-
-def _trace(cell, k_points, omega_max, scan, *, lowest=False) -> list[Branch]:
-    """``trace_branches``; with ``lowest``, branch 1 alone, from each K's lowest root."""
     if k_points < 2:
         raise ValueError("k_points must be at least 2")
     scan = _scan_of(cell, omega_max, scan)
@@ -833,8 +816,8 @@ def _trace(cell, k_points, omega_max, scan, *, lowest=False) -> list[Branch]:
     k_grid = np.linspace(0.0, math.pi / period, k_points)
     include_origin = effective_model(cell).regime in (Regime.POSITIVE, Regime.POLE)
 
-    roots, counts = _scan_roots_batch(scan, targets := np.cos(k_grid * period), lowest=lowest)
-    if not lowest and targets[0] == 1.0 and targets[-1] == -1.0:  # kept for stopbands
+    roots, counts = _scan_roots_batch(scan, targets := np.cos(k_grid * period))
+    if targets[0] == 1.0 and targets[-1] == -1.0:  # kept for stopbands
         edges = np.concatenate([roots[: counts[0]], roots[roots.size - counts[-1] :]])
         object.__setattr__(scan, "_edges", (edges, counts[[0, -1]]))
     # At K = 0 the node omega = 0 is an exact root; it is kept, as the
@@ -852,9 +835,7 @@ def _trace(cell, k_points, omega_max, scan, *, lowest=False) -> list[Branch]:
     present = np.arange(n_branches)[:, None] < counts
     table = np.zeros((n_branches, k_points))
     table.T[present.T] = roots
-    branches = [Branch(index=j + 1, k=k_grid[present[j]], omega=table[j, present[j]]) for j in range(n_branches)]
-    # With the origin kept, K = 0 holds 0.0 and its lowest positive root.
-    return branches[:1] if lowest else branches
+    return [Branch(index=j + 1, k=k_grid[present[j]], omega=table[j, present[j]]) for j in range(n_branches)]
 
 
 def stopbands(
@@ -1036,17 +1017,15 @@ def _flat_band_candidates(cell: ShuntedCell, omega_max: float) -> tuple[np.ndarr
     t1, t2, zeta = el.d * el.slowness, pz.d * pz.slowness, pz.impedance / el.impedance
 
     def theta(x, k=0.0):
-        s, c = np.sin(0.5 * t2 * x), np.cos(0.5 * t2 * x)
-        arc = np.arctan2((1.0 - zeta) * s * c, c * c + zeta * (s * s))
+        s, c = math.sin(0.5 * t2 * x), math.cos(0.5 * t2 * x)
+        arc = math.atan2((1.0 - zeta) * s * c, c * c + zeta * (s * s))
         slope = t1 + t2 * zeta / (c * c + zeta * zeta * (s * s))
         return (t1 + t2) * x - (k + 1.0) * math.pi - 2.0 * arc, slope
 
     k = np.arange(math.floor(theta(omega_max)[0] / math.pi) + 1.0)
     lo, hi = k * (math.pi / (t1 + t2)), (k + 2.0) * (math.pi / (t1 + t2))
-    omega = 0.5 * (lo + hi)
-    # 4/39/200 levels on the 1x/10x/50x windows, so arrays: a float Newton
-    # took 0.18/0.48/1.88 ms, _newton 0.51/0.54/0.41.
-    _newton(lambda x, run: theta(x, k[run]), omega, lo.copy(), hi.copy(), False, stop=_POLE_RTOL / 4 * omega, steps=60)
+    levels = zip(k.tolist(), (0.5 * (lo + hi)).tolist(), lo.tolist(), hi.tolist())
+    omega = np.array([_float_newton(lambda x: theta(x, j), *bracket, False) for j, *bracket in levels])
     omega = _locate(lambda x: _cell_parts(cell, x)[1], omega, lo, hi)
     omega = omega[(omega > 0.0) & (omega < omega_max)]
     return omega, 1.0 / _cell_parts(cell, omega)[2]
@@ -1055,20 +1034,26 @@ def _flat_band_candidates(cell: ShuntedCell, omega_max: float) -> tuple[np.ndarr
 def _first_branch_is_flat(scan: FrequencyScan, k_points: int, flatness_tol: float) -> bool:
     """Whether branch 1's spread is below flatness_tol, where no branch holds the origin.
 
-    Each K's lowest root lies between the nodes lo, hi of its lowest hit, so
-    the spread lies in [(max lo - min hi)/mean hi, (max hi - min lo)/mean lo];
-    the roots are refined (``_trace``) only where flatness_tol falls inside.
+    Each K's lowest root lies between the nodes lo, hi of its lowest hit
+    above omega = 0 (``_target_hits``): a zero at node i, ranked 2i, lies
+    below the root of interval j, ranked 2j + 1, exactly when i <= j. So the
+    spread lies in [(max lo - min hi)/mean hi, (max hi - min lo)/mean lo];
+    branch 1 of ``trace_branches`` is traced only where flatness_tol falls
+    inside.
     """
     period = scan.cell.period
     targets = np.cos(np.linspace(0.0, math.pi / period, k_points) * period)
-    (interval, _, _), (node, _) = _target_hits(scan, targets, lowest=True)
-    lo = scan.nodes[np.concatenate([node, interval])]
-    hi = scan.nodes[np.concatenate([node, interval + 1])]
+    (interval, owner, _), (node, zero_owner) = _target_hits(scan, targets)
+    hit = np.concatenate([zero_owner[node > 0], owner])
+    rank = np.full(k_points, np.iinfo(np.intp).max)
+    np.minimum.at(rank, hit, np.concatenate([2 * node[node > 0], 2 * interval + 1]))
+    rank = rank[np.unique(hit)]
+    lo, hi = scan.nodes[rank // 2], scan.nodes[(rank + 1) // 2]
     if lo.size and hi.max() - lo.min() < flatness_tol * lo.mean():
         return True
     if not lo.size or lo.max() - hi.min() >= flatness_tol * hi.mean():
         return False
-    return branch_flatness(_trace(scan.cell, k_points, None, scan, lowest=True)[0]) < flatness_tol
+    return branch_flatness(trace_branches(scan.cell, k_points, scan=scan)[0]) < flatness_tol
 
 
 def find_flat_capacitance(

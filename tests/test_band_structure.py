@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -548,6 +549,10 @@ C_STARS = (
     -1.3179591285920347e-05,
 )
 C_STAR = C_STARS[0]
+# Their omega* as floats, bit for bit.
+OMEGA_STARS = ("0x1.57dcce1d582dbp+22", "0x1.f1eaa1f39b064p+23", "0x1.8618d0824ff08p+24", "0x1.ceae37dff0e98p+24")
+# sha256 of the float.hex of the 200 omega* and then the 200 C*/S of the 50x window, space-separated.
+WIDE_CANDIDATES_SHA256 = "40415e04d452bb9cfcfaa982470a672a161d024504479a801cac8be2b7cf0559"
 
 
 class TestFlatBands:
@@ -588,6 +593,20 @@ class TestFlatBands:
             branches = bs.trace_branches(cell.with_c_over_s(gamma))
             assert [b.index for b in bs.detect_flat_bands(branches)] == [index]
             assert bs.branch_flatness(branches[index - 1]) == 0.0
+
+    def test_candidates_keep_their_bits(self, cell):
+        # Each level's float Newton run and sign-verified pair depend on the
+        # level alone, so the candidates of the 0.25x, 1x and 10x windows are
+        # the first of the 50x window's, bit for bit, and those bits are pinned.
+        omega_max = bs.default_omega_max(cell)
+        found = {f: bs._flat_band_candidates(cell, f * omega_max) for f in (0.25, 1.0, 10.0, 50.0)}
+        omega, c_star = found[50.0]
+        for factor, count in ((0.25, 1), (1.0, 4), (10.0, 39), (50.0, 200)):
+            assert [a.tobytes() for a in found[factor]] == [omega[:count].tobytes(), c_star[:count].tobytes()]
+        assert [x.hex() for x in omega[:4].tolist()] == list(OMEGA_STARS)
+        assert [x.hex() for x in c_star[:4].tolist()] == [x.hex() for x in C_STARS]
+        digest = hashlib.sha256(" ".join(x.hex() for x in [*omega.tolist(), *c_star.tolist()]).encode())
+        assert digest.hexdigest() == WIDE_CANDIDATES_SHA256
 
     @pytest.mark.parametrize("delta", [0.0, 8.3e-15, 1e-12, 1e-9, -1e-9, 1e-8, -1e-8, 1e-7])
     @pytest.mark.parametrize("row", range(len(FLAT_BANDS)))
@@ -635,8 +654,9 @@ class TestFlatBands:
 
     def test_first_branch_check_matches_the_full_trace(self):
         # Every candidate C*/S inside the negative-stiffness interval is
-        # judged on the lowest root of each K; those roots must be branch 1
-        # of the full trace bit for bit, and so must the flatness verdict.
+        # judged on the scan brackets of each K's lowest root, and traced
+        # where they leave the verdict open; the verdict must be that of
+        # branch 1 of the full trace on the same scan.
         draws = np.random.default_rng(3)
         cells = [default_cell()] + [random_cell(draws, allow_zero_e=False) for _ in range(300)]
         checked = flat = 0
@@ -647,18 +667,25 @@ class TestFlatBands:
             for gamma in c_star[(c_star > c_zero) & (c_star < c_inf)].tolist():
                 shunted = cell.with_c_over_s(gamma)
                 scan = bs.scan_frequencies(shunted, omega_max)
-                first = bs._trace(shunted, 40, None, scan, lowest=True)
+                verdict = bs._first_branch_is_flat(scan, 40, bs.DEFAULT_FLATNESS_TOL)
                 branches = bs.trace_branches(shunted, 40, scan=scan)
-                assert len(first) == min(len(branches), 1)
-                if first:
-                    assert first[0].index == 1
-                    assert first[0].k.tobytes() == branches[0].k.tobytes()
-                    assert first[0].omega.tobytes() == branches[0].omega.tobytes()
-                    verdict = bs.branch_flatness(first[0]) < bs.DEFAULT_FLATNESS_TOL
-                    assert verdict == (bs.detect_flat_bands(branches[:1]) != [])
-                    flat += verdict
+                assert verdict == (bs.detect_flat_bands(branches[:1]) != [])
+                flat += verdict
                 checked += 1
         assert checked >= 300 and 0 < flat < checked
+
+    def test_open_verdict_is_traced(self, cell, monkeypatch):
+        # On the shipped bracket the candidate's scan brackets decide it
+        # flat at the default tolerance; at 1e-4 they leave the verdict open
+        # and branch 1 comes from trace_branches itself, one call, so a
+        # traced search counts the trace it runs. Both find the same C*.
+        calls, found = {"trace_branches": 0}, []
+        monkeypatch.setattr(bs, "trace_branches", counted_calls(calls, "trace_branches", bs.trace_branches))
+        for tol, traces in ((1e-4, 1), (1e-3, 0)):
+            calls["trace_branches"] = 0
+            found.append(bs.find_flat_capacitance(cell, (-16.5e-6, -16.2e-6), flatness_tol=tol))
+            assert calls["trace_branches"] == traces
+        assert found == [C_STAR, C_STAR]
 
     def test_find_flat_capacitance_rejects_bad_k_points(self, cell, monkeypatch):
         # Checked before any scan or candidate search, whatever the bracket.

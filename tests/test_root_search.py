@@ -822,8 +822,8 @@ def test_flat_band_roots_in_shuffled_bracket_order(monkeypatch):
     # bracket alone, not on where it sits among the others.
     target_hits, rng = bs._target_hits, np.random.default_rng(12)
 
-    def shuffled(scan, targets, lowest=False):
-        (interval, owner, f_lo), zeros = target_hits(scan, targets, lowest=lowest)
+    def shuffled(scan, targets):
+        (interval, owner, f_lo), zeros = target_hits(scan, targets)
         at_pole = scan.blocked[interval]
         assert np.count_nonzero(at_pole) == targets.size
         order = np.concatenate([np.flatnonzero(~at_pole), rng.permutation(np.flatnonzero(at_pole))])
@@ -903,29 +903,6 @@ def test_speculative_bisection_matches_plain_loop_on_random_cells(
     assert min(seen["h - t"], seen["g_t"]) >= 10
 
 
-def test_lowest_roots_are_the_first_of_the_full_search():
-    # With lowest, each target keeps its lowest root above omega = 0: the
-    # first positive root of the full search, bit for bit, on awkward
-    # targets (node zeros, roots next to poles) in every regime, and branch
-    # 1 of a trace, the origin kept where c_eff > 0, comes out the same.
-    draws, rng = np.random.default_rng(19), np.random.default_rng(20)
-    for i in range(100):
-        cell = shunted_cell(draws)
-        scan = bs.scan_frequencies(cell, (10.0 if i % 2 else 1.0) * bs.default_omega_max(cell))
-        targets = np.append(awkward_targets(scan, rng), 1.0)
-        roots, counts = bs._scan_roots_batch(scan, targets)
-        lowest, lowest_counts = bs._scan_roots_batch(scan, targets, lowest=True)
-        groups = np.split(roots, np.cumsum(counts)[:-1])
-        expected = [g[g > 0.0][:1] for g in groups]
-        assert lowest_counts.tolist() == [g.size for g in expected]
-        assert lowest.tobytes() == np.concatenate(expected).tobytes()
-        first = bs._trace(cell, 40, None, scan, lowest=True)
-        branches = bs.trace_branches(cell, 40, scan=scan)
-        assert [(b.index, b.k.tobytes(), b.omega.tobytes()) for b in first] == [
-            (b.index, b.k.tobytes(), b.omega.tobytes()) for b in branches[:1]
-        ]
-
-
 def flatness_verdicts(cell, omega_max, k_points, pick=slice(None), scales=()):
     """(verdict, refined, expected) of each flat-band candidate in pick of cell, at each tolerance.
 
@@ -933,10 +910,10 @@ def flatness_verdicts(cell, omega_max, k_points, pick=slice(None), scales=()):
     negative-stiffness interval, where no branch holds the origin, each
     scale times the candidate's own spread, which tends to fall between its
     bracket bounds. verdict is _first_branch_is_flat's on the candidate's
-    scan, refined whether it called _trace, and expected the flatness test
-    of branch 1 of the full trace on that scan.
+    scan, refined whether it called trace_branches, and expected the
+    flatness test of branch 1 of the full trace on that scan.
     """
-    verdicts, trace = [], bs._trace
+    verdicts, trace = [], bs.trace_branches
     c_inf, c_zero = special_capacitances(cell) if cell.piezo.e else (0.0, 0.0)
     for gamma in bs._flat_band_candidates(cell, omega_max)[1][pick].tolist():
         scan = bs.scan_frequencies(cell.with_c_over_s(gamma), omega_max)
@@ -946,7 +923,7 @@ def flatness_verdicts(cell, omega_max, k_points, pick=slice(None), scales=()):
         for tol in [bs.DEFAULT_FLATNESS_TOL, *scaled]:
             calls = []
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(bs, "_trace", lambda *args, **kwargs: calls.append(1) or trace(*args, **kwargs))
+                patch.setattr(bs, "trace_branches", lambda *args, **kwargs: calls.append(1) or trace(*args, **kwargs))
                 verdict = bs._first_branch_is_flat(scan, k_points, tol)
             verdicts.append((verdict, bool(calls), spread < tol))
     return verdicts
@@ -1006,10 +983,12 @@ def reference_locate(func, x, lo, hi):
 
 def array_newton(model, u, lo, hi, positive):
     """_float_newton's run as _newton makes it, on 1-element arrays of the float model."""
-    u = np.array([u])
-    stop = bs._POLE_RTOL / 4 * np.abs(u)
     wrapped = lambda x, run: tuple(np.array([v]) for v in model(float(x[0])))
-    bs._newton(wrapped, u, np.array([lo]), np.array([hi]), np.array([positive]), stop=stop, steps=60)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bs, "_NEWTON_STOP", bs._POLE_RTOL / 4 * abs(u))
+        patch.setattr(bs, "_NEWTON_STEPS", 60)
+        u = np.array([u])
+        bs._newton(wrapped, u, np.array([lo]), np.array([hi]), np.array([positive]))
     return float(u[0])
 
 
@@ -1017,8 +996,9 @@ def test_located_roots_match_always_bisecting_reference(monkeypatch):
     # The poles and flat-band candidates of the 300 cells and windows of
     # random_cell_bisections, and the poles of the 50x window, bit for bit,
     # whether _locate bisected a pair or returned the mid of one already
-    # within _POLE_RTOL. Each pole's float Newton run must also be
-    # _newton's, step for step, on its bracket alone.
+    # within _POLE_RTOL. Each float Newton run, of a pole or of a
+    # candidate's phase, must also be _newton's, step for step, on its
+    # bracket alone.
     draws, bisect = np.random.default_rng(17), bs._bisect
     located = widened = 0
 
@@ -1062,13 +1042,15 @@ def test_float_newton_takes_the_midpoint_at_a_zero_derivative():
         assert abs(u - root) <= 1e-14 and len(seen) <= 60
 
 
-def test_newton_takes_the_midpoint_at_a_zero_derivative():
+def test_newton_takes_the_midpoint_at_a_zero_derivative(monkeypatch):
     # Regression: the arithmetic select mid + 0.0*(inf - mid) made a step
     # with p' == 0 nan, and u, lo and hi stayed nan for every later step.
     # Called as _proxy_roots calls it, with p / 0 silenced, the run bisects.
+    monkeypatch.setattr(bs, "_NEWTON_STOP", 1e-15)
+    monkeypatch.setattr(bs, "_NEWTON_STEPS", 3)
     u, lo, hi = np.array([0.3]), np.array([0.0]), np.array([1.0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        bs._newton(lambda x, run: (x - 0.5, np.zeros_like(x)), u, lo, hi, np.array([False]), stop=1e-15, steps=3)
+        bs._newton(lambda x, run: (x - 0.5, np.zeros_like(x)), u, lo, hi, np.array([False]))
     assert (u[0], lo[0], hi[0]) == (0.5625, 0.475, 0.65)
 
 
@@ -1104,14 +1086,14 @@ def test_proxy_newton_runs_stop_on_the_wide_window(monkeypatch):
     # d_prev: u stays put from then on.
     newton, stop, unstopped = bs._newton, bs._NEWTON_STOP, []
 
-    def recorded(model, u, lo, hi, positive, **kwargs):
+    def recorded(model, u, lo, hi, positive):
         rows, seen = np.arange(u.size), []
 
         def spy(s, run):
             seen.append((rows[run], s.copy()))
             return model(s, run)
 
-        slope = newton(spy, u, lo, hi, positive, **kwargs)
+        slope = newton(spy, u, lo, hi, positive)
         # Each run's iterates, then where it ended.
         paths = [[] for _ in rows]
         for run, s in [*seen, (rows, u)]:
@@ -1258,7 +1240,7 @@ def test_flat_band_candidates_do_not_depend_on_the_window(seed):
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 @pytest.mark.parametrize("start", [-0.95, 0.95])
-def test_newton_narrows_each_bracket_toward_its_root(sign, start):
+def test_newton_narrows_each_bracket_toward_its_root(sign, start, monkeypatch):
     # One flag for every caller of _newton: positive marks a model that is
     # > 0 at its bracket's low end, as in _bisect and _checked_roots. A
     # rising (sign 1) and a falling cubic with roots across (-1, 1), from
@@ -1267,6 +1249,8 @@ def test_newton_narrows_each_bracket_toward_its_root(sign, start):
     # caller passes "rising" for a rising model, the first iterate moves
     # the wrong end, the root leaves the bracket and no run comes near it.
     root = np.linspace(-0.9, 0.9, 7)
+    monkeypatch.setattr(bs, "_NEWTON_STOP", 1e-15)
+    monkeypatch.setattr(bs, "_NEWTON_STEPS", 60)
 
     def model(u, run):
         r = root[run]
@@ -1274,7 +1258,7 @@ def test_newton_narrows_each_bracket_toward_its_root(sign, start):
 
     for positive in (sign < 0.0, sign > 0.0):
         u, lo, hi = np.full(7, start), np.full(7, -1.0), np.full(7, 1.0)
-        slope = bs._newton(model, u, lo, hi, np.full(7, positive), stop=1e-15, steps=60)
+        slope = bs._newton(model, u, lo, hi, np.full(7, positive))
         if positive == (sign < 0.0):
             assert np.all(np.abs(u - root) <= 1e-15)
             assert np.all((lo <= u) & (u <= hi))
@@ -1413,16 +1397,19 @@ def test_interval_classification_matches_per_interval_loop():
     assert midpoint_verdicts == {False, True}
 
 
-def test_bisection_out_of_passes_raises_instead_of_guessing():
-    # Regression: on max_iter exhaustion _bisect used to return the
+def test_bisection_out_of_passes_raises_instead_of_guessing(monkeypatch):
+    # Regression: on exhausting its passes _bisect used to return the
     # unevaluated center of each open bracket. One bracket and 5000, both
-    # speculative, stop after max_iter passes: three levels in one call.
+    # speculative, stop after _MAX_PASSES passes: three levels in one call.
     func = lambda x, live: x - math.pi
     for brackets in (1, 5000):
         lo, hi = np.zeros(brackets), np.full(brackets, 4.0)
         f_lo, f_hi = func(lo, None), func(hi, None)
-        with pytest.raises(bs.NumericalError, match=f"{brackets} bracket.s. open after 3 passes"):
-            bs._bisect(func, lo, hi, f_lo, f_hi, rtol=1e-14, max_iter=3)
+        with monkeypatch.context() as patch, pytest.raises(
+            bs.NumericalError, match=f"{brackets} bracket.s. open after 3 passes"
+        ):
+            patch.setattr(bs, "_MAX_PASSES", 3)
+            bs._bisect(func, lo, hi, f_lo, f_hi, rtol=1e-14)
         roots = bs._bisect(func, lo, hi, f_lo, f_hi, rtol=1e-14)
         assert roots == pytest.approx(np.full(brackets, math.pi))
 
